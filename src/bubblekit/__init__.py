@@ -32,7 +32,6 @@ from .errors import (
     BubblekitError,
     EmptyEnsembleError,
     HorizonMismatchError,
-    InconsistentClassificationError,
     NonPositivePriceError,
     OutOfRangeError,
     ParameterOrderError,
@@ -40,7 +39,6 @@ from .errors import (
     StepMismatchError,
     TailUnsupportedError,
     ValidationError,
-    ZeroDenominatorError,
     ZeroInitialPriceError,
 )
 from .models import (
@@ -137,7 +135,6 @@ __all__ = [
     "BubblekitError",
     "ValidationError",
     "ZeroInitialPriceError",
-    "ZeroDenominatorError",
     "HorizonMismatchError",
     "OutOfRangeError",
     "TailUnsupportedError",
@@ -147,5 +144,4 @@ __all__ = [
     "StepMismatchError",
     "ParseError",
     "ArbitrageError",
-    "InconsistentClassificationError",
 ]

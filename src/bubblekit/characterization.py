@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import NonPositivePriceError, ValidationError
-from .numerics import compensated_sum
 from .tails import (
     ConstantYield,
     GeometricYield,
@@ -69,7 +68,7 @@ class YieldSeries:
 
     @property
     def partial_sum(self) -> float:
-        return compensated_sum(self.values)
+        return math.fsum(self.values)
 
 
 @dataclass(frozen=True)
@@ -191,9 +190,12 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
         }
 
     p_slope, p_intercept = np.polyfit(np.log(t), log_y, 1)
-    if p_slope < 0 and abs(p_slope * np.log(t[-1] / t[0])) > _FLAT_SLOPE:
+    with np.errstate(over="ignore"):  # steep decay: intercept past exp's range
+        p_coeff = float(np.exp(p_intercept))
+    p_flat = abs(p_slope * np.log(t[-1] / t[0])) <= _FLAT_SLOPE
+    if p_slope < 0 and math.isfinite(p_coeff) and not p_flat:
         candidates["power-yield"] = {
-            "model": PowerYield(float(np.exp(p_intercept)), float(-p_slope)),
+            "model": PowerYield(p_coeff, float(-p_slope)),
             "rmse": rmse(p_intercept + p_slope * np.log(t)),
         }
 

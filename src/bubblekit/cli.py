@@ -21,14 +21,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .characterization import Classification, suggest_tail
+from .characterization import Classification, TailFit, suggest_tail
 from .continuous import (
     ContinuousPath,
     deflated_price_profile,
     discretize,
     montrucchio_continuous,
 )
-from .errors import BubblekitError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .io import (
     build_report,
     parse_continuous_json,
@@ -130,27 +130,30 @@ def _analyze_one(name: str, args: argparse.Namespace, tol: float) -> dict[str, A
     return _analyze_discrete(data, args, tol)
 
 
-def _print_tail_fit(path: DiscretePath):
+def _tail_fit(path: DiscretePath, args: argparse.Namespace) -> tuple[TailFit | None, str]:
+    """The path's tail fit (None if there is none) and its note or the
+    reason; printed to stderr under --tail-suggest."""
     try:
         fit = suggest_tail(path)
     except ValidationError as exc:
-        print(f"bubblekit: tail fit unavailable: {exc}", file=sys.stderr)
-        return None
-    print(json.dumps(tail_fit_to_json(fit), sort_keys=True), file=sys.stderr)
-    return fit
+        if args.tail_suggest:
+            print(f"bubblekit: tail fit unavailable: {exc}", file=sys.stderr)
+        return None, str(exc)
+    if args.tail_suggest:
+        print(json.dumps(tail_fit_to_json(fit), sort_keys=True), file=sys.stderr)
+    return fit, fit.note
 
 
-def _require_tail(path: DiscretePath, args: argparse.Namespace) -> tuple[DiscretePath, str]:
-    fit = _print_tail_fit(path) if args.tail_suggest else None
+def _require_tail(
+    path: DiscretePath, args: argparse.Namespace, fit: TailFit | None, note: str
+) -> tuple[DiscretePath, str]:
     if args.tail is not None:
         return path.with_tail(parse_tail_spec(args.tail, path)), "flag"
     if path.tail is not None:
         return path, "embedded"
     if args.accept_suggested_tail:
-        if fit is None:
-            fit = suggest_tail(path)
-        if fit.suggestion is None:
-            raise ValidationError(f"no usable tail suggestion: {fit.note}")
+        if fit is None or fit.suggestion is None:
+            raise ValidationError(f"no usable tail suggestion: {note}")
         return path.with_tail(fit.suggestion), "suggested"
     raise ValidationError(
         "no tail declared: pass --tail <spec> (or --accept-suggested-tail "
@@ -163,11 +166,13 @@ def _analyze_discrete(data: str, args: argparse.Namespace, tol: float) -> dict[s
     path = parse_path_csv(data, tol)
     if args.horizon is not None:
         path = _truncate(path, args.horizon)
-    path, tail_source = _require_tail(path, args)
+    fit, note = _tail_fit(path, args)
+    path, tail_source = _require_tail(path, args, fit, note)
     result = decompose(path)
     return build_report(
         result,
         path,
+        fit,
         tol=tol,
         source_kind="discrete",
         tail_source=tail_source,
@@ -190,12 +195,12 @@ def _analyze_continuous(data: str, args: argparse.Namespace, tol: float) -> dict
     step = args.step if args.step is not None else _default_continuous_step(cpath)
     verdict = montrucchio_continuous(cpath, args.jump_side)
     path = discretize(cpath, step)
-    if args.tail_suggest:
-        _print_tail_fit(path)
+    fit, _ = _tail_fit(path, args)
     result = decompose(path)
     report = build_report(
         result,
         path,
+        fit,
         tol=tol,
         source_kind="continuous",
         tail_source=tail_source,
@@ -419,9 +424,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"bubblekit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BubblekitError as exc:
-        print(f"bubblekit: internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_INTERNAL
     except Exception as exc:  # the exit-code contract: never leak a traceback

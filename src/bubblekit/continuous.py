@@ -26,7 +26,7 @@ from .errors import (
     StepMismatchError,
     ValidationError,
 )
-from .numerics import compensated_cumsum, compensated_sum
+from .numerics import compensated_cumsum
 from .series import DiscretePath
 from .tails import (
     ConstantLevels,
@@ -172,7 +172,7 @@ def integrate_dF_over_P(
     cells = _cell_increments(cpath, yields)
     pos = T / h
     m = min(int(math.floor(pos + _GRID_RTOL)), cells.size)
-    total = compensated_sum(cells[:m])
+    total = math.fsum(cells[:m])
     frac = pos - m
     if frac > _GRID_RTOL and m < yields.size - 1:
         edge = yields[m] + (yields[m + 1] - yields[m]) * frac
@@ -231,8 +231,8 @@ def deflated_price_identity(
             "exceeds the price at its start"
         )
     steps = np.log1p(-half[:k]) - np.log1p(half[1 : k + 1])
-    log_lhs = compensated_sum(steps)
-    log_rhs = -compensated_sum(_cell_increments(cpath, yields)[:k])
+    log_lhs = math.fsum(steps)
+    log_rhs = -math.fsum(_cell_increments(cpath, yields)[:k])
     for t, log_factor in _jump_log_factors(cpath, jump_price_side):
         if t <= t_k * (1 + _GRID_RTOL):
             log_lhs += log_factor
@@ -333,7 +333,7 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
 
     cells = _cell_increments(cpath, cpath.dividends.density)
     dividends = np.array(
-        [compensated_sum(cells[k * m : (k + 1) * m]) for k in range(periods)]
+        [math.fsum(cells[k * m : (k + 1) * m]) for k in range(periods)]
     )
     for t, df in cpath.dividends.jumps:
         k = math.ceil(t / step - _GRID_RTOL)  # interval ((k-1) step, k step]

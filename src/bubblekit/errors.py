@@ -2,8 +2,7 @@
 
 Everything raised by the library derives from :class:`BubblekitError`.
 :class:`ValidationError` and its subclasses signal bad inputs (the CLI maps
-them to exit code 2); :class:`InconsistentClassificationError` signals an
-internal cross-check failure (exit code 1).
+them to exit code 2).
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ class ValidationError(BubblekitError):
 
 class ZeroInitialPriceError(ValidationError):
     """P_0 = 0: deflator construction is degenerate (log undefined)."""
-
-
-class ZeroDenominatorError(ValidationError):
-    """Some P_{t+1} + D_{t+1} = 0: the deflator recursion cannot advance."""
 
 
 class HorizonMismatchError(ValidationError):
@@ -69,7 +64,3 @@ class ParseError(ValidationError):
 
 class ArbitrageError(ValidationError):
     """Externally supplied deflators fail the no-arbitrage recursion check."""
-
-
-class InconsistentClassificationError(BubblekitError):
-    """The present-value route and the yield-criterion route disagree."""

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .characterization import TailFit, suggest_tail
+from .characterization import TailFit
 from .continuous import ContinuousPath, CumulativeDividend
 from .errors import ArbitrageError, ParseError, ValidationError
 from .series import (
@@ -236,9 +236,11 @@ def parse_path_csv(
             deflator = float(row[3]) if has_q else 0.0
         except ValueError as exc:
             raise ParseError(f"bad number: {exc}", line=line) from None
-        if not math.isfinite(price) or price < 0:
+        if not (math.isfinite(price) and math.isfinite(dividend)):
+            raise ParseError("non-finite price or dividend", line=line)
+        if price < 0:
             raise ParseError("negative price", line=line)
-        if not math.isfinite(dividend) or dividend < 0:
+        if dividend < 0:
             raise ParseError("negative dividend", line=line)
         if t == 0 and dividend != 0.0:
             raise ParseError(
@@ -345,6 +347,8 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
         density = np.array(obj["density"], dtype=np.float64)
         interpreted = obj.get("interpreted_component")
         interpreted = None if interpreted is None else float(interpreted)
+        declared_horizon = obj.get("horizon")
+        declared_horizon = None if declared_horizon is None else float(declared_horizon)
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"malformed continuous path document: {exc!r}") from None
     tail_obj = obj.get("tail")
@@ -356,9 +360,8 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
         tail=tail,
         interpreted_component=interpreted,
     )
-    declared_horizon = obj.get("horizon")
     if declared_horizon is not None and not math.isclose(
-        float(declared_horizon), cpath.horizon, rel_tol=1e-9, abs_tol=1e-12
+        declared_horizon, cpath.horizon, rel_tol=1e-9, abs_tol=1e-12
     ):
         raise ValidationError(
             f"declared horizon {declared_horizon} does not match the grid "
@@ -399,6 +402,7 @@ def tail_fit_to_json(fit: TailFit) -> dict[str, Any]:
 def build_report(
     decomposition: Decomposition,
     path: DiscretePath,
+    tail_fit: TailFit | None,
     *,
     tol: float = DEFAULT_TOL,
     source_kind: str = "discrete",
@@ -409,17 +413,15 @@ def build_report(
 ) -> dict[str, Any]:
     """Assemble the machine-readable analysis report.
 
-    The verdict in the report is exactly the decomposition's verdict; the
-    optional ``interpreted_component`` (a component some model labels a
-    bubble) is echoed verbatim next to the measured rational bubble so
-    the two can be contrasted.
+    The verdict in the report is exactly the decomposition's verdict, and
+    ``tail_fit`` is the path's tail suggestion (None when no fit is
+    possible).  The optional ``interpreted_component`` (a component some
+    model labels a bubble) is echoed verbatim next to the measured
+    rational bubble so the two can be contrasted.
     """
     diag = dict(decomposition.diagnostics)
     diag["partial_values"] = [[t, v] for t, v in diag.get("partial_values", ())]
-    try:
-        diag["tail_fit"] = tail_fit_to_json(suggest_tail(path))
-    except ValidationError:
-        diag["tail_fit"] = None
+    diag["tail_fit"] = None if tail_fit is None else tail_fit_to_json(tail_fit)
     if continuous_diagnostics:
         diag["continuous"] = continuous_diagnostics
     config: dict[str, Any] = {

@@ -1,49 +1,33 @@
-"""Low-level numeric helpers: safe logs and compensated accumulation.
+"""Low-level numeric helper: compensated prefix sums.
 
-Deflators are accumulated in the log domain and dividend sums use
-compensated summation, so results stay accurate over horizons up to 10^6
-periods where linear-domain state prices would underflow.
+Deflators and present values come from one cumulative log-yield sum over
+horizons up to 10^6 periods; its prefix sums must stay accurate to about
+one ulp, which plain ``np.cumsum`` does not guarantee.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
 
 
-def safe_log(x: float) -> float:
-    """log(x) for x > 0, -inf for x == 0 (never raises on the boundary)."""
-    return math.log(x) if x > 0.0 else -math.inf
-
-
 def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
-    """Running sums of ``values`` with Neumaier compensation.
+    """Running sums of ``values`` with the rounding errors added back.
 
-    Plain ``np.cumsum`` loses ~n*eps*|sum| which is too coarse for the
-    telescoping identity at 1e-12 relative tolerance; the compensated loop
-    keeps the error near one ulp of each partial sum.  Non-finite inputs
-    (a -inf log of a zero price) propagate without producing NaN.
+    Plain ``np.cumsum`` loses ~n*eps*|sum|, which is too coarse for the
+    telescoping identity at 1e-12 relative tolerance.  This is the
+    two-pass compensated prefix sum (Ogita-Rump-Oishi Sum2): the running
+    sums, the exact TwoSum error of each addition, and the running sum of
+    those errors, which keeps each partial sum near one ulp.  Non-finite
+    inputs (a +-inf log) propagate without producing NaN.
     """
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    out = np.empty(len(values))
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values):
-        t = total + v
-        if not math.isfinite(t):
-            carry = 0.0
-        elif abs(total) >= abs(v):
-            carry += (total - t) + v
-        else:
-            carry += (v - t) + total
-        total = t
-        out[i] = total + carry
-    return out
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    """Exact-rounding sum (Shewchuk); wrapper kept for symmetry."""
-    return math.fsum(values)
+    x = np.asarray(values, dtype=np.float64)
+    sums = np.cumsum(x)
+    errors = np.zeros_like(sums)
+    prev, cur, add = sums[:-1], sums[1:], x[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        virtual = cur - prev
+        errors[1:] = (prev - (cur - virtual)) + (add - virtual)
+    errors[~np.isfinite(sums)] = 0.0
+    return sums + np.cumsum(errors)

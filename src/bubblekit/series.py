@@ -1,14 +1,16 @@
 """Discrete-time pricing identities: deflators, decomposition, transversality.
 
-Given a sampled price/dividend path with a declared tail model, this module
-derives the implied state-price deflators from the no-arbitrage recursion
+Everything derives from one cumulative log-yield sum of the sampled path,
 
-    q_t * P_t = q_{t+1} * (P_{t+1} + D_{t+1}),    q_0 = 1,
+    L_t = sum_{s=1..t} log1p(D_s / P_s),    L_0 = 0:
 
-splits the date-0 price into fundamental value (present value of dividends)
-plus bubble component (the limit of the deflated price), and checks the
-transversality condition.  Deflators are stored and accumulated in the log
-domain so horizons up to 10^6 periods neither underflow nor overflow.
+the no-arbitrage recursion q_t P_t = q_{t+1} (P_{t+1} + D_{t+1}), q_0 = 1,
+gives q_t P_t = P_0 exp(-L_t), so the present value of the first T
+dividends is P_0 (1 - exp(-L_T)) and the bubble is the limit
+P_0 exp(-L_T - S), with S the declared tail's log-yield sum.  With strictly
+positive prices a bubble exists exactly when the yield sum converges, so
+the verdict is the tail class.  Staying in the log domain keeps horizons
+up to 10^6 periods free of underflow and overflow.
 
 All objects are immutable and all operations are pure functions; paths and
 results can be shared freely across threads.
@@ -16,31 +18,27 @@ results can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .characterization import Classification, Verdict, montrucchio_discrete
+from .characterization import Classification, montrucchio_discrete
 from .errors import (
     EmptyEnsembleError,
     HorizonMismatchError,
-    InconsistentClassificationError,
     OutOfRangeError,
-    TailUnsupportedError,
     ValidationError,
-    ZeroDenominatorError,
     ZeroInitialPriceError,
 )
-from .numerics import compensated_cumsum, compensated_sum, safe_log
+from .numerics import compensated_cumsum
 from .tails import (
-    ConstantLevels,
     DeclaredConvergent,
     GeometricYield,
     PowerYield,
     TailClass,
     TailModel,
-    ZeroDividends,
     classify_tail,
     geometric_tail_log_sum,
     power_tail_log_sum,
@@ -64,8 +62,8 @@ __all__ = [
     "reroot",
 ]
 
-# bubble threshold, relative to P_0: |B_0| at or below this resolves to
-# no-bubble (with a boundary flag); chosen well above accumulated rounding
+# bubble threshold, relative to P_0: a bubble at or below it carries the
+# boundary flag; chosen well above accumulated rounding
 EPS_BUBBLE = 1e-9
 
 # default relative tolerance for the no-arbitrage recursion check
@@ -120,8 +118,9 @@ class DiscretePath:
             raise ValidationError("negative price")
         if np.any(dividends < 0):
             raise ValidationError("negative dividend")
-        if np.any(prices[1:] + dividends[1:] <= 0):
-            t = int(np.nonzero(prices[1:] + dividends[1:] <= 0)[0][0]) + 1
+        stalled = (prices[1:] == 0) & (dividends[1:] == 0)
+        if np.any(stalled):
+            t = int(np.argmax(stalled)) + 1
             raise ValidationError(
                 f"P_t + D_t must be positive for t >= 1 (violated at t = {t})"
             )
@@ -187,25 +186,52 @@ def _check_same_horizon(path: DiscretePath, deflators: Deflators) -> None:
         )
 
 
-def implied_deflators(path: DiscretePath) -> Deflators:
-    """Deflators pinned by the no-arbitrage recursion, accumulated in logs.
+def _log_yield_sum(path: DiscretePath) -> np.ndarray:
+    """L_t = sum_{s=1..t} log1p(D_s / P_s) for t = 0..T_max, with L_0 = 0.
 
-    log q_{t+1} = log q_t + log(P_t / (P_{t+1} + D_{t+1})), with q_0 = 1.
-    An interior zero price sends every later log q to -inf (those dates
-    are worth nothing at date 0), which downstream sums handle as exact
-    zero contributions.
+    From an interior zero price on, L is +inf: that date's dividend takes
+    all remaining value, so every later deflated price is exactly zero.
+    """
+    if path.prices[0] == 0.0:
+        raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
+    prices, dividends = path.prices[1:], path.dividends[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        yields = dividends / prices
+        steps = np.log1p(yields)
+        # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
+        far = np.isinf(yields)
+        steps[far] = np.log(dividends[far]) - np.log(prices[far])
+    return np.concatenate(([0.0], compensated_cumsum(steps)))
+
+
+def _deflators(path: DiscretePath, log_yield: np.ndarray) -> Deflators:
+    """log q_t = log(P_0 / P_t) - L_t, or log(P_0 / D_t) - L_{t-1} where
+    P_t = 0 (that date's dividend is then worth q_{t-1} P_{t-1}).
+
+    Price ratios keep 2^k scaling of the path bit-exact.  A ratio outside
+    the normal double range is taken apart in logs instead, and L below a
+    log deflator's resolution (eps), which moves no q_t, is rounded away:
+    a scaled subnormal dividend is inexact.
     """
     prices = path.prices
-    if prices[0] == 0.0:
-        raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
-    denom = prices[1:] + path.dividends[1:]
-    if np.any(denom == 0.0):
-        t = int(np.nonzero(denom == 0.0)[0][0]) + 1
-        raise ZeroDenominatorError(f"P_{t} + D_{t} = 0: recursion cannot advance")
-    with np.errstate(divide="ignore"):
-        increments = np.log(prices[:-1] / denom)
-    log_q = np.concatenate(([0.0], compensated_cumsum(increments)))
-    return Deflators(log_q)
+    zero = prices == 0.0
+    denom = np.where(zero, path.dividends, prices)
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = prices[0] / denom
+    far = (ratios < np.finfo(np.float64).tiny) | np.isinf(ratios)
+    log_q = np.log(np.where(far, 1.0, ratios))
+    log_q[far] = math.log(prices[0]) - np.log(denom[far])
+    cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
+    return Deflators(log_q - ((cum + 1.0) - 1.0))
+
+
+def implied_deflators(path: DiscretePath) -> Deflators:
+    """Deflators of q_{t+1} = q_t P_t / (P_{t+1} + D_{t+1}), q_0 = 1, in logs.
+
+    An interior zero price sends every later log q to -inf (those dates
+    are worth nothing at date 0): exact zero contributions downstream.
+    """
+    return _deflators(path, _log_yield_sum(path))
 
 
 def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarray:
@@ -216,9 +242,14 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     linear-domain deflators underflow.
     """
     _check_same_horizon(path, deflators)
-    with np.errstate(divide="ignore"):
-        lhs = deflators.log_q[:-1] + np.log(path.prices[:-1])
-        rhs = deflators.log_q[1:] + np.log(path.prices[1:] + path.dividends[1:])
+    prices, dividends = path.prices, path.dividends
+    with np.errstate(divide="ignore", over="ignore"):
+        lhs = deflators.log_q[:-1] + np.log(prices[:-1])
+        log_cum = np.log(prices[1:] + dividends[1:])
+        # P + D past the double range
+        far = np.isinf(log_cum)
+        log_cum[far] = np.logaddexp(np.log(prices[1:][far]), np.log(dividends[1:][far]))
+    rhs = deflators.log_q[1:] + log_cum
     # -inf on both sides means both values are exactly zero: no violation
     both_zero = np.isneginf(lhs) & np.isneginf(rhs)
     with np.errstate(invalid="ignore"):
@@ -247,127 +278,119 @@ def partial_value(path: DiscretePath, deflators: Deflators, T: int) -> float:
         raise OutOfRangeError(f"T = {T} outside [1, {path.horizon}]")
     with np.errstate(divide="ignore"):
         log_terms = deflators.log_q[1 : T + 1] + np.log(path.dividends[1 : T + 1])
-    return compensated_sum(np.exp(log_terms))
+    return math.fsum(np.exp(log_terms))
 
 
-def _log_deflated_terminal(path: DiscretePath, deflators: Deflators) -> float:
-    """log(q_T * P_T) at the sampled horizon (-inf when the value is 0)."""
-    return float(deflators.log_q[-1]) + safe_log(float(path.prices[-1]))
+class _Split(NamedTuple):
+    fundamental: float
+    bubble: float
+    log_bubble: float | None
+    verdict: Classification
+    boundary: bool
+
+
+def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
+    """Price split and verdict from L and the declared tail.
+
+    A divergent tail certifies a zero bubble.  A convergent one leaves
+    P_0 exp(-L_T - S), S the analytic log-yield sum of a geometric or
+    power tail (0 when no dividends follow the horizon), less a declared
+    tail present value: a bubble on a strictly positive path, flagged
+    ``boundary`` at or below EPS_BUBBLE * P_0.  An interior zero price
+    (L_T = +inf) exhausts the value: no bubble, with ``boundary`` flagging
+    a declared tail value absorbed within the threshold.
+    """
+    tail = path.tail
+    if tail is None:
+        raise ValidationError(
+            "path has no declared tail model; declare one before valuation"
+        )
+    price0 = float(path.prices[0])
+    if classify_tail(tail) is TailClass.DIVERGENT:
+        return _Split(price0, 0.0, None, Classification.NO_BUBBLE, False)
+    log_sum = float(log_yield[-1])
+    if isinstance(tail, GeometricYield):
+        log_sum += geometric_tail_log_sum(tail.coeff, tail.ratio, path.horizon + 1)
+    elif isinstance(tail, PowerYield):
+        log_sum += power_tail_log_sum(tail.coeff, tail.exponent, path.horizon + 1)
+    tail_sum = tail.tail_sum if isinstance(tail, DeclaredConvergent) else 0.0
+    fundamental = price0 * -math.expm1(-log_sum) + tail_sum
+    bubble = price0 * math.exp(-log_sum) - tail_sum
+    threshold = EPS_BUBBLE * price0
+    positive = math.isfinite(log_sum)  # L_T = +inf after an interior zero price
+    if bubble < -threshold or (
+        positive and isinstance(tail, DeclaredConvergent) and bubble <= threshold
+    ):
+        raise ValidationError(
+            f"declared tail present value leaves a bubble of {bubble!r}: "
+            "negative, or not above EPS_BUBBLE * P_0 where a convergent yield "
+            "sum leaves a positive one; the declaration is inconsistent"
+        )
+    if not positive:
+        return _Split(fundamental, 0.0, None, Classification.NO_BUBBLE, bubble != 0.0)
+    log_bubble = math.log(price0) - log_sum if tail_sum == 0.0 else math.log(bubble)
+    return _Split(
+        fundamental, bubble, log_bubble, Classification.BUBBLE, bubble <= threshold
+    )
+
+
+def _valuation(path: DiscretePath, deflators: Deflators) -> _Split:
+    _check_same_horizon(path, deflators)
+    return _split(path, _log_yield_sum(path))
 
 
 def fundamental_value(path: DiscretePath, deflators: Deflators) -> float:
     """Present value of all dividends: sampled part plus declared tail.
 
     Divergent-yield tails certify a zero bubble, so the fundamental is
-    P_0 exactly.  Convergent tails add their analytic remainder to the
-    sampled present value:
-
-    * zero tail dividends contribute nothing;
-    * geometric / fast power decay leaves the deflated-price limit
-      q_T P_T * exp(-sum of remaining log(1 + y_t)), and the fundamental
-      is P_0 minus that limit;
-    * a declared-convergent tail supplies its present value directly.
+    P_0 exactly.  Under a convergent tail it is P_0 less the deflated-price
+    limit, plus a declared-convergent tail's present value.  ``deflators``
+    must be the path's own; every value comes from the path's log-yield
+    sum.
     """
-    if path.tail is None:
-        raise ValidationError(
-            "path has no declared tail model; declare one before valuation"
-        )
-    _check_same_horizon(path, deflators)
-    price0 = float(path.prices[0])
-    if classify_tail(path.tail) is TailClass.DIVERGENT:
-        return price0
-
-    tail = path.tail
-    horizon = path.horizon
-    if isinstance(tail, (ZeroDividends, ConstantLevels)):
-        # convergent ConstantLevels has zero tail dividend by classification
-        return partial_value(path, deflators, horizon)
-    if isinstance(tail, DeclaredConvergent):
-        return partial_value(path, deflators, horizon) + tail.tail_sum
-    if isinstance(tail, GeometricYield):
-        decay = geometric_tail_log_sum(tail.coeff, tail.ratio, horizon + 1)
-    elif isinstance(tail, PowerYield):
-        decay = power_tail_log_sum(tail.coeff, tail.exponent, horizon + 1)
-    else:
-        raise TailUnsupportedError(
-            f"no present-value rule for tail model {tail!r}"
-        )
-    limit = np.exp(_log_deflated_terminal(path, deflators) - decay)
-    return max(price0 - float(limit), 0.0)
+    return _valuation(path, deflators).fundamental
 
 
 def bubble_component(path: DiscretePath, deflators: Deflators) -> float:
-    """Bubble B_0 = lim q_T P_T, evaluated exactly as P_0 - fundamental."""
-    return float(path.prices[0]) - fundamental_value(path, deflators)
+    """Bubble B_0 = lim q_T P_T: P_0 exp(-L_T - S) under a convergent tail."""
+    return _valuation(path, deflators).bubble
 
 
 def tvc_holds(path: DiscretePath, deflators: Deflators) -> bool:
     """Transversality condition: the deflated price limit vanishes.
 
-    True iff the bubble component is zero within EPS_BUBBLE * P_0.
+    True exactly when the verdict is no-bubble.  With strictly positive
+    prices a convergent tail leaves a positive limit, however small.
     """
-    threshold = EPS_BUBBLE * float(path.prices[0])
-    return bubble_component(path, deflators) <= threshold
-
-
-def _checkpoints(horizon: int) -> tuple[int, ...]:
-    picks = {max(1, horizon // 4), max(1, horizon // 2), horizon}
-    return tuple(sorted(picks))
+    return _valuation(path, deflators).verdict is Classification.NO_BUBBLE
 
 
 def decompose(path: DiscretePath) -> Decomposition:
-    """Full decomposition with cross-checked verdict and diagnostics.
+    """Full decomposition with verdict and diagnostics, all from one L.
 
-    Runs the deflator construction, the present-value split, and (when
-    prices are strictly positive) the independent dividend-yield
-    classifier; raises InconsistentClassificationError if the two routes
-    disagree.  Ties at the verdict boundary resolve to no-bubble with a
-    ``boundary`` diagnostic flag.
+    Present values at T/4, T/2, T are P_0 (1 - exp(-L_T)); ``log_bubble``
+    is log B_0, finite for a bubble even where B_0 underflows, and None
+    otherwise; ``boundary`` flags a bubble at or below EPS_BUBBLE * P_0.
+    The verdict rule and the rejected declarations are those of the split
+    (see the module docstring); ``classifier`` reports the yield criterion.
     """
-    deflators = implied_deflators(path)
+    log_yield = _log_yield_sum(path)
+    split = _split(path, log_yield)
     price0 = float(path.prices[0])
-    fundamental = fundamental_value(path, deflators)
-    bubble = price0 - fundamental
-    threshold = EPS_BUBBLE * price0
-
-    if bubble < -threshold:
-        raise ValidationError(
-            "declared tail present value exceeds the price net of sampled "
-            f"dividends (bubble = {bubble!r} < 0); the declaration is "
-            "inconsistent with the path"
-        )
-    boundary = bubble != 0.0 and abs(bubble) <= threshold
-    bubble = max(bubble, 0.0)
-    verdict = (
-        Classification.BUBBLE if bubble > threshold else Classification.NO_BUBBLE
-    )
-
-    classifier: Verdict | None = None
-    if np.all(path.prices > 0):
-        classifier = montrucchio_discrete(path)
-        if classifier.classification is not verdict:
-            raise InconsistentClassificationError(
-                f"present-value route says {verdict.value} "
-                f"(bubble = {bubble!r}, threshold = {threshold!r}) but the "
-                f"yield criterion says {classifier.classification.value}: "
-                f"{classifier.rationale}"
-            )
-
-    horizon = path.horizon
+    h = path.horizon
     partials = tuple(
-        (T, partial_value(path, deflators, T)) for T in _checkpoints(horizon)
+        (T, price0 * -math.expm1(-float(log_yield[T])))
+        for T in sorted({max(1, h // 4), max(1, h // 2), h})
     )
-    sampled_value = partials[-1][1]
+    classifier = montrucchio_discrete(path) if np.all(path.prices > 0) else None
+    residuals = no_arbitrage_residuals(path, _deflators(path, log_yield))
     diagnostics: dict[str, Any] = {
         "partial_values": partials,
-        "tail_contribution": fundamental - sampled_value,
-        "deflated_terminal_price": float(
-            np.exp(_log_deflated_terminal(path, deflators))
-        ),
-        "no_arbitrage_residual_max": float(
-            np.max(no_arbitrage_residuals(path, deflators))
-        ),
-        "boundary": boundary,
+        "tail_contribution": split.fundamental - partials[-1][1],
+        "deflated_terminal_price": price0 * math.exp(-float(log_yield[-1])),
+        "log_bubble": split.log_bubble,
+        "no_arbitrage_residual_max": float(np.max(residuals)),
+        "boundary": split.boundary,
         "classifier": None
         if classifier is None
         else {
@@ -377,13 +400,7 @@ def decompose(path: DiscretePath) -> Decomposition:
             "rationale": classifier.rationale,
         },
     }
-    return Decomposition(
-        price=price0,
-        fundamental=fundamental,
-        bubble=bubble,
-        verdict=verdict,
-        diagnostics=diagnostics,
-    )
+    return Decomposition(price0, split.fundamental, split.bubble, split.verdict, diagnostics)
 
 
 def ensemble_decompose(decompositions: Sequence[Decomposition]) -> Decomposition:
@@ -395,9 +412,9 @@ def ensemble_decompose(decompositions: Sequence[Decomposition]) -> Decomposition
     """
     if not decompositions:
         raise EmptyEnsembleError("cannot aggregate an empty ensemble")
-    price = compensated_sum(d.price for d in decompositions)
-    fundamental = compensated_sum(d.fundamental for d in decompositions)
-    bubble = compensated_sum(d.bubble for d in decompositions)
+    price = math.fsum(d.price for d in decompositions)
+    fundamental = math.fsum(d.fundamental for d in decompositions)
+    bubble = math.fsum(d.bubble for d in decompositions)
     threshold = EPS_BUBBLE * price
     verdict = (
         Classification.BUBBLE if bubble > threshold else Classification.NO_BUBBLE

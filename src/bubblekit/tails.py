@@ -32,7 +32,6 @@ from typing import Union
 from scipy.special import spence, zeta
 
 from .errors import TailUnsupportedError, ValidationError
-from .numerics import compensated_sum
 
 __all__ = [
     "TailClass",
@@ -200,7 +199,7 @@ def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
     while u > cutoff:
         terms.append(math.log1p(u))
         u *= ratio
-    return compensated_sum(terms)
+    return math.fsum(terms)
 
 
 def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
@@ -221,7 +220,7 @@ def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
         # exceeds 8e5, so its exp-complement is identically 0.0 in double
         # precision and the remainder is irrelevant
         t0 = start + 2_000_000
-    head = compensated_sum(
+    head = math.fsum(
         math.log1p(coeff * float(t) ** -exponent) for t in range(start, t0)
     )
     if capped:

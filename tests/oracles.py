@@ -91,6 +91,30 @@ def deflated_terminal_log(prices, dividends) -> float:
     return log_qp
 
 
+def deflated_recursion_mp(prices, dividends, at, dps: int = 50):
+    """Present values and the deflated terminal price by direct recursion.
+
+    q_{t+1} = q_t P_t / (P_{t+1} + D_{t+1}) from q_0 = 1 in ``dps``-digit
+    arithmetic; returns ({T: sum_{t<=T} q_t D_t for T in at}, q_T P_T).
+    Shares nothing with the library's log-yield sum.
+    """
+    prices = [float(p) for p in prices]
+    dividends = [float(d) for d in dividends]
+    if len(dividends) == len(prices) - 1:
+        dividends = [0.0] + dividends
+    wanted = set(at)
+    present = {}
+    with mp.workdps(dps):
+        q = mp.mpf(1)
+        pv = mp.mpf(0)
+        for t in range(1, len(prices)):
+            q = q * mp.mpf(prices[t - 1]) / (mp.mpf(prices[t]) + mp.mpf(dividends[t]))
+            pv += q * mp.mpf(dividends[t])
+            if t in wanted:
+                present[t] = float(pv)
+        return present, float(q * mp.mpf(prices[-1]))
+
+
 def limit_is_positive(yields, flat_threshold: float = 0.1) -> bool:
     """Decide lim q_T P_T > 0 from a long sampled yield series.
 

@@ -26,6 +26,7 @@ from bubblekit import (
     implied_deflators,
     montrucchio_continuous,
     montrucchio_discrete,
+    suggest_tail,
 )
 from bubblekit.io import build_report
 from bubblekit.numerics import compensated_cumsum
@@ -81,6 +82,7 @@ def test_criterion_2_miao_wang_nonexistence_grid():
         report = build_report(
             dec,
             dpath,
+            suggest_tail(dpath),
             source_kind="continuous",
             interpreted_component=cpath.interpreted_component,
         )

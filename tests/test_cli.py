@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bubblekit import (
     ValidationError,
     gen_constant,
     gen_gordon,
+    suggest_tail,
 )
 from bubblekit.cli import main
 from bubblekit.io import (
@@ -486,9 +488,9 @@ def test_continuous_json_rejects_bad_documents():
         )
 
 
-def test_internal_inconsistency_exits_1(capsys, monkeypatch):
-    # a declared tail absorbing exactly the remaining value makes the two
-    # verdict routes disagree: the CLI maps that to the internal-error code
+def test_inconsistent_declared_tail_exits_2(capsys, monkeypatch):
+    # a declared tail absorbing exactly the remaining value leaves no
+    # bubble under a convergent tail class: an inconsistent declaration
     from bubblekit import DeclaredConvergent, implied_deflators, partial_value
 
     p = gen_constant(100, 5, 10).with_tail(DeclaredConvergent(0.0))
@@ -499,8 +501,9 @@ def test_internal_inconsistency_exits_1(capsys, monkeypatch):
         stdin=serialize_path_csv(p.with_tail(None)),
         monkeypatch=monkeypatch,
     )
-    assert code == 1
-    assert "internal" in err
+    assert code == 2
+    assert out == ""
+    assert "inconsistent" in err
 
 
 def test_analyze_continuous_step_flag(capsys, monkeypatch):
@@ -523,3 +526,150 @@ def test_analyze_continuous_step_flag(capsys, monkeypatch):
         capsys, ["analyze", "--step", "0.015"], stdin=doc, monkeypatch=monkeypatch
     )
     assert code == 2 and "multiple" in err
+
+
+# ---------- strict reports and the exit-code contract ----------
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_steep_geometric_decay_report_is_strict_json(capsys, monkeypatch):
+    # the power-law fit of a steep geometric decay has an intercept past
+    # exp's range; that candidate is dropped instead of reported as Infinity
+    _, doc, _ = run(
+        capsys,
+        ["generate", "convergent-yield", "--alpha", "0.5", "--rho", "0.3", "--T", "200"],
+    )
+    code, out, err = run(capsys, ["analyze"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 10
+    assert err == ""
+    report = strict_json(out)
+    assert "power-yield" not in report["diagnostics"]["tail_fit"]["candidates"]
+
+
+def test_tail_fit_runs_once_per_document(tmp_path, capsys, monkeypatch):
+    import sys
+
+    calls = []
+
+    def counting(path, *args, **kwargs):
+        calls.append(path.horizon)
+        return suggest_tail(path, *args, **kwargs)
+
+    # wherever a bubblekit module bound the name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bubblekit"):
+            if getattr(module, "suggest_tail", None) is suggest_tail:
+                monkeypatch.setattr(module, "suggest_tail", counting)
+    files = []
+    tailless, embedded = gen_constant(100, 5, 60).with_tail(None), gen_constant(50, 1, 40)
+    for i, path in enumerate([tailless, embedded]):
+        f = tmp_path / f"doc{i}.csv"
+        f.write_text(serialize_path_csv(path))
+        files.append(str(f))
+    _, doc, _ = run(
+        capsys,
+        ["generate", "miao-wang", "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2",
+         "--horizon", "10", "--grid-step", "0.01"],
+    )
+    (tmp_path / "mw.json").write_text(doc)
+    files.append(str(tmp_path / "mw.json"))
+    code, out, err = run(
+        capsys, ["analyze", "--accept-suggested-tail", "--tail-suggest", *files]
+    )
+    assert code == 0
+    assert calls == [60, 40, 10]  # the continuous path is fitted once discretized
+    assert len(out.splitlines()) == 3 and len(err.splitlines()) == 3
+
+
+def test_continuous_json_bad_horizon_is_a_parse_error(capsys, monkeypatch):
+    from bubblekit.io import parse_continuous_json
+
+    doc = '{"grid_step": 0.5, "horizon": "abc", "prices": [1, 1, 1], "density": [0, 0, 0]}'
+    with pytest.raises(ParseError, match="malformed"):
+        parse_continuous_json(doc)
+    code, out, err = run(
+        capsys, ["analyze", "--tail", "zero-dividends"], stdin=doc, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == "" and "internal" not in err
+
+
+@pytest.mark.parametrize("row", ["1,nan,5", "1,inf,5", "1,100,nan", "1,100,-inf"])
+def test_parse_csv_non_finite_values_name_line(row):
+    with pytest.raises(ParseError, match="non-finite") as info:
+        parse_path_csv(f"t,P,D\n0,100,\n{row}\n")
+    assert info.value.line == 3
+
+
+def test_overflowing_cum_dividend_price_is_analysed_exactly(capsys, monkeypatch):
+    # P_1 + D_1 overflows a double; the yield D_1 / P_1 = 1 does not
+    code, out, err = run(
+        capsys,
+        ["analyze", "--tail", "zero-dividends"],
+        stdin="t,P,D\n0,1e308,\n1,1e308,1e308\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 10
+    assert err == ""
+    report = strict_json(out)
+    assert report["decomposition"]["bubble"] == pytest.approx(5e307, rel=1e-15)
+    assert report["decomposition"]["fundamental"] == pytest.approx(5e307, rel=1e-15)
+    assert 0.0 <= report["diagnostics"]["no_arbitrage_residual_max"] <= 1e-15
+
+
+def _infinite_geometric_log_sum(alpha, rho, start):
+    terms, t = [], start
+    while alpha * rho**t >= 1e-30:
+        terms.append(math.log1p(alpha * rho**t))
+        t += 1
+    return math.fsum(terms)
+
+
+def test_convergent_yield_pipe_with_negligible_bubble_exits_10(capsys, monkeypatch):
+    # the bubble exp(-80) is far below EPS_BUBBLE * P_0, but the yield sum
+    # converges: a bubble, with its size carried in the log domain
+    _, doc, _ = run(
+        capsys, ["generate", "convergent-yield", "--alpha", "1", "--rho", "0.99"]
+    )
+    code, out, err = run(capsys, ["analyze"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 10 and err == ""
+    report = strict_json(out)
+    rows = [line.split(",") for line in doc.splitlines()[3:]]
+    sampled = math.fsum(math.log1p(float(d) / float(p)) for _, p, d in rows)
+    expected = -(sampled + _infinite_geometric_log_sum(1.0, 0.99, len(rows) + 1))
+    assert report["decomposition"]["verdict"] == "bubble"
+    assert report["diagnostics"]["boundary"] is True
+    assert report["diagnostics"]["log_bubble"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, rho, T",
+    [
+        (1.2, 0.5, 50),  # total log-yield sum ~1
+        (0.3, 0.9, 100),  # ~2.5
+        (1.0, 0.95, 300),  # ~16
+        (1.5, 0.99, 500),  # ~114
+        (1.0, 0.998, 1000),  # ~410; the bubble underflows past ~745
+        (0.6, 0.9995, 1000),  # ~1056, with the dilogarithm tail sum
+    ],
+)
+def test_convergent_yield_round_trip_always_exits_10(alpha, rho, T, capsys, monkeypatch):
+    _, doc, _ = run(
+        capsys,
+        ["generate", "convergent-yield", "--alpha", str(alpha), "--rho", str(rho),
+         "--T", str(T)],
+    )
+    code, out, err = run(capsys, ["analyze"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 10 and err == ""
+    report = strict_json(out)
+    log_bubble = report["diagnostics"]["log_bubble"]
+    bubble = report["decomposition"]["bubble"]
+    expected = -_infinite_geometric_log_sum(alpha, rho, 1)
+    assert log_bubble == pytest.approx(expected, rel=1e-9)
+    assert bubble == pytest.approx(math.exp(log_bubble), rel=1e-12, abs=1e-300)
+    assert report["diagnostics"]["boundary"] is (bubble <= 1e-9)

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from bubblekit.numerics import compensated_cumsum, compensated_sum, safe_log
+from bubblekit.numerics import compensated_cumsum
 
 
-def test_safe_log():
-    assert safe_log(1.0) == 0.0
-    assert safe_log(math.e) == pytest.approx(1.0)
-    assert safe_log(0.0) == -math.inf
+def neumaier_cumsum(values):
+    """Reference: the element-by-element Neumaier loop."""
+    out = np.empty(len(values))
+    total = carry = 0.0
+    for i, v in enumerate(values):
+        t = total + v
+        if not math.isfinite(t):
+            carry = 0.0
+        elif abs(total) >= abs(v):
+            carry += (total - t) + v
+        else:
+            carry += (v - t) + total
+        total = t
+        out[i] = total + carry
+    return out
 
 
 def test_compensated_cumsum_matches_fsum_prefixes():
@@ -36,6 +47,16 @@ def test_compensated_cumsum_propagates_neg_inf():
     assert np.all(np.isneginf(out[1:]))
 
 
-def test_compensated_sum_is_fsum():
-    vals = [0.1] * 10
-    assert compensated_sum(vals) == math.fsum(vals) == 1.0
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: np.log1p(rng.uniform(0.0, 0.5, 200_000)),
+        lambda rng: rng.uniform(-1, 1, 5000) * 10.0 ** rng.integers(-8, 8, 5000),
+        lambda rng: np.concatenate((rng.uniform(0, 1, 50), [math.inf], np.ones(50))),
+        lambda rng: np.array([]),
+    ],
+)
+def test_compensated_cumsum_equals_the_neumaier_loop(make):
+    # the same additions and error terms in the same order: bit-identical
+    x = make(np.random.default_rng(11))
+    assert np.array_equal(compensated_cumsum(x), neumaier_cumsum(x.tolist()))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -71,6 +71,9 @@ def test_partial_values_monotone_and_bounded_by_price(path):
 
 
 @given(positive_paths(), st.integers(-20, 20))
+@example(  # a subnormal dividend, which the scaling leaves inexact
+    DiscretePath(np.ones(11), np.full(10, 2.22507386e-313), tail=DeclaredDivergent()), -2
+)
 @settings(max_examples=40, deadline=None)
 def test_scale_invariance_exact_for_binary_scales(path, k):
     lam = 2.0**k

@@ -13,8 +13,8 @@ from bubblekit import (
     EmptyEnsembleError,
     GeometricYield,
     HorizonMismatchError,
-    InconsistentClassificationError,
     OutOfRangeError,
+    PowerYield,
     ValidationError,
     ZeroDividends,
     ZeroInitialPriceError,
@@ -30,7 +30,7 @@ from bubblekit import (
     tvc_holds,
 )
 
-from oracles import deflated_terminal_log
+from oracles import deflated_recursion_mp, deflated_terminal_log
 
 # frozen from the high-precision product oracle (prod over s=1..200 of
 # 1/(1 + 0.5 * 0.5^s), dps=60): 0.6291336626926613965649342...
@@ -323,25 +323,26 @@ def test_decompose_boundary_flag_on_sub_threshold_bubble():
 
 
 def test_decompose_sub_threshold_bubble_with_classifier_is_inconsistent():
-    # with strictly positive prices the same situation trips the guard:
-    # the yield criterion still reads the declared tail as convergent
+    # with strictly positive prices a convergent yield sum leaves a
+    # positive bubble, so a declared tail value that leaves one within
+    # epsilon is an inconsistent declaration: bad input
     p = constant_path(T=10, tail=DeclaredConvergent(0.0))
     d = implied_deflators(p)
     remaining = 100.0 - partial_value(p, d, 10)
     p = p.with_tail(DeclaredConvergent(remaining - 0.5e-9 * 100.0))
-    with pytest.raises(InconsistentClassificationError):
+    with pytest.raises(ValidationError):
         decompose(p)
 
 
 def test_decompose_raises_on_route_disagreement():
     # a declared-convergent tail that absorbs the entire remaining value
-    # leaves a zero bubble while the classifier still reads the tail as
-    # convergent (= bubble): the internal consistency guard must fire
+    # leaves a zero bubble although the tail class is convergent (=
+    # bubble): the declaration is rejected as inconsistent
     p = constant_path(T=10, tail=DeclaredConvergent(0.0))
     d = implied_deflators(p)
     remaining = 100.0 - partial_value(p, d, 10)
     p = p.with_tail(DeclaredConvergent(remaining))
-    with pytest.raises(InconsistentClassificationError):
+    with pytest.raises(ValidationError):
         decompose(p)
 
 
@@ -349,6 +350,76 @@ def test_decompose_rejects_overlarge_declared_tail_sum():
     p = constant_path(T=10, tail=DeclaredConvergent(1000.0))
     with pytest.raises(ValidationError):
         decompose(p)
+
+
+def test_decompose_matches_high_precision_recursion():
+    # present values and q_T P_T against a 50-digit direct recursion
+    rng = np.random.default_rng(20261018)
+    for T in (10, 137, 800, 2000, 2000, 1500):
+        prices = 10.0 ** rng.uniform(-3, 3, T + 1)
+        yields = rng.uniform(0.0, 10 ** rng.uniform(-4, -0.3), T)
+        path = DiscretePath(prices, yields * prices[1:], tail=DeclaredDivergent())
+        dec = decompose(path)
+        at = [t for t, _ in dec.diagnostics["partial_values"]]
+        present, terminal = deflated_recursion_mp(path.prices, path.dividends, at)
+        scale = 1e-12 * float(prices[0])
+        for t, value in dec.diagnostics["partial_values"]:
+            assert abs(value - present[t]) <= scale, (T, t)
+        assert abs(dec.diagnostics["deflated_terminal_price"] - terminal) <= scale
+
+
+@pytest.mark.parametrize(
+    "tail", [GeometricYield(0.5, 0.5), PowerYield(1.0, 2.0), ZeroDividends()]
+)
+def test_convergent_tail_on_positive_path_is_a_bubble(tail):
+    for yield_level, negligible in ((1e-3, False), (0.05, True), (2.0, True)):
+        p = DiscretePath(np.ones(501), np.full(500, yield_level), tail=tail)
+        dec = decompose(p)
+        assert dec.verdict is Classification.BUBBLE
+        assert not tvc_holds(p, implied_deflators(p))
+        assert dec.diagnostics["boundary"] is negligible
+        log_bubble = dec.diagnostics["log_bubble"]
+        assert math.isfinite(log_bubble)
+        assert dec.bubble == pytest.approx(math.exp(log_bubble), rel=1e-12, abs=1e-300)
+    # a log-yield sum of 1000 log(3) ~ 1099: the linear bubble underflows
+    p = DiscretePath(np.ones(1001), np.full(1000, 2.0), tail=tail)
+    dec = decompose(p)
+    assert dec.bubble == 0.0 and dec.verdict is Classification.BUBBLE
+    assert dec.diagnostics["log_bubble"] <= -1000 * math.log(3.0)
+
+
+def test_decompose_divergent_tail_has_no_log_bubble():
+    dec = decompose(constant_path())
+    assert dec.diagnostics["log_bubble"] is None
+    assert dec.diagnostics["boundary"] is False
+
+
+def test_interior_zero_price_keeps_no_bubble_verdict_and_tvc():
+    p = DiscretePath(
+        [1.0, 1.0, 0.0, 1.0, 1.0], [0.2, 0.5, 0.2, 0.2], tail=ZeroDividends()
+    )
+    dec = decompose(p)
+    assert (dec.fundamental, dec.bubble) == (1.0, 0.0)
+    assert dec.verdict is Classification.NO_BUBBLE
+    assert dec.diagnostics["log_bubble"] is None
+    assert tvc_holds(p, implied_deflators(p))
+
+
+@pytest.mark.parametrize(
+    "prices, dividends",
+    [
+        ([1.0, 1e-300, 1e-300], [1e10, 1e-301]),  # D_1 / P_1 past the double range
+        ([1e300, 1e-10, 1e-10], [0.0, 1e-12]),  # P_0 / P_t past the double range
+    ],
+)
+def test_deflators_stay_finite_where_ratios_overflow(prices, dividends):
+    p = DiscretePath(prices, dividends, tail=DeclaredDivergent())
+    d = implied_deflators(p)
+    assert np.isfinite(d.log_q).all()
+    assert check_no_arbitrage(p, d, tol=1e-12)
+    _, terminal = deflated_recursion_mp(p.prices, p.dividends, [])
+    oracle = math.log(terminal) - math.log(prices[-1])
+    assert d.log_q[-1] == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------- ensemble ----------
