@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -337,7 +338,9 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     return EXIT_NO_BUBBLE if passed else EXIT_INTERNAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="bubblekit",
         description="Price-path decomposition and rational-bubble analysis",

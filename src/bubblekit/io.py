@@ -13,11 +13,11 @@ byte-identical documents and serialize/parse/serialize is the identity.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import math
+import operator
 from dataclasses import fields as dataclass_fields
+from itertools import compress, count, islice, repeat
 from typing import Any
 
 import numpy as np
@@ -170,6 +170,13 @@ def parse_tail_spec(spec: str, path: DiscretePath | None = None) -> TailModel:
 
 _CSV_HEADER = ("t", "P", "D")
 
+# A blank row holds nothing but commas and the characters str.strip()
+# removes, which are exactly those for which str.isspace() is true.
+_BLANK_ROW_CHARS = (
+    ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
 
 def parse_path_csv(
     data: str | bytes, tol: float = DEFAULT_TOL
@@ -181,6 +188,11 @@ def parse_path_csv(
     comment declares the tail.  A supplied ``q`` column must be positive,
     normalized to q_0 = 1, and satisfy the no-arbitrage recursion within
     ``tol`` or the document is rejected.
+
+    Cells are plain text between commas: there is no quoting, and a row
+    holding a ``"`` is rejected.  Rows of blank cells are skipped (line
+    numbers still count them), and an empty ``D`` cell is a zero dividend.
+    A bad document raises the ``ParseError`` of its first bad row.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -195,82 +207,128 @@ def parse_path_csv(
             body_start += 1
         else:
             break
-    reader = csv.reader(_io.StringIO("\n".join(lines[body_start:])))
-    rows = list(reader)
-    if not rows:
+    if body_start == len(lines):
         raise ParseError("empty document", line=1)
-    line0 = body_start + 1
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(cell.strip() for cell in lines[body_start].split(","))
     if header != _CSV_HEADER and header != _CSV_HEADER + ("q",):
         raise ParseError(
             f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
-            line=line0,
+            line=body_start + 1,
         )
-    has_q = len(header) == 4
+    body = lines[body_start + 1 :]
+    rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
+    prices, dividends, deflators, bad = _csv_columns(rows, len(header))
+    if bad is not None:
+        k, message = bad
+        if len(rows) < len(body):
+            kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
+            k = next(islice(kept, k, None))
+        raise ParseError(message, line=body_start + 2 + k)
 
-    times: list[int] = []
-    prices: list[float] = []
-    dividends: list[float] = []
-    deflator_values: list[float] = []
-    for offset, row in enumerate(rows[1:]):
-        line = line0 + 1 + offset
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=line
-            )
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise ParseError(f"bad date {row[0]!r}", line=line) from None
-        expected = times[-1] + 1 if times else 0
-        if t != expected:
-            raise ParseError(
-                f"dates must increase by 1 from 0; expected {expected}, got {t}",
-                line=line,
-            )
-        try:
-            price = float(row[1])
-            dividend = 0.0 if row[2].strip() == "" else float(row[2])
-            deflator = float(row[3]) if has_q else 0.0
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=line) from None
-        if not (math.isfinite(price) and math.isfinite(dividend)):
-            raise ParseError("non-finite price or dividend", line=line)
-        if price < 0:
-            raise ParseError("negative price", line=line)
-        if dividend < 0:
-            raise ParseError("negative dividend", line=line)
-        if t == 0 and dividend != 0.0:
-            raise ParseError(
-                "no dividend at t = 0 (ex-dividend convention)", line=line
-            )
-        if has_q and (not math.isfinite(deflator) or deflator <= 0):
-            raise ParseError("supplied deflators must be positive", line=line)
-        times.append(t)
-        prices.append(price)
-        dividends.append(dividend)
-        if has_q:
-            deflator_values.append(deflator)
-
-    if len(times) < 2:
+    if prices.size < 2:
         raise ParseError("need at least dates 0 and 1")
-    path = DiscretePath(prices=np.array(prices), dividends=np.array(dividends))
+    path = DiscretePath(prices=prices, dividends=dividends)
     if tail_spec is not None:
         path = path.with_tail(parse_tail_spec(tail_spec, path))
-    if has_q:
-        if abs(deflator_values[0] - 1.0) > 1e-12:
+    if deflators is not None:
+        if abs(float(deflators[0]) - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
-        supplied = Deflators(
-            np.concatenate(([0.0], np.log(np.array(deflator_values[1:]))))
-        )
+        supplied = Deflators(np.concatenate(([0.0], np.log(deflators[1:]))))
         if not check_no_arbitrage(path, supplied, tol):
             raise ArbitrageError(
                 "supplied deflators violate the no-arbitrage recursion "
                 f"at relative tolerance {tol!r}"
             )
     return path
+
+
+def _csv_columns(
+    rows: list[str], width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[int, str] | None]:
+    """The ``P``, ``D`` and ``q`` columns of non-blank body rows, checked.
+
+    Returns ``(prices, dividends, deflators, bad)``, ``deflators`` None
+    without a ``q`` column.  ``bad`` is None, or ``(k, message)`` naming the
+    first row ``k`` that fails a check and the first check it fails.  Each
+    check runs on whole columns, over the rows before the first failure
+    found so far, in the order the checks apply within a row: quoting,
+    field count, date syntax, date sequence, number syntax, value rules.
+    """
+    n = len(rows)
+    bad = None
+    text = ",".join(rows)
+    if '"' in text:
+        n = next(k for k, row in enumerate(rows) if '"' in row)
+        bad = n, "quoted cells are not supported"
+    fields = np.fromiter(map(str.count, rows[:n], repeat(",")), np.intp, n) + 1
+    ragged = np.flatnonzero(fields != width)
+    if ragged.size:
+        n = int(ragged[0])
+        bad = n, f"expected {width} fields, got {fields[n]}"
+    if n < len(rows):
+        text = ",".join(rows[:n])
+    cells = text.split(",") if n else []
+
+    def column(j: int) -> list[str]:
+        return cells[j : n * width : width]
+
+    dates, failed = _convert(int, column(0))
+    if failed is not None:
+        n = failed[0]
+        bad = n, f"bad date {cells[n * width]!r}"
+    if dates != list(range(n)):
+        n = next(k for k, t in enumerate(dates) if t != k)
+        bad = n, f"dates must increase by 1 from 0; expected {n}, got {dates[n]}"
+
+    dividend_cells = column(2)
+    for k in compress(count(), map(operator.not_, map(str.strip, dividend_cells))):
+        dividend_cells[k] = "0"
+    numbers = [_convert(float, column(1)), _convert(float, dividend_cells)]
+    if width == 4:
+        numbers.append(_convert(float, column(3)))
+    failures = [failed for _, failed in numbers if failed is not None]
+    if failures:
+        n, exc = min(failures, key=lambda failed: failed[0])
+        bad = n, f"bad number: {exc}"
+    prices, dividends, *deflators = (np.array(values[:n]) for values, _ in numbers)
+
+    finite = np.isfinite(prices) & np.isfinite(dividends)
+    rules = [
+        (~finite, "non-finite price or dividend"),
+        (prices < 0, "negative price"),
+        (dividends < 0, "negative dividend"),
+        (
+            (dividends != 0) & (np.arange(n) == 0),
+            "no dividend at t = 0 (ex-dividend convention)",
+        ),
+    ]
+    if deflators:
+        q = deflators[0]
+        positive = np.isfinite(q) & (q > 0)
+        rules.append((~positive, "supplied deflators must be positive"))
+    firsts = [int(np.argmax(mask)) if mask.any() else n for mask, _ in rules]
+    k = min(firsts)
+    if k < n:
+        bad = k, rules[firsts.index(k)][1]
+    return prices, dividends, (deflators[0] if deflators else None), bad
+
+
+def _convert(convert, cells: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
+    """``convert`` mapped over ``cells`` up to the first cell it rejects.
+
+    Returns the values before that cell and ``(index, error)`` for it, or
+    all the values and None.  The cell is searched for only after a failure.
+    """
+    try:
+        return list(map(convert, cells)), None
+    except ValueError:
+        pass
+    for k, cell in enumerate(cells):
+        try:
+            convert(cell)
+        except ValueError as exc:
+            return list(map(convert, cells[:k])), (k, exc)
+    raise AssertionError(f"{convert!r} rejected a cell only in bulk")
 
 
 def serialize_path_csv(path: DiscretePath) -> str:

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.special import spence, zeta
-
 from .errors import TailUnsupportedError, ValidationError
 
 __all__ = [
@@ -51,7 +49,12 @@ __all__ = [
 
 def _coerce_float(obj, *names: str) -> None:
     for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+        value = float(getattr(obj, name))
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{type(obj).__name__} requires a finite {name}, got {value!r}"
+            )
+        object.__setattr__(obj, name, value)
 
 
 class TailClass(enum.Enum):
@@ -189,6 +192,8 @@ def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
     decay = -math.log(ratio)
     u = coeff * math.exp(-decay * start)
     if ratio > 0.999:
+        from scipy.special import spence  # imported on use: ~0.3 s at start-up
+
         # integral of log1p(u(t)) dt is -Li2(-u)/decay; two correction
         # terms leave an error O(decay^3), ~1e-9 relative at ratio 0.999
         # and shrinking rapidly as ratio -> 1.
@@ -225,6 +230,8 @@ def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
     )
     if capped:
         return head
+    from scipy.special import zeta  # imported on use: ~0.3 s at start-up
+
     log_coeff = math.log(coeff)
     series = 0.0
     sign = 1.0

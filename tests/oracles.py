@@ -2,16 +2,22 @@
 
 Everything here deliberately avoids the library's own code paths: high
 precision arithmetic via mpmath, brute-force recursion of the deflated
-price, and direct partial sums.  Tests compare bubblekit's answers
-against these, never the other way around.
+price, direct partial sums, and a row-by-row CSV reader.  Tests compare
+bubblekit's answers against these, never the other way around.
 """
 
 from __future__ import annotations
 
+import csv
+import io as _io
 import math
 
 import mpmath as mp
 import numpy as np
+
+from bubblekit.errors import ArbitrageError, ParseError, ValidationError
+from bubblekit.io import parse_tail_spec
+from bubblekit.series import DEFAULT_TOL, Deflators, DiscretePath, check_no_arbitrage
 
 
 def product_bubble(alpha: float, rho: float, terms: int = 200, dps: int = 50) -> float:
@@ -141,3 +147,109 @@ def pseries_partial(p: float, terms: int) -> float:
         t = np.arange(start, stop, dtype=np.float64)
         total += float(np.sum(t**-p))
     return total
+
+
+def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
+    """``bubblekit.io.parse_path_csv`` as a row-by-row ``csv.reader`` loop.
+
+    The reference the column-at-a-time parser is compared with: it makes
+    every check one row at a time, in file order, and converts each cell
+    with the same ``int()`` / ``float()`` call.  It builds its result and
+    errors from the library's types.  Unlike the library it unquotes
+    ``"``-quoted cells, so quotes are left out of the comparison.
+
+    Rows must carry strictly increasing integer dates starting at 0, with
+    an empty or zero dividend at t = 0.  A leading ``# tail: <spec>``
+    comment declares the tail.  A supplied ``q`` column must be positive,
+    normalized to q_0 = 1, and satisfy the no-arbitrage recursion within
+    ``tol`` or the document is rejected.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    tail_spec: str | None = None
+    lines = data.splitlines()
+    body_start = 0
+    for line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            if stripped.lower().startswith("# tail:"):
+                tail_spec = stripped[len("# tail:") :].strip()
+            body_start += 1
+        else:
+            break
+    reader = csv.reader(_io.StringIO("\n".join(lines[body_start:])))
+    rows = list(reader)
+    if not rows:
+        raise ParseError("empty document", line=1)
+    line0 = body_start + 1
+    header = tuple(h.strip() for h in rows[0])
+    if header != ("t", "P", "D") and header != ("t", "P", "D") + ("q",):
+        raise ParseError(
+            f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
+            line=line0,
+        )
+    has_q = len(header) == 4
+
+    times: list[int] = []
+    prices: list[float] = []
+    dividends: list[float] = []
+    deflator_values: list[float] = []
+    for offset, row in enumerate(rows[1:]):
+        line = line0 + 1 + offset
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=line
+            )
+        try:
+            t = int(row[0])
+        except ValueError:
+            raise ParseError(f"bad date {row[0]!r}", line=line) from None
+        expected = times[-1] + 1 if times else 0
+        if t != expected:
+            raise ParseError(
+                f"dates must increase by 1 from 0; expected {expected}, got {t}",
+                line=line,
+            )
+        try:
+            price = float(row[1])
+            dividend = 0.0 if row[2].strip() == "" else float(row[2])
+            deflator = float(row[3]) if has_q else 0.0
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=line) from None
+        if not (math.isfinite(price) and math.isfinite(dividend)):
+            raise ParseError("non-finite price or dividend", line=line)
+        if price < 0:
+            raise ParseError("negative price", line=line)
+        if dividend < 0:
+            raise ParseError("negative dividend", line=line)
+        if t == 0 and dividend != 0.0:
+            raise ParseError(
+                "no dividend at t = 0 (ex-dividend convention)", line=line
+            )
+        if has_q and (not math.isfinite(deflator) or deflator <= 0):
+            raise ParseError("supplied deflators must be positive", line=line)
+        times.append(t)
+        prices.append(price)
+        dividends.append(dividend)
+        if has_q:
+            deflator_values.append(deflator)
+
+    if len(times) < 2:
+        raise ParseError("need at least dates 0 and 1")
+    path = DiscretePath(prices=np.array(prices), dividends=np.array(dividends))
+    if tail_spec is not None:
+        path = path.with_tail(parse_tail_spec(tail_spec, path))
+    if has_q:
+        if abs(deflator_values[0] - 1.0) > 1e-12:
+            raise ValidationError("supplied deflators must be normalized to q_0 = 1")
+        supplied = Deflators(
+            np.concatenate(([0.0], np.log(np.array(deflator_values[1:]))))
+        )
+        if not check_no_arbitrage(path, supplied, tol):
+            raise ArbitrageError(
+                "supplied deflators violate the no-arbitrage recursion "
+                f"at relative tolerance {tol!r}"
+            )
+    return path

@@ -673,3 +673,67 @@ def test_convergent_yield_round_trip_always_exits_10(alpha, rho, T, capsys, monk
     assert log_bubble == pytest.approx(expected, rel=1e-9)
     assert bubble == pytest.approx(math.exp(log_bubble), rel=1e-12, abs=1e-300)
     assert report["diagnostics"]["boundary"] is (bubble <= 1e-9)
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _fresh_process(argv, stdin=""):
+    """``bubblekit`` in a new interpreter, within 1 GiB and 60 s."""
+    import subprocess
+    import sys as _sys
+
+    proc = subprocess.run(
+        [_sys.executable, "-m", "bubblekit.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys as _sys
+
+    probe = "import sys, bubblekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [_sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    calls = [
+        ["analyze", "--tail", "constant-levels", "--format", "text", "--tol", "1e-6", str(doc)],
+        ["analyze", str(doc)],
+        ["check-identity", "--format", "text", str(doc)],
+        ["check-identity", str(doc)],
+        ["generate", "constant", "--P", "100", "--D", "5", "--T", "3"],
+        ["analyze", "--tail", "constant-yield", "--horizon", "1", str(doc)],
+        ["analyze", "--tail", "zero-dividends", str(doc)],
+    ]
+    in_process = [run(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 0, 10]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["geometric-yield:a=inf,rho=0.5", "declared-convergent:sum=nan", "power-yield:a=1,p=inf"],
+)
+def test_non_finite_tail_parameters_exit_2(spec):
+    # in a capped process: an infinite geometric coefficient once made the
+    # tail sum loop forever, growing its list of terms
+    code, out, err = _fresh_process(["analyze", "--tail", spec], stdin=CONSTANT_CSV)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err

@@ -1,0 +1,213 @@
+"""The column-at-a-time CSV parser against the row-by-row reference.
+
+``oracles.parse_path_csv_rows`` checks one row at a time in file order;
+``bubblekit.io.parse_path_csv`` checks whole columns.  On every document
+both must accept the same paths bit for bit, or raise the same error
+class, message and line.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bubblekit.errors import BubblekitError, ParseError
+from bubblekit.io import _BLANK_ROW_CHARS, parse_path_csv
+
+from oracles import parse_path_csv_rows
+
+
+def outcome(parse, doc):
+    try:
+        path = parse(doc)
+    except BubblekitError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return path.prices.tobytes(), path.dividends.tobytes(), path.tail
+
+
+def assert_same(doc):
+    assert outcome(parse_path_csv, doc) == outcome(parse_path_csv_rows, doc)
+
+
+def cell(draw, text: str) -> str:
+    """``text`` with whitespace that int() / float() ignore around it."""
+    pad = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+    return draw(pad) + text + draw(pad)
+
+
+def int_cell(draw, t: int) -> str:
+    forms = [str(t), f"+{t}", f"0{t}", f"{t:_}"]
+    if t >= 10:
+        forms.append(f"{str(t)[0]}_{str(t)[1:]}")
+    return cell(draw, draw(st.sampled_from(forms)))
+
+
+def float_cell(draw, x: float) -> str:
+    forms = [repr(x), f"{x:.6e}", f"+{x!r}", f"{x:.3f}"]
+    if x == int(x) and abs(x) < 1e6:
+        forms.append(f"{int(x):_}")
+    return cell(draw, draw(st.sampled_from(forms)))
+
+
+BLANK_ROWS = ["", " ", ",,", " , ,\t", ",,,,", "\t"]
+COMMENTS = ["# a comment", "#", "  # indented", "# tail: zero-dividends",
+            "# TAIL: declared-divergent", "# tail: constant-levels"]
+
+
+@st.composite
+def documents(draw):
+    """``(head, header, rows)`` of a valid document, rows as lists of cells.
+
+    The cells take the forms int() and float() accept (signs, padding,
+    underscores, exponents); a ``q`` column follows the recursion from the
+    values those cells parse to.  ``join_document`` adds blank rows.
+    """
+    n = draw(st.integers(2, 25))
+    prices = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    dividend = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    dividends = draw(st.lists(dividend, min_size=n, max_size=n))
+    rows = []
+    for t in range(n):
+        if t == 0:
+            d = draw(st.sampled_from(["", " ", "0", "0.0", "-0"]))
+        elif dividends[t] == 0.0 and draw(st.booleans()):
+            d = cell(draw, "")
+        else:
+            d = float_cell(draw, dividends[t])
+        rows.append([int_cell(draw, t), float_cell(draw, prices[t]), d])
+    header = ["t", " P", "D "]
+    if draw(st.booleans()):
+        header.append("q")
+        q = 1.0
+        for t, row in enumerate(rows):
+            if t:
+                cum = float(row[1]) + (float(row[2]) if row[2].strip() else 0.0)
+                q *= float(rows[t - 1][1]) / cum
+            row.append(repr(q))
+    head = draw(st.lists(st.sampled_from(COMMENTS + ["", "  "]), max_size=3))
+    return head, header, rows
+
+
+def join_document(draw, head, header, rows):
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = list(head) + [",".join(header)]
+    for row in rows:
+        lines.extend(draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=1)))
+        lines.append(",".join(row))
+    lines.extend(draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=2)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def valid_documents(draw):
+    return join_document(draw, *draw(documents()))
+
+
+# the column and the replacement cells of each kind of corruption; ragged
+# rows, skipped dates and a dividend at t = 0 are made apart
+CORRUPTIONS = {
+    "bad date": (0, ["x", "1.0", "", "1e3", "#1"]),
+    "non-finite": (1, ["nan", "inf", "-inf", "1e999"]),
+    "non-finite dividend": (2, ["nan", "-inf", "1e309"]),
+    "negative price": (1, ["-1.5", "-1e-300"]),
+    "negative dividend": (2, ["-2.5", "-0.1"]),
+    "bad number": (1, ["abc", "", "1..2", "1,5", "0x10"]),
+    "bad dividend": (2, ["x", "--1"]),
+    "bad or non-positive q": (3, ["0", "-1", "nan", "inf", "", "q"]),
+}
+
+
+@st.composite
+def corrupted_documents(draw):
+    head, header, rows = draw(documents())
+    target = draw(st.integers(0, len(rows) - 1))  # a row that may fail twice
+    for _ in range(draw(st.integers(1, 3))):
+        k = target if draw(st.booleans()) else draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        kind = draw(st.sampled_from(sorted(CORRUPTIONS) + ["ragged", "skip", "t = 0"]))
+        if kind == "ragged":
+            rows[k] = row[:-1] if draw(st.booleans()) else row + ["1"]
+        elif kind == "skip":
+            row[0] = str(k + draw(st.sampled_from([1, 2, -1])))
+        elif kind == "t = 0":
+            rows[0][2] = draw(st.sampled_from(["3", "1e-300", "nan"]))
+        else:
+            column, cells = CORRUPTIONS[kind]
+            if column < len(row):
+                row[column] = draw(st.sampled_from(cells))
+    return join_document(draw, head, header, rows)
+
+
+def test_blank_row_chars_are_comma_and_every_space():
+    spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(_BLANK_ROW_CHARS) == spaces | {","}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_documents())
+def test_valid_documents_parse_like_the_row_reader(doc):
+    expected = outcome(parse_path_csv_rows, doc)
+    assert isinstance(expected[0], bytes), expected
+    assert outcome(parse_path_csv, doc) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_documents())
+def test_corrupted_documents_fail_like_the_row_reader(doc):
+    assert_same(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789,.-+e_ \t\n\rnaifx#", max_size=80))
+def test_arbitrary_bodies_fail_like_the_row_reader(body):
+    assert_same("t,P,D\n0,100,\n" + body)
+
+
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        ("t,P,D\n0,100,\n\n1,-1,5\n", 4, "negative price"),
+        ("t,P,D\n , ,\n0,100,\n,,\n1,100,5\n2,100\n", 6, "expected 3 fields, got 2"),
+        ("t,P,D\n0,100,\nx,100,5\n2,100\n", 3, "bad date 'x'"),
+        ("t,P,D\n0,100,\n2,100,5\n3,100\n", 3, "dates must increase by 1 from 0; expected 1, got 2"),
+        ("t,P,D\n0,100,\n1,x,5\n1_5,100\n", 3, "bad number: could not convert string to float: 'x'"),
+        ("t,P,D\n0,100,\n1,nan,-1\n", 3, "non-finite price or dividend"),
+        ("t,P,D\n0,100,\n1,-inf,5\n", 3, "non-finite price or dividend"),
+        ("t,P,D\n0,100,\n1,x,y\n", 3, "bad number: could not convert string to float: 'x'"),
+        ("t,P,D\n0,100,\n1,100,y\n2,x,5\n", 3, "bad number: could not convert string to float: 'y'"),
+        ('t,P,D\n0,100,\n1,100\n2,"1",5\n', 3, "expected 3 fields, got 2"),
+        ("t,P,D\n0,100,3\n1,-100,5\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
+        ("t,P,D,q\n0,100,,1\n\n1,100,5,0\n", 4, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,x,q\n", 3, "bad number: could not convert string to float: 'x'"),
+    ],
+)
+def test_first_bad_row_is_reported(doc, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_path_csv(doc)
+    assert info.value.line == line
+    assert str(info.value) == f"{message} (line {line})"
+    assert_same(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ('t,P,D\n0,"100",\n1,100,5\n', 2),
+        ('t,P,D\n0,100,\n\n1,100,"5"\n', 4),
+        ('t,P,D\n0,100,\n1,100,5\n2,100,5"\n', 4),
+        ('t,P,D\n0,100,\n1,"1,5",5\n2,100\n', 3),
+    ],
+)
+def test_quoted_cells_are_rejected(doc, line):
+    with pytest.raises(ParseError, match="quoted") as info:
+        parse_path_csv(doc)
+    assert info.value.line == line
+
+
+def test_valid_document_arrays_are_exact():
+    doc = "# tail: zero-dividends\r\nt,P,D\r\n 0 ,+1_0.5,\r\n\r\n,,\r\n+1,1e2, 0.25 \r\n"
+    path = parse_path_csv(doc)
+    assert path.prices.tolist() == [10.5, 100.0]
+    assert path.dividends.tolist() == [0.0, 0.25]
+    assert_same(doc)

@@ -116,3 +116,22 @@ def test_power_tail_log_sum_huge_coefficient_is_finite():
     # back finite and positive without overflow
     value = power_tail_log_sum(1e12, 2.0, 1)
     assert math.isfinite(value) and value > 1e5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: ConstantLevels(x, 5),
+        lambda x: ConstantLevels(100, x),
+        lambda x: ConstantYield(x),
+        lambda x: GeometricYield(x, 0.5),
+        lambda x: GeometricYield(0.5, x),
+        lambda x: PowerYield(x, 2),
+        lambda x: PowerYield(1, x),
+        lambda x: DeclaredConvergent(x),
+    ],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_rejected(make, value):
+    with pytest.raises(ValidationError, match="finite"):
+        make(value)
