@@ -25,7 +25,7 @@ from . import __version__
 from .characterization import Classification, TailFit, suggest_tail
 from .continuous import (
     ContinuousPath,
-    deflated_price_profile,
+    _deflated_log_profile,
     discretize,
     montrucchio_continuous,
 )
@@ -80,13 +80,28 @@ def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> flo
 
 
 def _read_input(name: str) -> str:
+    """The UTF-8 text of file ``name`` (``-`` reads stdin), newlines as in
+    text mode; bytes that are not UTF-8 are a ``ParseError``."""
     if name == "-":
-        return sys.stdin.read()
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:  # a text stream put in place of stdin
+            return sys.stdin.read()
+        raw = stdin.read()
+    else:
+        try:
+            with open(name, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {name!r}: {exc}") from None
     try:
-        with open(name, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {name!r}: {exc}") from None
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8: {exc.reason} at byte offset {exc.start}"
+        ) from None
+    if "\r" in text:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _truncate(path: DiscretePath, horizon: int) -> DiscretePath:
@@ -225,7 +240,11 @@ def _analyze_continuous(data: str, args: argparse.Namespace, tol: float) -> dict
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    """One report per file, in order; a file that fails is named on stderr
+    and the rest still run.  The exit code is the gravest outcome: 1 (an
+    internal error) before 2 (bad input) before 10 (a bubble)."""
     tol = _resolve_tol(args.tol)
+    had_internal_error = False
     had_validation_error = False
     saw_bubble = False
     for name in args.files or ["-"]:
@@ -235,9 +254,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"bubblekit: {name}: {exc}", file=sys.stderr)
             had_validation_error = True
             continue
+        except Exception as exc:  # a bug: report it and go on with the batch
+            print(f"bubblekit: {name}: internal: {exc!r}", file=sys.stderr)
+            had_internal_error = True
+            continue
         sys.stdout.write(render_report(report, args.format))
         if report["decomposition"]["verdict"] == Classification.BUBBLE.value:
             saw_bubble = True
+    if had_internal_error:
+        return EXIT_INTERNAL
     if had_validation_error:
         return EXIT_VALIDATION
     return EXIT_BUBBLE if saw_bubble else EXIT_NO_BUBBLE
@@ -302,8 +327,9 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     if data.lstrip().startswith("{"):
         tol = _resolve_tol(args.tol, fallback=1e-6)
         cpath = parse_continuous_json(data)
-        lhs, rhs = deflated_price_profile(cpath, args.jump_side)
-        gap = np.abs(lhs - rhs) / rhs
+        # |lhs / rhs - 1| from the logs, which stay finite where qP underflows
+        log_lhs, log_rhs = _deflated_log_profile(cpath, args.jump_side)
+        gap = np.abs(np.expm1(log_lhs - log_rhs))
         result = {
             "identity": "deflated-price exponential",
             "max_relative_gap": float(np.max(gap)),

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _GRID_RTOL = 1e-9
+_MAX_INTEGRAL = float(np.finfo(np.float64).max) / 2
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,28 @@ def _price_at_jump(cpath: ContinuousPath, t: float, side: str) -> float:
     return float(cpath.prices[idx])
 
 
+def _density_yields(cpath: ContinuousPath) -> np.ndarray:
+    """d / P at every grid point (+inf where it overflows)."""
+    with np.errstate(over="ignore"):
+        return cpath.dividends.density / cpath.prices
+
+
 def _cell_increments(cpath: ContinuousPath, values: np.ndarray) -> np.ndarray:
-    """Per-cell trapezoid increments of sampled ``values`` over the grid."""
-    return 0.5 * cpath.grid_step * (values[:-1] + values[1:])
+    """Per-cell trapezoid increments of sampled nonnegative ``values``.
+
+    Raises ``ValidationError`` unless the increments and their total stay
+    below half the largest double, so that every partial sum of them, and
+    every half-cell ``0.5 * h * values[k]``, is finite.
+    """
+    with np.errstate(over="ignore"):
+        cells = 0.5 * cpath.grid_step * (values[:-1] + values[1:])
+        total = np.sum(cells)
+    if not total <= _MAX_INTEGRAL:
+        raise ValidationError(
+            "the dividend density is too large for the grid: its integral "
+            "(or that of d/P) leaves the double range"
+        )
+    return cells
 
 
 def integrate_dF_over_P(
@@ -168,7 +188,7 @@ def integrate_dF_over_P(
     if not 0 < T <= horizon * (1 + _GRID_RTOL):
         raise OutOfRangeError(f"T = {T} outside (0, {horizon}]")
     h = cpath.grid_step
-    yields = cpath.dividends.density / cpath.prices
+    yields = _density_yields(cpath)
     cells = _cell_increments(cpath, yields)
     pos = T / h
     m = min(int(math.floor(pos + _GRID_RTOL)), cells.size)
@@ -223,7 +243,8 @@ def deflated_price_identity(
     k = max(1, _nearest_index(cpath, T))
     t_k = k * h
 
-    yields = cpath.dividends.density / cpath.prices
+    yields = _density_yields(cpath)
+    cells = _cell_increments(cpath, yields)
     half = 0.5 * h * yields
     if np.any(half[:k] >= 1.0):
         raise ValidationError(
@@ -232,7 +253,7 @@ def deflated_price_identity(
         )
     steps = np.log1p(-half[:k]) - np.log1p(half[1 : k + 1])
     log_lhs = math.fsum(steps)
-    log_rhs = -math.fsum(_cell_increments(cpath, yields)[:k])
+    log_rhs = -math.fsum(cells[:k])
     for t, log_factor in _jump_log_factors(cpath, jump_price_side):
         if t <= t_k * (1 + _GRID_RTOL):
             log_lhs += log_factor
@@ -249,8 +270,21 @@ def deflated_price_profile(
     Returns (lhs, rhs) arrays of length n + 1 (index 0 holds P_0 twice);
     see :func:`deflated_price_identity` for what the two routes are.
     """
+    log_lhs, log_rhs = _deflated_log_profile(cpath, jump_price_side)
+    price0 = float(cpath.prices[0])
+    return price0 * np.exp(log_lhs), price0 * np.exp(log_rhs)
+
+
+def _deflated_log_profile(
+    cpath: ContinuousPath, jump_price_side: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """log(q P / P_0) by both routes of :func:`deflated_price_profile`.
+
+    Finite where the deflated prices themselves underflow to zero.
+    """
     h = cpath.grid_step
-    yields = cpath.dividends.density / cpath.prices
+    yields = _density_yields(cpath)
+    cells = _cell_increments(cpath, yields)
     half = 0.5 * h * yields
     if np.any(half[:-1] >= 1.0):
         raise ValidationError(
@@ -259,15 +293,12 @@ def deflated_price_profile(
         )
     steps = np.log1p(-half[:-1]) - np.log1p(half[1:])
     log_lhs = np.concatenate(([0.0], compensated_cumsum(steps)))
-    log_rhs = np.concatenate(
-        ([0.0], -compensated_cumsum(_cell_increments(cpath, yields)))
-    )
+    log_rhs = np.concatenate(([0.0], -compensated_cumsum(cells)))
     for t, log_factor in _jump_log_factors(cpath, jump_price_side):
         start = int(math.ceil(t / h - _GRID_RTOL))
         log_lhs[start:] += log_factor
         log_rhs[start:] += log_factor
-    price0 = float(cpath.prices[0])
-    return price0 * np.exp(log_lhs), price0 * np.exp(log_rhs)
+    return log_lhs, log_rhs
 
 
 def montrucchio_continuous(

@@ -9,6 +9,9 @@ a leading ``# tail: <spec>`` comment so piped analyses need no flag.
 Reports are plain dicts with stable keys; JSON rendering uses sorted keys
 and shortest round-trip float representation, so identical inputs produce
 byte-identical documents and serialize/parse/serialize is the identity.
+Generated path documents are written the same way, but through orjson,
+which formats a whole numpy array in one call; it is imported on first
+use, so analysis never loads it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import operator
 from dataclasses import fields as dataclass_fields
 from itertools import compress, count, islice, repeat
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -332,13 +335,23 @@ def _convert(convert, cells: list[str]) -> tuple[list, tuple[int, ValueError] | 
 
 
 def serialize_path_csv(path: DiscretePath) -> str:
-    lines = []
-    if path.tail is not None:
-        lines.append(f"# tail: {format_tail_spec(path.tail)}")
-    lines.append("t,P,D")
-    lines.append(f"0,{float(path.prices[0])!r},")
-    for t in range(1, path.horizon + 1):
-        lines.append(f"{t},{float(path.prices[t])!r},{float(path.dividends[t])!r}")
+    """The ``t,P,D`` document of ``path``, its tail in a ``# tail:`` line.
+
+    Each number is the shortest decimal that reads back to the same double,
+    spelled as orjson writes it (``1e-7``, ``0.00001``, ``1e16``).
+    """
+    import orjson
+
+    prices, dividends = (
+        orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        .decode()
+        .split(",")
+        for column in (path.prices, path.dividends[1:])
+    )
+    dates = map(str, range(1, path.horizon + 1))
+    lines = [] if path.tail is None else [f"# tail: {format_tail_spec(path.tail)}"]
+    lines += ["t,P,D", f"0,{prices[0]},"]
+    lines += map(",".join, zip(dates, prices[1:], dividends))
     return "\n".join(lines) + "\n"
 
 
@@ -358,6 +371,11 @@ _SCENARIO_FIELDS = {
 }
 
 
+def _reject_constant(name: str) -> NoReturn:
+    """``parse_constant`` hook: RFC 8259 has no NaN or Infinity."""
+    raise ParseError(f"invalid JSON: non-finite constant {name} is not allowed")
+
+
 def parse_scenario_json(data: str | bytes) -> dict[str, float]:
     """Scenario parameters as a JSON object keyed by field name.
 
@@ -367,7 +385,7 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
     if not isinstance(obj, dict):
@@ -388,7 +406,7 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
     if not isinstance(obj, dict):
@@ -429,17 +447,26 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
 
 
 def serialize_continuous_json(cpath: ContinuousPath) -> str:
+    """The JSON document of ``cpath``: sorted keys, no spaces, one line.
+
+    Numbers are written as by :func:`serialize_path_csv`.
+    """
+    import orjson
+
     obj: dict[str, Any] = {
         "grid_step": cpath.grid_step,
         "horizon": cpath.horizon,
-        "prices": cpath.prices.tolist(),
-        "density": cpath.dividends.density.tolist(),
+        "prices": cpath.prices,
+        "density": cpath.dividends.density,
         "jumps": [{"t": t, "dF": df} for t, df in cpath.dividends.jumps],
         "tail": None if cpath.tail is None else tail_to_json(cpath.tail),
     }
     if cpath.interpreted_component is not None:
         obj["interpreted_component"] = cpath.interpreted_component
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    options = (
+        orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    )
+    return orjson.dumps(obj, option=options).decode()
 
 
 # ---------- reports ----------

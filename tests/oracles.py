@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: high
 precision arithmetic via mpmath, brute-force recursion of the deflated
-price, direct partial sums, and a row-by-row CSV reader.  Tests compare
+price, direct partial sums, a row-by-row CSV reader, and document writers
+that format one number at a time with ``float.__repr__``.  Tests compare
 bubblekit's answers against these, never the other way around.
 """
 
@@ -10,13 +11,16 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import json
 import math
+from typing import Any
 
 import mpmath as mp
 import numpy as np
 
 from bubblekit.errors import ArbitrageError, ParseError, ValidationError
-from bubblekit.io import parse_tail_spec
+from bubblekit.continuous import ContinuousPath
+from bubblekit.io import format_tail_spec, parse_tail_spec, tail_to_json
 from bubblekit.series import DEFAULT_TOL, Deflators, DiscretePath, check_no_arbitrage
 
 
@@ -253,3 +257,38 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
                 f"at relative tolerance {tol!r}"
             )
     return path
+
+
+def serialize_path_csv_repr(path: DiscretePath) -> str:
+    """``bubblekit.io.serialize_path_csv`` one row and one ``repr`` at a time.
+
+    The reference the array writer is compared with: same lines and the
+    same doubles, spelled by ``float.__repr__`` (``1e-07``, ``1e+16``).
+    """
+    lines = []
+    if path.tail is not None:
+        lines.append(f"# tail: {format_tail_spec(path.tail)}")
+    lines.append("t,P,D")
+    lines.append(f"0,{float(path.prices[0])!r},")
+    for t in range(1, path.horizon + 1):
+        lines.append(f"{t},{float(path.prices[t])!r},{float(path.dividends[t])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_continuous_json_repr(cpath: ContinuousPath) -> str:
+    """``bubblekit.io.serialize_continuous_json`` through ``json.dumps``.
+
+    The reference the array writer is compared with: same keys and the
+    same doubles, spelled by ``float.__repr__``.
+    """
+    obj: dict[str, Any] = {
+        "grid_step": cpath.grid_step,
+        "horizon": cpath.horizon,
+        "prices": cpath.prices.tolist(),
+        "density": cpath.dividends.density.tolist(),
+        "jumps": [{"t": t, "dF": df} for t, df in cpath.dividends.jumps],
+        "tail": None if cpath.tail is None else tail_to_json(cpath.tail),
+    }
+    if cpath.interpreted_component is not None:
+        obj["interpreted_component"] = cpath.interpreted_component
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

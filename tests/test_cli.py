@@ -697,17 +697,36 @@ def _fresh_process(argv, stdin=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
     import subprocess
     import sys as _sys
 
-    probe = "import sys, bubblekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [_sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    def probe(code):
+        proc = subprocess.run(
+            [_sys.executable, "-c", "import sys, bubblekit.cli\n" + code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
 
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] in {'scipy', 'orjson'})"
+    assert probe(f"print({loaded})") == "[]\n"
+    # analysis never writes a generated document, so it never loads orjson
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    out = probe(
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "with redirect_stdout(StringIO()):\n"
+        f"    code = bubblekit.cli.main(['analyze', '--tail', 'constant-levels', {str(doc)!r}])\n"
+        "print(code, 'orjson' in sys.modules)\n"
+        "with redirect_stdout(StringIO()):\n"
+        "    bubblekit.cli.main(['generate', 'money', '--P0', '1', '--T', '2'])\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    assert out == "0 False\nTrue\n"
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     doc = tmp_path / "c.csv"
@@ -737,3 +756,155 @@ def test_non_finite_tail_parameters_exit_2(spec):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+# ---------- bad bytes, non-finite JSON constants, per-file isolation ----------
+
+
+def test_analyze_goes_on_after_an_internal_error(tmp_path, capsys, monkeypatch):
+    import bubblekit.cli as cli
+
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    calls = []
+    real_decompose = cli.decompose
+
+    def flaky_decompose(path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real_decompose(path)
+
+    monkeypatch.setattr(cli, "decompose", flaky_decompose)
+    argv = ["analyze", "--tail", "constant-levels", str(doc), str(doc), str(doc)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert len(out.splitlines()) == 2
+    assert err == f"bubblekit: {doc}: internal: RuntimeError('boom')\n"
+
+
+def test_internal_error_outranks_bad_input(tmp_path, capsys, monkeypatch):
+    import bubblekit.cli as cli
+
+    good, bad = tmp_path / "c.csv", tmp_path / "bad.csv"
+    good.write_text(CONSTANT_CSV)
+    bad.write_text("t,P,D\n0,100,\n1,-1,5\n")
+    monkeypatch.setattr(cli, "decompose", lambda path: 1 / 0)
+    code, out, err = run(capsys, ["analyze", "--tail", "constant-levels", str(bad), str(good)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0].startswith(f"bubblekit: {bad}: negative price")
+    assert err.splitlines()[1] == f"bubblekit: {good}: internal: ZeroDivisionError('division by zero')"
+
+
+def test_non_utf8_file_is_bad_input_and_the_batch_goes_on(tmp_path, capsys):
+    good, bad = tmp_path / "c.csv", tmp_path / "bad.csv"
+    good.write_text(CONSTANT_CSV)
+    raw = b"t,P,D\n0,100,\n1,100,\xff5\n"
+    bad.write_bytes(raw)
+    argv = ["analyze", "--tail", "constant-levels", str(good), str(bad), str(good)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert [strict_json(line)["decomposition"]["verdict"] for line in out.splitlines()] == [
+        "no-bubble",
+        "no-bubble",
+    ]
+    offset = raw.index(b"\xff")
+    assert err == f"bubblekit: {bad}: not UTF-8: invalid start byte at byte offset {offset}\n"
+
+
+def test_non_utf8_stdin_is_bad_input(capsys, monkeypatch):
+    # a POSIX locale gives stdin the surrogateescape handler; the raw bytes
+    # are decoded strictly all the same
+    raw = CONSTANT_CSV.replace("\n", "\r\n").encode() + b"3,100,\xe2\x82\n"
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["analyze", "--tail", "constant-levels"])
+    assert code == 2
+    assert out == ""
+    offset = len(raw) - 3
+    assert err == f"bubblekit: -: not UTF-8: invalid continuation byte at byte offset {offset}\n"
+    # CRLF bytes on stdin still read as lines
+    stdin = io.TextIOWrapper(io.BytesIO(raw[:offset - 6]), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["analyze", "--tail", "constant-levels"])
+    assert (code, err) == (0, "")
+    assert strict_json(out)["input"]["length"] == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("interpreted_component", "NaN"),
+        ("prices", "[1.0, Infinity]"),
+        ("density", "[0.1, -Infinity]"),
+        ("grid_step", "NaN"),
+    ],
+)
+def test_non_finite_json_constants_are_bad_input(field, value, capsys, monkeypatch):
+    doc = {
+        "grid_step": "1.0",
+        "prices": "[1.0, 1.0]",
+        "density": "[0.1, 0.1]",
+        "tail": '{"kind": "constant-yield", "level": 0.1}',
+        "interpreted_component": "0.5",
+    }
+
+    def analyze():
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+        return run(capsys, ["analyze"], stdin=text, monkeypatch=monkeypatch)
+
+    code, out, err = analyze()
+    assert (code, err) == (0, "")
+    assert strict_json(out)["interpreted_component"] == 0.5
+    doc[field] = value
+    code, out, err = analyze()
+    assert code == 2
+    assert out == ""
+    name = value.strip("[]").split(", ")[-1]
+    assert err == (
+        f"bubblekit: -: invalid JSON: non-finite constant {name} is not allowed\n"
+    )
+
+
+def test_non_finite_scenario_constant_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"marginal_q": 1.0, "capital": 2.0, "interpreted_component": NaN, "dividend": 0.1}')
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert code == 2
+    assert out == ""
+    assert err == "bubblekit: invalid JSON: non-finite constant NaN is not allowed\n"
+
+
+def test_continuous_identity_holds_where_both_routes_underflow(tmp_path, capsys):
+    # 21 jumps of 1 - 2^-53 on a unit price: each multiplies qP by 2^-53,
+    # so both routes reach e^-771 and underflow to 0; in logs they agree
+    jumps = [{"t": round(0.04 * k, 2), "dF": 1 - 2.0**-53} for k in range(1, 22)]
+    doc = tmp_path / "underflow.json"
+    doc.write_text(
+        json.dumps(
+            {"grid_step": 0.01, "prices": [1.0] * 101, "density": [0.0] * 101,
+             "jumps": jumps, "tail": {"kind": "zero-dividends"}}
+        )
+    )
+    code, out, err = run(capsys, ["check-identity", str(doc)])
+    assert (code, err) == (0, "")
+    result = strict_json(out)
+    assert result["max_relative_gap"] == 0.0
+    assert result["at_horizon"] == 0.0
+    assert result["pass"] is True
+
+
+def test_density_past_the_double_range_is_bad_input(tmp_path, capsys):
+    doc = tmp_path / "big.json"
+    doc.write_text(
+        json.dumps(
+            {"grid_step": 1.0, "prices": [1.0] * 11, "density": [1e308] * 11,
+             "tail": {"kind": "constant-yield", "level": 0.1}}
+        )
+    )
+    for argv in (["analyze", str(doc)], ["check-identity", str(doc)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "leaves the double range" in err
