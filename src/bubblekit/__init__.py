@@ -13,15 +13,12 @@ from .characterization import (
     Classification,
     TailFit,
     Verdict,
-    YieldSeries,
-    dividend_yield_series,
     montrucchio_discrete,
     suggest_tail,
 )
 from .continuous import (
     ContinuousPath,
     CumulativeDividend,
-    deflated_price_identity,
     deflated_price_profile,
     discretize,
     integrate_dF_over_P,
@@ -99,10 +96,8 @@ __all__ = [
     "reroot",
     # characterization
     "Classification",
-    "YieldSeries",
     "Verdict",
     "TailFit",
-    "dividend_yield_series",
     "montrucchio_discrete",
     "suggest_tail",
     # tails
@@ -120,7 +115,6 @@ __all__ = [
     "CumulativeDividend",
     "ContinuousPath",
     "integrate_dF_over_P",
-    "deflated_price_identity",
     "deflated_price_profile",
     "montrucchio_continuous",
     "discretize",

@@ -32,10 +32,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Classification",
-    "YieldSeries",
     "Verdict",
     "TailFit",
-    "dividend_yield_series",
     "classify_tail",
     "montrucchio_discrete",
     "suggest_tail",
@@ -50,63 +48,45 @@ class Classification(enum.Enum):
 
 
 @dataclass(frozen=True)
-class YieldSeries:
-    """Sampled dividend yields y_t = D_t / P_t for t = 1..T_max."""
-
-    values: np.ndarray
-    tail: TailModel | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ValidationError("yield series must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValidationError("yields must be finite and nonnegative")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def partial_sum(self) -> float:
-        return math.fsum(self.values)
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Classification outcome together with its evidence."""
 
     classification: Classification
-    partial_sum: float
+    partial_sum: float | None
     tail_class: TailClass
     rationale: str
 
 
-def _require_positive_prices(path: DiscretePath) -> None:
-    bad = np.nonzero(path.prices <= 0)[0]
+def _yields(path: DiscretePath) -> np.ndarray:
+    """Yields D_t / P_t for t = 1..T_max, +inf where they overflow.
+
+    Raises NonPositivePriceError naming the first index with P_t <= 0.
+    """
+    bad = np.flatnonzero(path.prices <= 0)
     if bad.size:
         raise NonPositivePriceError(int(bad[0]))
-
-
-def dividend_yield_series(path: DiscretePath) -> YieldSeries:
-    """Elementwise yields D_t / P_t; requires P_t > 0 at every date.
-
-    Raises NonPositivePriceError naming the first offending index.
-    """
-    _require_positive_prices(path)
-    return YieldSeries(path.dividends[1:] / path.prices[1:], tail=path.tail)
+    with np.errstate(over="ignore"):
+        return path.dividends[1:] / path.prices[1:]
 
 
 def montrucchio_discrete(path: DiscretePath) -> Verdict:
     """Classify bubble existence by the dividend-yield criterion.
 
     The verdict is Bubble exactly when the declared tail class is
-    convergent; the finite partial sum never decides (it is always
-    finite) and appears only in the rationale.
+    convergent; the finite partial sum never decides and appears only in
+    the rationale.  It is None when it leaves the double range.
     """
     if path.tail is None:
         raise ValidationError("classification requires a declared tail model")
-    ys = dividend_yield_series(path)
-    partial = ys.partial_sum
+    yields = _yields(path)
+    try:
+        partial = math.fsum(yields)
+    except OverflowError:  # finite yields summing past the double range
+        partial = math.inf
+    if math.isfinite(partial):
+        evidence = f"= {partial!r}"
+    else:
+        partial, evidence = None, "leaves the double range"
     tail_class = classify_tail(path.tail)
     if tail_class is TailClass.CONVERGENT:
         classification = Classification.BUBBLE
@@ -116,7 +96,7 @@ def montrucchio_discrete(path: DiscretePath) -> Verdict:
         reason = "declared tail makes the yield sum diverge"
     rationale = (
         f"{reason} (tail={path.tail!r}); "
-        f"sampled partial sum over {ys.values.size} periods = {partial!r}"
+        f"sampled partial sum over {yields.size} periods {evidence}"
     )
     return Verdict(classification, partial, tail_class, rationale)
 
@@ -147,11 +127,11 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
     ``window_fraction`` of the sample (at least 8 points) and proposes the
     best valid candidate.  Zero yields are excluded from the fits.
     """
-    ys = dividend_yield_series(path)
-    n = ys.values.size
+    yields = _yields(path)
+    n = yields.size
     window = min(n, max(8, math.ceil(window_fraction * n)))
     t = np.arange(n - window + 1, n + 1, dtype=np.float64)
-    y = ys.values[n - window:]
+    y = yields[n - window:]
     pos = y > 0
     if not np.any(pos):
         return TailFit(
@@ -169,29 +149,36 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
         )
     t, y = t[pos], y[pos]
     log_y = np.log(y)
+    far = np.isinf(y)  # D / P past the double range: log y = log D - log P
+    at = t[far].astype(np.intp)
+    log_y[far] = np.log(path.dividends[at]) - np.log(path.prices[at])
 
     def rmse(pred: np.ndarray) -> float:
         return float(np.sqrt(np.mean((log_y - pred) ** 2)))
 
     candidates: dict[str, dict[str, Any]] = {}
-
-    level = float(np.exp(log_y.mean()))
-    candidates["constant-yield"] = {
-        "model": ConstantYield(level),
-        "rmse": rmse(np.full_like(log_y, log_y.mean())),
-    }
-
     slope, intercept = np.polyfit(t, log_y, 1)
+    p_slope, p_intercept = np.polyfit(np.log(t), log_y, 1)
+    # steep decay or huge yields: a coefficient past exp's range drops its
+    # candidate
+    with np.errstate(over="ignore"):
+        level = float(np.exp(log_y.mean()))
+        g_coeff = float(np.exp(intercept))
+        p_coeff = float(np.exp(p_intercept))
+
+    if math.isfinite(level):
+        candidates["constant-yield"] = {
+            "model": ConstantYield(level),
+            "rmse": rmse(np.full_like(log_y, log_y.mean())),
+        }
+
     geo_flat = abs(slope) < _FLAT_SLOPE
-    if slope < 0 and not geo_flat:
+    if slope < 0 and math.isfinite(g_coeff) and not geo_flat:
         candidates["geometric-yield"] = {
-            "model": GeometricYield(float(np.exp(intercept)), float(np.exp(slope))),
+            "model": GeometricYield(g_coeff, float(np.exp(slope))),
             "rmse": rmse(intercept + slope * t),
         }
 
-    p_slope, p_intercept = np.polyfit(np.log(t), log_y, 1)
-    with np.errstate(over="ignore"):  # steep decay: intercept past exp's range
-        p_coeff = float(np.exp(p_intercept))
     p_flat = abs(p_slope * np.log(t[-1] / t[0])) <= _FLAT_SLOPE
     if p_slope < 0 and math.isfinite(p_coeff) and not p_flat:
         candidates["power-yield"] = {
@@ -199,6 +186,13 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
             "rmse": rmse(p_intercept + p_slope * np.log(t)),
         }
 
+    if not candidates:
+        return TailFit(
+            suggestion=None,
+            window=window,
+            candidates={},
+            note="every fitted coefficient leaves the double range; no fit possible",
+        )
     best = min(candidates, key=lambda k: candidates[k]["rmse"])
     note = f"fit window = last {window} periods; best fit: {best}"
     if geo_flat and best == "constant-yield":

@@ -57,7 +57,6 @@ from .series import (
     implied_deflators,
     no_arbitrage_residuals,
 )
-from .tails import ConstantYield
 
 EXIT_NO_BUBBLE = 0
 EXIT_INTERNAL = 1
@@ -116,23 +115,6 @@ def _truncate(path: DiscretePath, horizon: int) -> DiscretePath:
     )
 
 
-def _resolve_continuous_tail(spec: str, cpath: ContinuousPath):
-    """Tail spec for a continuous path; bare constant-yield infers from
-    the final density/price sample."""
-    try:
-        return parse_tail_spec(spec)
-    except ParseError:
-        kind = spec.strip().partition(":")[0].strip()
-        if kind == "constant-yield":
-            level = float(cpath.dividends.density[-1]) / float(cpath.prices[-1])
-            if level <= 0:
-                raise ValidationError(
-                    "cannot infer a positive constant yield from the final sample"
-                ) from None
-            return ConstantYield(level)
-        raise
-
-
 def _default_continuous_step(cpath: ContinuousPath) -> float:
     # about one time unit per period, always a whole number of grid cells
     cells = max(1, round(min(1.0, cpath.horizon) / cpath.grid_step))
@@ -156,7 +138,8 @@ def _tail_fit(path: DiscretePath, args: argparse.Namespace) -> tuple[TailFit | N
             print(f"bubblekit: tail fit unavailable: {exc}", file=sys.stderr)
         return None, str(exc)
     if args.tail_suggest:
-        print(json.dumps(tail_fit_to_json(fit), sort_keys=True), file=sys.stderr)
+        line = json.dumps(tail_fit_to_json(fit), sort_keys=True, allow_nan=False)
+        print(line, file=sys.stderr)
     return fit, fit.note
 
 
@@ -164,7 +147,8 @@ def _require_tail(
     path: DiscretePath, args: argparse.Namespace, fit: TailFit | None, note: str
 ) -> tuple[DiscretePath, str]:
     if args.tail is not None:
-        return path.with_tail(parse_tail_spec(args.tail, path)), "flag"
+        last = (float(path.prices[-1]), float(path.dividends[-1]))
+        return path.with_tail(parse_tail_spec(args.tail, last)), "flag"
     if path.tail is not None:
         return path, "embedded"
     if args.accept_suggested_tail:
@@ -199,9 +183,8 @@ def _analyze_continuous(data: str, args: argparse.Namespace, tol: float) -> dict
     cpath = parse_continuous_json(data)
     tail_source = "embedded"
     if args.tail is not None:
-        cpath = dataclasses.replace(
-            cpath, tail=_resolve_continuous_tail(args.tail, cpath)
-        )
+        last = (float(cpath.prices[-1]), float(cpath.dividends.density[-1]))
+        cpath = dataclasses.replace(cpath, tail=parse_tail_spec(args.tail, last))
         tail_source = "flag"
     if cpath.tail is None:
         raise ValidationError(
@@ -250,6 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for name in args.files or ["-"]:
         try:
             report = _analyze_one(name, args, tol)
+            rendered = render_report(report, args.format)
         except ValidationError as exc:
             print(f"bubblekit: {name}: {exc}", file=sys.stderr)
             had_validation_error = True
@@ -258,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"bubblekit: {name}: internal: {exc!r}", file=sys.stderr)
             had_internal_error = True
             continue
-        sys.stdout.write(render_report(report, args.format))
+        sys.stdout.write(rendered)
         if report["decomposition"]["verdict"] == Classification.BUBBLE.value:
             saw_bubble = True
     if had_internal_error:
@@ -357,7 +341,10 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     passed = result["max_relative_gap"] <= tol
     result["pass"] = passed
     if args.format == "json":
-        sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")
+        rendered = json.dumps(
+            result, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+        sys.stdout.write(rendered + "\n")
     else:
         for key in sorted(result):
             sys.stdout.write(f"{key}: {result[key]!r}\n")

@@ -42,7 +42,6 @@ __all__ = [
     "CumulativeDividend",
     "ContinuousPath",
     "integrate_dF_over_P",
-    "deflated_price_identity",
     "deflated_price_profile",
     "montrucchio_continuous",
     "discretize",
@@ -130,11 +129,6 @@ class ContinuousPath:
         return (self.prices.size - 1) * self.grid_step
 
 
-def _nearest_index(cpath: ContinuousPath, time: float) -> int:
-    k = int(round(time / cpath.grid_step))
-    return min(max(k, 0), cpath.prices.size - 1)
-
-
 def _price_at_jump(cpath: ContinuousPath, t: float, side: str) -> float:
     """Grid sample used for P at a jump time (right limit by default)."""
     pos = t / cpath.grid_step
@@ -182,7 +176,8 @@ def integrate_dF_over_P(
 
     The density part uses the trapezoidal rule (with a linearly
     interpolated partial cell when T is off-grid); each jump contributes
-    its size divided by the grid price sample at the jump time.
+    its size divided by the grid price sample at the jump time.  Raises
+    ``ValidationError`` when the total leaves the double range.
     """
     horizon = cpath.horizon
     if not 0 < T <= horizon * (1 + _GRID_RTOL):
@@ -192,15 +187,22 @@ def integrate_dF_over_P(
     cells = _cell_increments(cpath, yields)
     pos = T / h
     m = min(int(math.floor(pos + _GRID_RTOL)), cells.size)
+    # a Python float: a sum past the double range becomes inf, which the
+    # check below rejects, and raises no RuntimeWarning on the way
     total = math.fsum(cells[:m])
     frac = pos - m
     if frac > _GRID_RTOL and m < yields.size - 1:
         edge = yields[m] + (yields[m + 1] - yields[m]) * frac
-        total += 0.5 * frac * h * (yields[m] + edge)
+        total += float(0.5 * frac * h * (yields[m] + edge))
     for t, df in cpath.dividends.jumps:
         if t <= T * (1 + _GRID_RTOL):
             total += df / _price_at_jump(cpath, t, jump_price_side)
-    return float(total)
+    if not total <= _MAX_INTEGRAL:
+        raise ValidationError(
+            "a dividend jump is too large for the price there: the dF / P sum "
+            "leaves the double range"
+        )
+    return total
 
 
 def _jump_log_factors(
@@ -220,55 +222,21 @@ def _jump_log_factors(
     return factors
 
 
-def deflated_price_identity(
-    cpath: ContinuousPath, T: float, jump_price_side: str = "right"
-) -> tuple[float, float]:
-    """Two independent evaluations of the deflated price q_T * P_T.
+def deflated_price_profile(
+    cpath: ContinuousPath, jump_price_side: str = "right"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent evaluations of the deflated price q P at every
+    grid point, as (lhs, rhs) arrays of length n + 1 (index 0 holds P_0
+    twice).
 
     ``lhs`` solves -d(qP) = q dF step by step: dividends accrue
     trapezoidally within each cell and are priced cum/ex around it,
     q_{k+1} = q_k (P_k - h d_k / 2) / (P_{k+1} + h d_{k+1} / 2).
     ``rhs`` is the one-shot exponential form P_0 * exp(-integral of the
-    density yield).  Jumps multiply both sides by the exact factor
-    (1 - dF/P).  Both are second-order in the grid step with different
-    coefficients, so their gap is an O(h^2) discretization cross-check
-    that vanishes under grid refinement.
-
-    T is evaluated at the nearest positive grid point.
-    """
-    horizon = cpath.horizon
-    if not 0 < T <= horizon * (1 + _GRID_RTOL):
-        raise OutOfRangeError(f"T = {T} outside (0, {horizon}]")
-    h = cpath.grid_step
-    k = max(1, _nearest_index(cpath, T))
-    t_k = k * h
-
-    yields = _density_yields(cpath)
-    cells = _cell_increments(cpath, yields)
-    half = 0.5 * h * yields
-    if np.any(half[:k] >= 1.0):
-        raise ValidationError(
-            "grid step too coarse: a single cell's accrued dividend "
-            "exceeds the price at its start"
-        )
-    steps = np.log1p(-half[:k]) - np.log1p(half[1 : k + 1])
-    log_lhs = math.fsum(steps)
-    log_rhs = -math.fsum(cells[:k])
-    for t, log_factor in _jump_log_factors(cpath, jump_price_side):
-        if t <= t_k * (1 + _GRID_RTOL):
-            log_lhs += log_factor
-            log_rhs += log_factor
-    price0 = float(cpath.prices[0])
-    return (price0 * math.exp(log_lhs), price0 * math.exp(log_rhs))
-
-
-def deflated_price_profile(
-    cpath: ContinuousPath, jump_price_side: str = "right"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both deflated-price evaluations at every grid point.
-
-    Returns (lhs, rhs) arrays of length n + 1 (index 0 holds P_0 twice);
-    see :func:`deflated_price_identity` for what the two routes are.
+    density yield).  Jumps multiply both by the exact factor (1 - dF/P)
+    from the first grid point at or after the jump.  Both are second-order
+    in the grid step with different coefficients, so their gap is an
+    O(h^2) discretization cross-check that vanishes under grid refinement.
     """
     log_lhs, log_rhs = _deflated_log_profile(cpath, jump_price_side)
     price0 = float(cpath.prices[0])

@@ -123,12 +123,14 @@ def format_tail_spec(tail: TailModel) -> str:
     return kind if not params else f"{kind}:{','.join(params)}"
 
 
-def parse_tail_spec(spec: str, path: DiscretePath | None = None) -> TailModel:
+def parse_tail_spec(spec: str, last: tuple[float, float] | None = None) -> TailModel:
     """Parse ``kind[:key=value,...]`` into a tail model.
 
     Bare ``constant-levels`` and ``constant-yield`` infer their parameters
-    from the final sample of ``path`` (continue at the levels / the yield
-    observed there); all other kinds with parameters require them.
+    from ``last``, the path's final ``(price, dividend)`` sample (for a
+    continuous path, the last price and density samples): they continue
+    at the levels / the yield observed there.  All other kinds with
+    parameters require them.
     """
     kind, _, params_text = spec.strip().partition(":")
     kind = kind.strip()
@@ -149,12 +151,11 @@ def parse_tail_spec(spec: str, path: DiscretePath | None = None) -> TailModel:
             except ValueError:
                 raise ParseError(f"bad numeric value in tail spec: {item!r}") from None
     if not params and cls in (ConstantLevels, ConstantYield):
-        if path is None:
+        if last is None:
             raise ParseError(
-                f"tail {kind!r} needs parameters (or a path to infer them from)"
+                f"tail {kind!r} needs parameters (or a final sample to infer them)"
             )
-        last_price = float(path.prices[-1])
-        last_dividend = float(path.dividends[-1])
+        last_price, last_dividend = last
         if cls is ConstantLevels:
             params = {"price": last_price, "dividend": last_dividend}
         else:
@@ -232,7 +233,8 @@ def parse_path_csv(
         raise ParseError("need at least dates 0 and 1")
     path = DiscretePath(prices=prices, dividends=dividends)
     if tail_spec is not None:
-        path = path.with_tail(parse_tail_spec(tail_spec, path))
+        last = (float(path.prices[-1]), float(path.dividends[-1]))
+        path = path.with_tail(parse_tail_spec(tail_spec, last))
     if deflators is not None:
         if abs(float(deflators[0]) - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
@@ -540,7 +542,10 @@ def build_report(
 def render_report(report: dict[str, Any], fmt: str = "json") -> str:
     """Render a report deterministically as JSON (default) or text."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        return (
+            json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n"
+        )
     if fmt != "text":
         raise ValidationError(f"unknown format {fmt!r}")
     dec = report["decomposition"]

@@ -334,35 +334,28 @@ def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
     )
 
 
-def _valuation(path: DiscretePath, deflators: Deflators) -> _Split:
-    _check_same_horizon(path, deflators)
-    return _split(path, _log_yield_sum(path))
-
-
-def fundamental_value(path: DiscretePath, deflators: Deflators) -> float:
+def fundamental_value(path: DiscretePath) -> float:
     """Present value of all dividends: sampled part plus declared tail.
 
     Divergent-yield tails certify a zero bubble, so the fundamental is
     P_0 exactly.  Under a convergent tail it is P_0 less the deflated-price
-    limit, plus a declared-convergent tail's present value.  ``deflators``
-    must be the path's own; every value comes from the path's log-yield
-    sum.
+    limit, plus a declared-convergent tail's present value.
     """
-    return _valuation(path, deflators).fundamental
+    return _split(path, _log_yield_sum(path)).fundamental
 
 
-def bubble_component(path: DiscretePath, deflators: Deflators) -> float:
+def bubble_component(path: DiscretePath) -> float:
     """Bubble B_0 = lim q_T P_T: P_0 exp(-L_T - S) under a convergent tail."""
-    return _valuation(path, deflators).bubble
+    return _split(path, _log_yield_sum(path)).bubble
 
 
-def tvc_holds(path: DiscretePath, deflators: Deflators) -> bool:
+def tvc_holds(path: DiscretePath) -> bool:
     """Transversality condition: the deflated price limit vanishes.
 
     True exactly when the verdict is no-bubble.  With strictly positive
     prices a convergent tail leaves a positive limit, however small.
     """
-    return _valuation(path, deflators).verdict is Classification.NO_BUBBLE
+    return _split(path, _log_yield_sum(path)).verdict is Classification.NO_BUBBLE
 
 
 def decompose(path: DiscretePath) -> Decomposition:

@@ -244,7 +244,8 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
         raise ParseError("need at least dates 0 and 1")
     path = DiscretePath(prices=np.array(prices), dividends=np.array(dividends))
     if tail_spec is not None:
-        path = path.with_tail(parse_tail_spec(tail_spec, path))
+        last = (float(path.prices[-1]), float(path.dividends[-1]))
+        path = path.with_tail(parse_tail_spec(tail_spec, last))
     if has_q:
         if abs(deflator_values[0] - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")

@@ -19,7 +19,7 @@ from bubblekit import (
     MiaoWangScenario,
     PowerYield,
     decompose,
-    deflated_price_identity,
+    deflated_price_profile,
     discretize,
     gen_miao_wang,
     gen_money,
@@ -128,8 +128,9 @@ def test_criterion_3_telescoping_identity_property():
 
 
 def _identity_gap(cpath, T):
-    lhs, rhs = deflated_price_identity(cpath, T)
-    return abs(lhs - rhs) / rhs
+    lhs, rhs = deflated_price_profile(cpath)
+    k = round(T / cpath.grid_step)  # the grid point nearest to T
+    return abs(lhs[k] - rhs[k]) / rhs[k]
 
 
 def _smooth_test_paths(h):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,35 +14,50 @@ from bubblekit import (
     TailClass,
     ValidationError,
     ZeroDividends,
-    dividend_yield_series,
     gen_constant,
     gen_money,
     montrucchio_discrete,
     suggest_tail,
 )
+from bubblekit.characterization import _yields
 
 
 def test_yield_series_constant():
-    ys = dividend_yield_series(gen_constant(100, 5, 30))
-    assert np.allclose(ys.values, 0.05, rtol=1e-15)
-    assert ys.values.size == 30
+    ys = _yields(gen_constant(100, 5, 30))
+    assert np.allclose(ys, 0.05, rtol=1e-15)
+    assert ys.size == 30
 
 
 def test_yield_series_zero_dividends():
-    ys = dividend_yield_series(gen_money(2.0, 10))
-    assert np.all(ys.values == 0.0)
+    ys = _yields(gen_money(2.0, 10))
+    assert np.all(ys == 0.0)
 
 
 def test_yield_series_reports_first_bad_index():
     p = DiscretePath([1.0, 1.0, 1.0, 0.0, 1.0], [0.1, 0.1, 1.0, 0.1])
-    with pytest.raises(NonPositivePriceError) as err:
-        dividend_yield_series(p)
-    assert err.value.index == 3
+    for route in (_yields, suggest_tail):
+        with pytest.raises(NonPositivePriceError) as err:
+            route(p)
+        assert err.value.index == 3
 
 
 def test_yield_series_partial_sum():
-    ys = dividend_yield_series(gen_constant(100, 5, 40))
-    assert ys.partial_sum == pytest.approx(2.0, rel=1e-13)
+    v = montrucchio_discrete(gen_constant(100, 5, 40))
+    assert v.partial_sum == pytest.approx(2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "prices, dividends",
+    [
+        ([1.0, 1e-300], [1e300]),  # D / P past the double range
+        ([1.0, 1.0, 1.0], [1e308, 1e308]),  # finite yields summing past it
+    ],
+)
+def test_partial_sum_past_the_double_range_is_none(prices, dividends):
+    v = montrucchio_discrete(DiscretePath(prices, dividends, tail=ZeroDividends()))
+    assert v.partial_sum is None
+    assert v.classification is Classification.BUBBLE
+    assert "leaves the double range" in v.rationale
 
 
 def test_montrucchio_constant_no_bubble():
@@ -156,3 +173,23 @@ def test_suggest_insufficient_data():
     p = DiscretePath(np.ones(21), dividends)
     fit = suggest_tail(p)
     assert fit.suggestion is None or isinstance(fit.suggestion, ZeroDividends)
+
+
+def test_suggest_huge_yields_take_logs_apart_and_drop_overflowing_fits():
+    # D / P alternates between 1e600 (past the double range) and 1e300:
+    # log y is log D - log P, and every fitted coefficient overflows
+    dividends = [1e300 if t % 2 else 1.0 for t in range(1, 20)]
+    p = DiscretePath(np.full(20, 1e-300), dividends)
+    fit = suggest_tail(p)
+    assert fit.suggestion is None and fit.candidates == {}
+    assert "double range" in fit.note
+
+
+def test_suggest_far_yield_enters_the_fit_as_its_log():
+    # one yield of 1e310 (past the double range) among yields of 0.05
+    prices, dividends = np.ones(21), np.full(20, 0.05)
+    prices[17], dividends[16] = 1e-300, 1e10
+    fit = suggest_tail(DiscretePath(prices, dividends))
+    level = fit.candidates["constant-yield"]["model"].level
+    expected = math.exp((7 * math.log(0.05) + 310 * math.log(10)) / 8)
+    assert level == pytest.approx(expected, rel=1e-12)

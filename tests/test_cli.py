@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubblekit import (
     ArbitrageError,
     ConstantLevels,
     DiscretePath,
     ParseError,
+    TailModel,
     ValidationError,
     gen_constant,
     gen_gordon,
@@ -137,15 +140,67 @@ def test_parse_tail_spec_kinds(spec, expected):
 
 def test_parse_tail_spec_infers_constant_levels_from_path():
     path = parse_path_csv(CONSTANT_CSV)
-    tail = parse_tail_spec("constant-levels", path)
+    last = (float(path.prices[-1]), float(path.dividends[-1]))
+    tail = parse_tail_spec("constant-levels", last)
     assert tail == ConstantLevels(100.0, 5.0)
-    yield_tail = parse_tail_spec("constant-yield", path)
+    yield_tail = parse_tail_spec("constant-yield", last)
     assert yield_tail.level == pytest.approx(0.05)
 
 
 def test_parse_tail_spec_unknown_kind():
     with pytest.raises(ParseError, match="unknown tail kind"):
         parse_tail_spec("mystery-tail")
+
+
+VALID_TAIL_SPECS = [
+    "zero-dividends",
+    "declared-divergent",
+    "declared-convergent:sum=0.25",
+    "constant-levels:P=100,D=5",
+    "constant-levels",
+    "constant-yield:c=0.05",
+    "constant-yield",
+    "geometric-yield:a=0.5,rho=0.5",
+    "power-yield:a=1,p=2",
+]
+SPEC_PIECES = list(":=,.-+_ eE0159") + ["nan", "inf", "1e999", "P", "rho", "sum", "\x00"]
+FINAL_SAMPLES = st.none() | st.tuples(st.floats(), st.floats())
+
+
+@st.composite
+def mutated_tail_specs(draw):
+    spec = draw(st.sampled_from(VALID_TAIL_SPECS))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(spec)))
+        piece = draw(st.sampled_from(SPEC_PIECES))
+        cut = draw(st.integers(0, 3))  # characters replaced (0: an insertion)
+        spec = spec[:k] + piece + spec[k + cut:]
+    return spec
+
+
+def parses_or_rejects(spec, last):
+    try:
+        tail = parse_tail_spec(spec, last)
+    except ValidationError:
+        return
+    assert isinstance(tail, TailModel.__args__)
+
+
+@given(st.text(), FINAL_SAMPLES)
+@settings(max_examples=300, deadline=None)
+def test_parse_tail_spec_fuzz_arbitrary_text(spec, last):
+    parses_or_rejects(spec, last)
+
+
+@given(mutated_tail_specs(), FINAL_SAMPLES)
+@example("constant-levels", (math.nan, 1.0))
+@example("constant-levels", (1.0, -math.inf))
+@example("constant-yield", (1.0, math.nan))
+@example("constant-yield", (1e-300, 1e300))
+@example("constant-yield", (0.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_parse_tail_spec_fuzz_mutated_specs(spec, last):
+    parses_or_rejects(spec, last)
 
 
 # ---------- analyze ----------
@@ -908,3 +963,159 @@ def test_density_past_the_double_range_is_bad_input(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "leaves the double range" in err
+
+
+# ---------- yields past the double range ----------
+
+
+def test_yield_past_the_double_range_is_analysed_in_logs(tmp_path, capsys):
+    # D_1 / P_1 = 1e600 overflows a double; its log, 600 ln 10, does not
+    doc = tmp_path / "far.csv"
+    doc.write_text("t,P,D\n0,1,\n1,1e-300,1e300\n")
+    code, out, err = run(capsys, ["analyze", "--tail", "zero-dividends", str(doc)])
+    assert (code, err) == (10, "")
+    diag = strict_json(out)["diagnostics"]
+    assert diag["log_bubble"] == pytest.approx(-600 * math.log(10), rel=1e-15)
+    assert diag["boundary"] is True
+    assert diag["classifier"]["partial_sum"] is None
+
+
+def test_tail_suggest_on_yields_past_the_double_range(tmp_path, capsys):
+    # yields alternate between 1e600 and 1e300: every fitted coefficient
+    # overflows, so there is no suggestion and no Infinity
+    doc = tmp_path / "far.csv"
+    rows = [f"{t},1e-300,{1e300 if t % 2 else 1}" for t in range(1, 20)]
+    doc.write_text("t,P,D\n0,1,\n" + "\n".join(rows) + "\n")
+    argv = ["analyze", "--tail", "zero-dividends", "--tail-suggest", str(doc)]
+    code, out, err = run(capsys, argv)
+    assert code == 10
+    fit = strict_json(err)
+    assert fit["suggestion"] is None and fit["candidates"] == {}
+    assert strict_json(out)["diagnostics"]["tail_fit"] == fit
+
+
+def test_jump_past_the_double_range_is_bad_input(tmp_path, capsys):
+    doc = tmp_path / "jump.json"
+    doc.write_text(
+        json.dumps(
+            {"grid_step": 1.0, "prices": [1e-300] * 11, "density": [0.0] * 11,
+             "jumps": [{"t": 3.0, "dF": 1e300}], "tail": {"kind": "zero-dividends"}}
+        )
+    )
+    code, out, err = run(capsys, ["analyze", str(doc)])
+    assert (code, out) == (2, "")
+    assert err.endswith("the dF / P sum leaves the double range\n")
+
+
+# ---------- strict JSON at every writer ----------
+
+
+def test_non_finite_report_is_one_internal_line(tmp_path, capsys, monkeypatch):
+    import bubblekit.cli as cli
+
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    reports = []
+    real_analyze_one = cli._analyze_one
+
+    def analyze_one(name, args, tol):
+        report = real_analyze_one(name, args, tol)
+        reports.append(report)
+        if len(reports) == 2:
+            report["diagnostics"]["deflated_terminal_price"] = math.inf
+        return report
+
+    monkeypatch.setattr(cli, "_analyze_one", analyze_one)
+    argv = ["analyze", "--tail", "constant-levels", str(doc), str(doc), str(doc)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert [strict_json(line)["decomposition"]["verdict"] for line in out.splitlines()] == [
+        "no-bubble",
+        "no-bubble",
+    ]
+    assert err.startswith(f"bubblekit: {doc}: internal: ValueError(")
+    assert len(err.splitlines()) == 1
+
+
+def test_non_finite_tail_fit_line_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    import bubblekit.cli as cli
+
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    monkeypatch.setattr(cli, "tail_fit_to_json", lambda fit: {"rmse": math.nan})
+    argv = ["analyze", "--tail", "constant-levels", "--tail-suggest", str(doc)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"bubblekit: {doc}: internal: ValueError(")
+
+
+def test_non_finite_identity_result_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    import bubblekit.cli as cli
+
+    doc = tmp_path / "c.csv"
+    doc.write_text(CONSTANT_CSV)
+    monkeypatch.setattr(
+        cli, "no_arbitrage_residuals", lambda path, deflators: np.array([math.inf])
+    )
+    code, out, err = run(capsys, ["check-identity", str(doc)])
+    assert (code, out) == (1, "")
+    assert err.startswith("bubblekit: internal: ValueError(")
+
+
+# ---------- tail inference on continuous paths ----------
+
+
+def miao_wang_document(capsys):
+    _, doc, _ = run(
+        capsys,
+        [
+            "generate", "miao-wang",
+            "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2",
+            "--horizon", "50", "--grid-step", "0.01",
+        ],
+    )
+    return doc
+
+
+def test_continuous_constant_yield_infers_the_final_yield(capsys, monkeypatch):
+    doc = miao_wang_document(capsys)
+    obj = json.loads(doc)
+    argv = ["analyze", "--tail", "constant-yield"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["config"]["step"] == 1.0  # the per-period yield is the rate
+    level = obj["density"][-1] / obj["prices"][-1]
+    assert report["input"]["tail"] == {"kind": "constant-yield", "level": level}
+
+
+def test_continuous_constant_levels_infers_the_final_sample(capsys, monkeypatch):
+    doc = miao_wang_document(capsys)
+    obj = json.loads(doc)
+    argv = ["analyze", "--tail", "constant-levels"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["config"]["step"] == 1.0
+    assert report["input"]["tail"] == {
+        "kind": "constant-levels",
+        "price": obj["prices"][-1],
+        "dividend": obj["density"][-1],
+    }
+
+
+def test_continuous_constant_yield_needs_a_positive_final_density(capsys, monkeypatch):
+    obj = json.loads(miao_wang_document(capsys))
+    obj["density"][-1] = 0.0
+    argv = ["analyze", "--tail", "constant-yield"]
+    code, out, err = run(capsys, argv, stdin=json.dumps(obj), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: -: cannot infer a positive constant yield from the final sample\n"
+
+
+def test_continuous_malformed_constant_yield_spec_is_bad_input(capsys, monkeypatch):
+    doc = miao_wang_document(capsys)
+    argv = ["analyze", "--tail", "constant-yield:c=x"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: -: bad numeric value in tail spec: 'c=x'\n"

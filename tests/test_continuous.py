@@ -15,7 +15,6 @@ from bubblekit import (
     ValidationError,
     ZeroDividends,
     decompose,
-    deflated_price_identity,
     deflated_price_profile,
     discretize,
     integrate_dF_over_P,
@@ -143,19 +142,36 @@ def test_removing_a_jump_never_increases_the_integral():
     assert integrate_dF_over_P(with_jump, 10.0) >= integrate_dF_over_P(without, 10.0)
 
 
+def test_integral_past_the_double_range_is_rejected():
+    # a jump of 1e300 at a price of 1e-300 adds 1e600 to the dF / P sum
+    cpath = grid_path(
+        10.0, 1.0, price_fn=lambda t: np.full_like(t, 1e-300), jumps=((3.0, 1e300),)
+    )
+    with pytest.raises(ValidationError, match="dF / P sum leaves the double range"):
+        integrate_dF_over_P(cpath, 10.0)
+    assert integrate_dF_over_P(cpath, 2.5) == 0.0  # the jump comes later
+
+
 # ---------- exponential identity ----------
+
+
+def profile_at(cpath, T):
+    """Both deflated-price routes at the grid point nearest to T."""
+    lhs, rhs = deflated_price_profile(cpath)
+    k = round(T / cpath.grid_step)
+    return lhs[k], rhs[k]
 
 
 def test_identity_without_dividends_is_exact():
     cpath = grid_path(10.0, 1e-2, price_fn=lambda t: np.full_like(t, 3.0))
     for T in (0.5, 5.0, 10.0):
-        lhs, rhs = deflated_price_identity(cpath, T)
+        lhs, rhs = profile_at(cpath, T)
         assert lhs == rhs == 3.0
 
 
 def test_identity_constant_flow_matches_exponential_solution():
     cpath = constant_flow_path(P=10.0, D=5.0, horizon=50.0, h=1e-3)
-    lhs, rhs = deflated_price_identity(cpath, 50.0)
+    lhs, rhs = profile_at(cpath, 50.0)
     exact = 10.0 * math.exp(-5.0 * 50.0 / 10.0)
     assert rhs == pytest.approx(exact, rel=1e-9)
     assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -170,9 +186,9 @@ def test_identity_single_jump_drops_by_exact_factor():
         price_fn=lambda t: np.full_like(t, 2.0),
         jumps=((1.5, 2.0 * factor),),
     )
-    lhs_before, rhs_before = deflated_price_identity(cpath, 1.0)
+    lhs_before, rhs_before = profile_at(cpath, 1.0)
     assert lhs_before == rhs_before == 2.0
-    lhs_after, rhs_after = deflated_price_identity(cpath, 4.0)
+    lhs_after, rhs_after = profile_at(cpath, 4.0)
     assert rhs_after == pytest.approx(2.0 / math.e, rel=1e-12)
     assert lhs_after == pytest.approx(2.0 / math.e, rel=1e-12)
     assert integrate_dF_over_P(cpath, 4.0) == pytest.approx(factor, rel=1e-15)
@@ -183,25 +199,16 @@ def test_identity_refinement_is_second_order():
     gaps = []
     for h in (1e-3, 5e-4):
         cpath = exp_density_path(horizon=20.0, h=h)
-        lhs, rhs = deflated_price_identity(cpath, 20.0)
+        lhs, rhs = profile_at(cpath, 20.0)
         gaps.append(abs(lhs - rhs) / rhs)
     assert gaps[0] <= 1e-6
     assert gaps[0] / gaps[1] >= 3.5
 
 
-def test_identity_profile_matches_pointwise_evaluation():
-    cpath = exp_density_path(horizon=2.0, h=1e-2)
-    lhs_all, rhs_all = deflated_price_profile(cpath)
-    for k in (1, 50, 200):
-        lhs, rhs = deflated_price_identity(cpath, k * 1e-2)
-        assert lhs == pytest.approx(lhs_all[k], rel=1e-14)
-        assert rhs == pytest.approx(rhs_all[k], rel=1e-14)
-
-
 def test_identity_rejects_jump_larger_than_price():
     cpath = grid_path(2.0, 1e-2, jumps=((1.0, 1.5),))
     with pytest.raises(ValidationError):
-        deflated_price_identity(cpath, 2.0)
+        deflated_price_profile(cpath)
 
 
 def test_jump_price_side_flag():
@@ -236,7 +243,7 @@ def test_montrucchio_continuous_exponential_density_bubble():
     v = montrucchio_continuous(cpath)
     assert v.classification is Classification.BUBBLE
     # converging integral pins the deflated-price limit near exp(-1)
-    lhs, rhs = deflated_price_identity(cpath, 20.0)
+    lhs, rhs = profile_at(cpath, 20.0)
     assert rhs == pytest.approx(math.exp(-1.0), rel=1e-6)
     assert lhs > 0
 

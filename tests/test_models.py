@@ -52,7 +52,7 @@ def test_money_is_pure_bubble(P0):
 
 def test_money_violates_tvc():
     p = gen_money(2.5, 80)
-    assert not tvc_holds(p, implied_deflators(p))
+    assert not tvc_holds(p)
 
 
 # ---------- constant ----------

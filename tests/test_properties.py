@@ -83,12 +83,8 @@ def test_scale_invariance_exact_for_binary_scales(path, k):
     base_defl = implied_deflators(path)
     scaled_defl = implied_deflators(scaled)
     assert np.array_equal(base_defl.log_q, scaled_defl.log_q)
-    assert fundamental_value(scaled, scaled_defl) == lam * fundamental_value(
-        path, base_defl
-    )
-    assert bubble_component(scaled, scaled_defl) == lam * bubble_component(
-        path, base_defl
-    )
+    assert fundamental_value(scaled) == lam * fundamental_value(path)
+    assert bubble_component(scaled) == lam * bubble_component(path)
     assert decompose(scaled).verdict is decompose(path).verdict
 
 
@@ -101,8 +97,8 @@ def test_scale_invariance_general(path, lam):
     assert np.allclose(
         implied_deflators(scaled).log_q, implied_deflators(path).log_q, atol=1e-11
     )
-    v = fundamental_value(path, implied_deflators(path))
-    vs = fundamental_value(scaled, implied_deflators(scaled))
+    v = fundamental_value(path)
+    vs = fundamental_value(scaled)
     assert vs == pytest.approx(lam * v, rel=1e-11)
 
 
@@ -112,9 +108,8 @@ def test_pure_bubble_identity_is_exact(path):
     dividendless = DiscretePath(
         path.prices, np.zeros(path.horizon), tail=ZeroDividends()
     )
-    deflators = implied_deflators(dividendless)
-    assert fundamental_value(dividendless, deflators) == 0.0
-    assert bubble_component(dividendless, deflators) == float(
+    assert fundamental_value(dividendless) == 0.0
+    assert bubble_component(dividendless) == float(
         dividendless.prices[0]
     )
 
@@ -199,4 +194,4 @@ def test_log_domain_deflators_survive_million_period_horizons():
     deflators = implied_deflators(path)
     assert np.isfinite(deflators.log_q).all()
     assert deflators.log_q[-1] == pytest.approx(-1_000_000 * math.log(2), rel=1e-9)
-    assert fundamental_value(path, deflators) == 1.0
+    assert fundamental_value(path) == 1.0
