@@ -104,6 +104,10 @@ class ContinuousPath:
     def __post_init__(self):
         if not (self.grid_step > 0 and math.isfinite(self.grid_step)):
             raise ValidationError("grid_step must be positive and finite")
+        if self.interpreted_component is not None and not math.isfinite(
+            self.interpreted_component
+        ):
+            raise ValidationError("interpreted_component must be finite")
         prices = np.asarray(self.prices, dtype=np.float64)
         if prices.ndim != 1 or prices.size < 2:
             raise ValidationError("need at least two price samples")

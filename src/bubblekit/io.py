@@ -10,8 +10,9 @@ Reports are plain dicts with stable keys; JSON rendering uses sorted keys
 and shortest round-trip float representation, so identical inputs produce
 byte-identical documents and serialize/parse/serialize is the identity.
 Generated path documents are written the same way, but through orjson,
-which formats a whole numpy array in one call; it is imported on first
-use, so analysis never loads it.
+which formats a whole numpy array in one call.  Continuous JSON reads its
+number arrays through orjson too.  orjson is imported on first use, so
+CSV analysis never loads it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import fields as dataclass_fields
 from itertools import compress, count, islice, repeat
 from typing import Any, NoReturn
@@ -102,13 +104,15 @@ def tail_from_json(obj: dict[str, Any]) -> TailModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"tail object needs a 'kind' key, got {obj!r}")
     kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise ParseError(f"tail kind must be a string, got {kind!r}")
     cls = _TAIL_KINDS.get(kind)
     if cls is None:
         raise ParseError(f"unknown tail kind {kind!r}")
     try:
         params = {k: float(v) for k, v in obj.items() if k != "kind"}
         return cls(**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad parameters for tail {kind!r}: {exc}") from None
 
 
@@ -378,6 +382,121 @@ def _reject_constant(name: str) -> NoReturn:
     raise ParseError(f"invalid JSON: non-finite constant {name} is not allowed")
 
 
+def _json_loads(text: str) -> Any:
+    """``json.loads(text)`` without NaN or Infinity; any rejection is a ParseError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    except ValueError:  # int() refuses a literal past its digit limit
+        raise ParseError("invalid JSON: an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+# A JSON string, to its closing quote (or to the end of the text if it has
+# none), or a flat number array: one that holds nothing but number
+# characters, commas and JSON whitespace.
+_STRING_OR_NUMBERS = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[[0-9eE+\-., \t\n\r]*\]', re.DOTALL
+)
+
+
+def _placeholder(value: Any) -> int | None:
+    """``k`` if ``value`` is the placeholder ``[k]`` of the k-th flat array."""
+    if type(value) is list and len(value) == 1 and type(value[0]) is int:
+        return value[0]
+    return None
+
+
+# characters of array text orjson reads at a time
+_CHUNK = 1 << 16
+
+
+def _float_array(data: str, start: int, stop: int) -> np.ndarray:
+    """The float64 values of the flat number array ``data[start:stop]``.
+
+    orjson reads the text a chunk at a time, cut at commas about ``_CHUNK``
+    characters apart, so the Python floats of one chunk at most exist at
+    once.  A decode error carries its offset in ``data``.
+    """
+    import orjson
+
+    parts = []
+    first = start + 1
+    while True:
+        cut = data.find(",", first + _CHUNK, stop)
+        last = cut < 0
+        if last:
+            cut = stop - 1
+        try:
+            numbers = orjson.loads(f"[{data[first:cut]}]")
+        except orjson.JSONDecodeError as exc:
+            raise json.JSONDecodeError(exc.msg, data, first - 1 + exc.pos) from None
+        if not numbers and first > start + 1:  # nothing between two commas
+            raise json.JSONDecodeError("Expecting value", data, first)
+        parts.append(np.array(numbers, dtype=np.float64))
+        if last:
+            return np.concatenate(parts)
+        first = cut + 1
+
+
+def _decode_continuous(data: str) -> Any:
+    """``json.loads(data)``, but a top-level ``prices`` or ``density`` array
+    comes back as float64, never held as a list of Python floats.
+
+    Each flat number array outside strings is cut out of the text and
+    replaced by a placeholder ``[k]``, and ``json.loads`` parses the small
+    skeleton left.  Then the arrays are read in turn: orjson reads a
+    top-level ``prices`` or ``density`` array straight into float64, and
+    any other array gets its ``json.loads`` list back.  orjson never sees
+    nested text.
+
+    A number past the double range in those two arrays is a ParseError,
+    where ``json.loads`` reads it as an infinity.  Every other rejection
+    is named by ``json.loads`` on the whole text: the same message and
+    line as reading the document with it alone.
+    """
+    spans = []
+    pieces = []
+    end = 0
+    for match in _STRING_OR_NUMBERS.finditer(data):
+        if data[match.start()] == "[":
+            pieces += (data[end : match.start()], f"[{len(spans)}]")
+            spans.append(match.span())
+            end = match.end()
+    pieces.append(data[end:])
+    try:
+        obj = _json_loads("".join(pieces))
+    except ParseError:
+        _json_loads(data)  # the document's first error
+        raise
+    floats = set()
+    if isinstance(obj, dict):
+        floats = {_placeholder(obj.get("prices")), _placeholder(obj.get("density"))}
+    arrays = []
+    for k, (start, stop) in enumerate(spans):
+        try:
+            if k in floats:
+                arrays.append(_float_array(data, start, stop))
+            else:
+                arrays.append(json.loads(data[start:stop]))
+        except ValueError as exc:
+            _json_loads(data)  # the document's first error
+            # else orjson rejected a number past the double range
+            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    stack = [obj] if isinstance(obj, (dict, list)) else []
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            k = _placeholder(value)
+            if k is not None:
+                node[key] = arrays[k]
+            elif isinstance(value, (dict, list)):
+                stack.append(value)
+    return obj
+
+
 def parse_scenario_json(data: str | bytes) -> dict[str, float]:
     """Scenario parameters as a JSON object keyed by field name.
 
@@ -386,10 +505,7 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        obj = json.loads(data, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    obj = _json_loads(data)
     if not isinstance(obj, dict):
         raise ParseError("scenario document must be a JSON object")
     unknown = set(obj) - _SCENARIO_FIELDS
@@ -400,17 +516,14 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
         )
     try:
         return {k: float(v) for k, v in obj.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scenario value: {exc}") from None
 
 
 def parse_continuous_json(data: str | bytes) -> ContinuousPath:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        obj = json.loads(data, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    obj = _decode_continuous(data)
     if not isinstance(obj, dict):
         raise ParseError("continuous path document must be a JSON object")
     for key in ("grid_step", "prices", "density"):
@@ -421,13 +534,13 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
             (float(j["t"]), float(j["dF"])) for j in obj.get("jumps", ())
         )
         grid_step = float(obj["grid_step"])
-        prices = np.array(obj["prices"], dtype=np.float64)
-        density = np.array(obj["density"], dtype=np.float64)
+        prices = np.asarray(obj["prices"], dtype=np.float64)
+        density = np.asarray(obj["density"], dtype=np.float64)
         interpreted = obj.get("interpreted_component")
         interpreted = None if interpreted is None else float(interpreted)
         declared_horizon = obj.get("horizon")
         declared_horizon = None if declared_horizon is None else float(declared_horizon)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ParseError(f"malformed continuous path document: {exc!r}") from None
     tail_obj = obj.get("tail")
     tail = None if tail_obj is None else tail_from_json(tail_obj)

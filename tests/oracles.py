@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: high
 precision arithmetic via mpmath, brute-force recursion of the deflated
-price, direct partial sums, a row-by-row CSV reader, and document writers
+price, direct partial sums, a row-by-row CSV reader, a continuous-JSON
+reader that builds the whole ``json.loads`` tree, and document writers
 that format one number at a time with ``float.__repr__``.  Tests compare
 bubblekit's answers against these, never the other way around.
 """
@@ -19,8 +20,14 @@ import mpmath as mp
 import numpy as np
 
 from bubblekit.errors import ArbitrageError, ParseError, ValidationError
-from bubblekit.continuous import ContinuousPath
-from bubblekit.io import format_tail_spec, parse_tail_spec, tail_to_json
+from bubblekit.continuous import ContinuousPath, CumulativeDividend
+from bubblekit.io import (
+    _reject_constant,
+    format_tail_spec,
+    parse_tail_spec,
+    tail_from_json,
+    tail_to_json,
+)
 from bubblekit.series import DEFAULT_TOL, Deflators, DiscretePath, check_no_arbitrage
 
 
@@ -293,3 +300,53 @@ def serialize_continuous_json_repr(cpath: ContinuousPath) -> str:
     if cpath.interpreted_component is not None:
         obj["interpreted_component"] = cpath.interpreted_component
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
+    """``bubblekit.io.parse_continuous_json`` through ``json.loads`` alone.
+
+    The reference the skeleton-and-arrays reader is compared with: the
+    whole document becomes a tree of Python objects, one float per number,
+    before numpy copies the arrays out of it.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        obj = json.loads(data, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("continuous path document must be a JSON object")
+    for key in ("grid_step", "prices", "density"):
+        if key not in obj:
+            raise ParseError(f"continuous path document missing {key!r}")
+    try:
+        jumps = tuple(
+            (float(j["t"]), float(j["dF"])) for j in obj.get("jumps", ())
+        )
+        grid_step = float(obj["grid_step"])
+        prices = np.array(obj["prices"], dtype=np.float64)
+        density = np.array(obj["density"], dtype=np.float64)
+        interpreted = obj.get("interpreted_component")
+        interpreted = None if interpreted is None else float(interpreted)
+        declared_horizon = obj.get("horizon")
+        declared_horizon = None if declared_horizon is None else float(declared_horizon)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ParseError(f"malformed continuous path document: {exc!r}") from None
+    tail_obj = obj.get("tail")
+    tail = None if tail_obj is None else tail_from_json(tail_obj)
+    cpath = ContinuousPath(
+        grid_step=grid_step,
+        prices=prices,
+        dividends=CumulativeDividend(density=density, jumps=jumps),
+        tail=tail,
+        interpreted_component=interpreted,
+    )
+    if declared_horizon is not None and not math.isclose(
+        declared_horizon, cpath.horizon, rel_tol=1e-9, abs_tol=1e-12
+    ):
+        raise ValidationError(
+            f"declared horizon {declared_horizon} does not match the grid "
+            f"({cpath.horizon})"
+        )
+    return cpath

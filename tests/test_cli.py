@@ -768,20 +768,31 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] in {'scipy', 'orjson'})"
     assert probe(f"print({loaded})") == "[]\n"
-    # analysis never writes a generated document, so it never loads orjson
+    # CSV analysis never loads orjson; writing a generated document and
+    # reading continuous JSON do
     doc = tmp_path / "c.csv"
     doc.write_text(CONSTANT_CSV)
-    out = probe(
+    continuous = tmp_path / "c.json"
+    continuous.write_text(
+        '{"grid_step": 1, "prices": [1, 1], "density": [0.1, 0.1], '
+        '"tail": {"kind": "constant-yield", "level": 0.1}}'
+    )
+    run = (
         "from contextlib import redirect_stdout\n"
         "from io import StringIO\n"
-        "with redirect_stdout(StringIO()):\n"
-        f"    code = bubblekit.cli.main(['analyze', '--tail', 'constant-levels', {str(doc)!r}])\n"
-        "print(code, 'orjson' in sys.modules)\n"
-        "with redirect_stdout(StringIO()):\n"
-        "    bubblekit.cli.main(['generate', 'money', '--P0', '1', '--T', '2'])\n"
-        "print('orjson' in sys.modules)\n"
+        "def run(*argv):\n"
+        "    with redirect_stdout(StringIO()):\n"
+        "        code = bubblekit.cli.main(list(argv))\n"
+        "    print(code, 'orjson' in sys.modules)\n"
     )
-    assert out == "0 False\nTrue\n"
+    out = probe(
+        run
+        + f"run('analyze', '--tail', 'constant-levels', {str(doc)!r})\n"
+        + f"run('analyze', {str(continuous)!r})\n"
+    )
+    assert out == "0 False\n0 True\n"
+    out = probe(run + "run('generate', 'money', '--P0', '1', '--T', '2')\n")
+    assert out == "0 True\n"
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     doc = tmp_path / "c.csv"
@@ -929,6 +940,73 @@ def test_non_finite_scenario_constant_is_bad_input(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "bubblekit: invalid JSON: non-finite constant NaN is not allowed\n"
+
+
+BIG = "9" * 401  # an integer literal past the double range
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("prices", f"[1.0, {BIG}]", "invalid JSON: number is infinity when parsed as double"),
+        ("grid_step", BIG, "malformed continuous path document: OverflowError"),
+        ("jumps", f'[{{"t": {BIG}, "dF": 0.1}}]', "malformed continuous path document: OverflowError"),
+        ("tail", f'{{"kind": "constant-yield", "level": {BIG}}}', "bad parameters for tail"),
+        ("tail", '{"kind": [1], "level": 0.1}', "tail kind must be a string, got [1]"),
+        ("interpreted_component", "1e400", "interpreted_component must be finite"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+def test_out_of_range_numbers_and_a_list_tail_kind_are_bad_input(
+    field, value, message, command, capsys, monkeypatch
+):
+    doc = {
+        "grid_step": "1.0",
+        "prices": "[1.0, 1.0]",
+        "density": "[0.1, 0.1]",
+        "jumps": "[]",
+        "tail": '{"kind": "constant-yield", "level": 0.1}',
+    }
+    doc[field] = value
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+    code, out, err = run(capsys, [command], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bubblekit: {'-: ' if command == 'analyze' else ''}{message}")
+    assert err.count("\n") == 1
+
+
+def test_huge_integer_scenario_field_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(f'{{"marginal_q": 1.0, "capital": {BIG}, "dividend": 0.1}}')
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: bad scenario value: int too large to convert to float\n"
+
+
+def test_integer_literal_past_the_digit_limit_is_bad_input(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an int literal int() refuses
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"marginal_q": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: invalid JSON: an integer literal has too many digits\n"
+
+
+def test_deep_scenario_nesting_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"marginal_q": ' + "[" * 100_000 + "1" + "]" * 100_000 + "}")
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+def test_deep_nesting_is_bad_input_in_a_fresh_process(command):
+    # orjson 3.8.3 crashes the interpreter on this text; only flat arrays reach it
+    doc = '{"prices":' + "[" * 200_000 + "]" * 200_000 + "}"
+    code, out, err = _fresh_process([command], stdin=doc)
+    assert (code, out) == (2, "")
+    assert err.endswith("invalid JSON: nested too deeply\n")
 
 
 def test_continuous_identity_holds_where_both_routes_underflow(tmp_path, capsys):
