@@ -10,9 +10,10 @@ Reports are plain dicts with stable keys; JSON rendering uses sorted keys
 and shortest round-trip float representation, so identical inputs produce
 byte-identical documents and serialize/parse/serialize is the identity.
 Generated path documents are written the same way, but through orjson,
-which formats a whole numpy array in one call.  Continuous JSON reads its
-number arrays through orjson too.  orjson is imported on first use, so
-CSV analysis never loads it.
+which formats a whole numpy array in one call.  The readers parse number
+arrays through orjson too: a CSV body of plain JSON numbers in one call,
+continuous JSON's ``prices`` and ``density`` a chunk at a time.  orjson
+is imported on first use, so importing the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def tail_from_json(obj: dict[str, Any]) -> TailModel:
     if cls is None:
         raise ParseError(f"unknown tail kind {kind!r}")
     try:
-        params = {k: float(v) for k, v in obj.items() if k != "kind"}
+        params = {k: _json_number(v) for k, v in obj.items() if k != "kind"}
         return cls(**params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad parameters for tail {kind!r}: {exc}") from None
@@ -262,6 +263,8 @@ def _csv_columns(
     check runs on whole columns, over the rows before the first failure
     found so far, in the order the checks apply within a row: quoting,
     field count, date syntax, date sequence, number syntax, value rules.
+    The numbers are read by :func:`_json_columns`, or where it declines,
+    by :func:`_cell_columns`.
     """
     n = len(rows)
     bad = None
@@ -276,6 +279,97 @@ def _csv_columns(
         bad = n, f"expected {width} fields, got {fields[n]}"
     if n < len(rows):
         text = ",".join(rows[:n])
+
+    columns = _json_columns(text, rows[0], n, width) if n else None
+    if columns is None:
+        columns, failed = _cell_columns(text, n, width)
+        if failed is not None:
+            bad = failed
+            n = failed[0]
+    prices, dividends, *deflators = columns
+
+    finite = np.isfinite(prices) & np.isfinite(dividends)
+    rules = [
+        (~finite, "non-finite price or dividend"),
+        (prices < 0, "negative price"),
+        (dividends < 0, "negative dividend"),
+        (
+            (dividends != 0) & (np.arange(n) == 0),
+            "no dividend at t = 0 (ex-dividend convention)",
+        ),
+    ]
+    if deflators:
+        q = deflators[0]
+        positive = np.isfinite(q) & (q > 0)
+        rules.append((~positive, "supplied deflators must be positive"))
+    firsts = [int(np.argmax(mask)) if mask.any() else n for mask, _ in rules]
+    k = min(firsts)
+    if k < n:
+        bad = k, rules[firsts.index(k)][1]
+    return prices, dividends, (deflators[0] if deflators else None), bad
+
+
+# The characters of a body orjson may read: those of JSON numbers, commas,
+# and the blanks float() strips that JSON allows between values.
+_JSON_NUMBER_CHARS = b"0123456789eE+-., \t"
+
+# An integer -0: orjson reads it as the int 0, float() as -0.0.  (It also
+# finds the exponent in 1e-0, which only costs the other route.)
+_INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE0-9])")
+
+
+def _json_columns(text: str, head: str, n: int, width: int) -> list[np.ndarray] | None:
+    """The columns of the ``n`` rows joined in ``text``, or None.
+
+    Row 0, ``head``, is read cell by cell: its ``D`` cell is empty in every
+    generated document, which JSON cannot spell.  Rows 1.. are read by one
+    ``orjson.loads`` of ``[rows]`` straight into float64.  That reads the
+    values ``float()`` reads only where every cell is a plain JSON number,
+    so None, sending the document to :func:`_cell_columns`, is returned
+    unless all of these hold: the rows hold nothing but number characters,
+    commas, spaces and tabs; no cell is the integer ``-0``; orjson accepts
+    them; every row gives ``width`` values; every date is a JSON integer,
+    the row's index; and row 0 passes the date and number syntax checks.
+    """
+    import orjson
+
+    body = text[len(head) + 1 :]
+    if (
+        not body.isascii()
+        or body.encode().translate(None, _JSON_NUMBER_CHARS)
+        or _INTEGER_MINUS_ZERO.search(body)
+    ):
+        return None
+    first, failed = _cell_columns(head, 1, width)
+    if failed is not None:
+        return None
+    try:
+        values = orjson.loads(f"[{body}]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(values) != (n - 1) * width:
+        return None
+    dates = values[::width]
+    if set(map(type, dates)) - {int}:
+        return None
+    table = np.array(values, dtype=np.float64).reshape(n - 1, width)
+    if not np.array_equal(table[:, 0], np.arange(1, n)):
+        return None
+    return [np.concatenate((row0, table[:, j])) for j, row0 in enumerate(first, 1)]
+
+
+def _cell_columns(
+    text: str, n: int, width: int
+) -> tuple[list[np.ndarray], tuple[int, str] | None]:
+    """The columns of the ``n`` rows joined in ``text``, read cell by cell.
+
+    Dates go through ``int()``, and other cells through ``float()``, an
+    empty or blank ``D`` cell being 0.  Returns the ``P``, ``D`` and, for
+    ``width`` 4, ``q`` columns of the rows before the first that fails the
+    date syntax, date sequence or number syntax, and ``(k, message)`` for
+    that row ``k``, or None.
+    """
+    bad = None
     cells = text.split(",") if n else []
 
     def column(j: int) -> list[str]:
@@ -299,27 +393,7 @@ def _csv_columns(
     if failures:
         n, exc = min(failures, key=lambda failed: failed[0])
         bad = n, f"bad number: {exc}"
-    prices, dividends, *deflators = (np.array(values[:n]) for values, _ in numbers)
-
-    finite = np.isfinite(prices) & np.isfinite(dividends)
-    rules = [
-        (~finite, "non-finite price or dividend"),
-        (prices < 0, "negative price"),
-        (dividends < 0, "negative dividend"),
-        (
-            (dividends != 0) & (np.arange(n) == 0),
-            "no dividend at t = 0 (ex-dividend convention)",
-        ),
-    ]
-    if deflators:
-        q = deflators[0]
-        positive = np.isfinite(q) & (q > 0)
-        rules.append((~positive, "supplied deflators must be positive"))
-    firsts = [int(np.argmax(mask)) if mask.any() else n for mask, _ in rules]
-    k = min(firsts)
-    if k < n:
-        bad = k, rules[firsts.index(k)][1]
-    return prices, dividends, (deflators[0] if deflators else None), bad
+    return [np.array(values[:n], dtype=np.float64) for values, _ in numbers], bad
 
 
 def _convert(convert, cells: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
@@ -382,12 +456,38 @@ def _reject_constant(name: str) -> NoReturn:
     raise ParseError(f"invalid JSON: non-finite constant {name} is not allowed")
 
 
+def _json_number(value: Any) -> float:
+    """``float(value)``, but JSON ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_numbers(value: Any) -> np.ndarray:
+    """``np.asarray(value, float64)``, but JSON ``true`` and ``false`` are not
+    numbers, alone or in a list."""
+    if isinstance(value, bool) or (
+        isinstance(value, list) and any(isinstance(v, bool) for v in value)
+    ):
+        raise TypeError("expected numbers, got true or false")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _json_error(exc: json.JSONDecodeError) -> ParseError:
+    """The ParseError of a JSON syntax error: its reason, column and char
+    offset, and (appended by ParseError) its line."""
+    return ParseError(
+        f"invalid JSON: {exc.msg} at column {exc.colno} (char {exc.pos})",
+        line=exc.lineno,
+    )
+
+
 def _json_loads(text: str) -> Any:
     """``json.loads(text)`` without NaN or Infinity; any rejection is a ParseError."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        raise _json_error(exc) from None
     except ValueError:  # int() refuses a literal past its digit limit
         raise ParseError("invalid JSON: an integer literal has too many digits") from None
     except RecursionError:
@@ -484,7 +584,7 @@ def _decode_continuous(data: str) -> Any:
         except ValueError as exc:
             _json_loads(data)  # the document's first error
             # else orjson rejected a number past the double range
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+            raise _json_error(exc) from None
     stack = [obj] if isinstance(obj, (dict, list)) else []
     while stack:
         node = stack.pop()
@@ -515,7 +615,7 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
             f"(known: {sorted(_SCENARIO_FIELDS)!r})"
         )
     try:
-        return {k: float(v) for k, v in obj.items()}
+        return {k: _json_number(v) for k, v in obj.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scenario value: {exc}") from None
 
@@ -531,15 +631,17 @@ def parse_continuous_json(data: str | bytes) -> ContinuousPath:
             raise ParseError(f"continuous path document missing {key!r}")
     try:
         jumps = tuple(
-            (float(j["t"]), float(j["dF"])) for j in obj.get("jumps", ())
+            (_json_number(j["t"]), _json_number(j["dF"])) for j in obj.get("jumps", ())
         )
-        grid_step = float(obj["grid_step"])
-        prices = np.asarray(obj["prices"], dtype=np.float64)
-        density = np.asarray(obj["density"], dtype=np.float64)
+        grid_step = _json_number(obj["grid_step"])
+        prices = _json_numbers(obj["prices"])
+        density = _json_numbers(obj["density"])
         interpreted = obj.get("interpreted_component")
-        interpreted = None if interpreted is None else float(interpreted)
+        interpreted = None if interpreted is None else _json_number(interpreted)
         declared_horizon = obj.get("horizon")
-        declared_horizon = None if declared_horizon is None else float(declared_horizon)
+        declared_horizon = (
+            None if declared_horizon is None else _json_number(declared_horizon)
+        )
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ParseError(f"malformed continuous path document: {exc!r}") from None
     tail_obj = obj.get("tail")

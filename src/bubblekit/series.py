@@ -195,7 +195,8 @@ def _log_yield_sum(path: DiscretePath) -> np.ndarray:
     if path.prices[0] == 0.0:
         raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
     prices, dividends = path.prices[1:], path.dividends[1:]
-    with np.errstate(divide="ignore", over="ignore"):
+    # a price of -0.0 makes D / P = -inf, whose log1p is NaN until replaced
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         yields = dividends / prices
         steps = np.log1p(yields)
         # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
@@ -252,7 +253,8 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     rhs = deflators.log_q[1:] + log_cum
     # -inf on both sides means both values are exactly zero: no violation
     both_zero = np.isneginf(lhs) & np.isneginf(rhs)
-    with np.errstate(invalid="ignore"):
+    # a gap past the double range is an infinite residual
+    with np.errstate(invalid="ignore", over="ignore"):
         delta = rhs - lhs
         residuals = np.abs(np.expm1(delta))
     residuals[both_zero] = 0.0

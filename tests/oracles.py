@@ -307,30 +307,48 @@ def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
 
     The reference the skeleton-and-arrays reader is compared with: the
     whole document becomes a tree of Python objects, one float per number,
-    before numpy copies the arrays out of it.
+    before numpy copies the arrays out of it.  Like the library it names a
+    syntax error's reason, column and char offset, and its line once, and
+    rejects JSON ``true`` / ``false`` where a number belongs.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         obj = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        raise ParseError(
+            f"invalid JSON: {exc.msg} at column {exc.colno} (char {exc.pos})",
+            line=exc.lineno,
+        ) from None
     if not isinstance(obj, dict):
         raise ParseError("continuous path document must be a JSON object")
+
+    def number(value):
+        if value is True or value is False:
+            raise TypeError(f"expected a number, got {json.dumps(value)}")
+        return float(value)
+
+    def numbers(value):
+        if value is True or value is False or (
+            type(value) is list and any(v is True or v is False for v in value)
+        ):
+            raise TypeError("expected numbers, got true or false")
+        return np.array(value, dtype=np.float64)
+
     for key in ("grid_step", "prices", "density"):
         if key not in obj:
             raise ParseError(f"continuous path document missing {key!r}")
     try:
         jumps = tuple(
-            (float(j["t"]), float(j["dF"])) for j in obj.get("jumps", ())
+            (number(j["t"]), number(j["dF"])) for j in obj.get("jumps", ())
         )
-        grid_step = float(obj["grid_step"])
-        prices = np.array(obj["prices"], dtype=np.float64)
-        density = np.array(obj["density"], dtype=np.float64)
+        grid_step = number(obj["grid_step"])
+        prices = numbers(obj["prices"])
+        density = numbers(obj["density"])
         interpreted = obj.get("interpreted_component")
-        interpreted = None if interpreted is None else float(interpreted)
+        interpreted = None if interpreted is None else number(interpreted)
         declared_horizon = obj.get("horizon")
-        declared_horizon = None if declared_horizon is None else float(declared_horizon)
+        declared_horizon = None if declared_horizon is None else number(declared_horizon)
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"malformed continuous path document: {exc!r}") from None
     tail_obj = obj.get("tail")

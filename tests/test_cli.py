@@ -768,8 +768,8 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] in {'scipy', 'orjson'})"
     assert probe(f"print({loaded})") == "[]\n"
-    # CSV analysis never loads orjson; writing a generated document and
-    # reading continuous JSON do
+    # importing the CLI loads neither; reading a CSV body, writing a
+    # generated document and reading continuous JSON load orjson
     doc = tmp_path / "c.csv"
     doc.write_text(CONSTANT_CSV)
     continuous = tmp_path / "c.json"
@@ -790,7 +790,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         + f"run('analyze', '--tail', 'constant-levels', {str(doc)!r})\n"
         + f"run('analyze', {str(continuous)!r})\n"
     )
-    assert out == "0 False\n0 True\n"
+    assert out == "0 True\n0 True\n"
     out = probe(run + "run('generate', 'money', '--P0', '1', '--T', '2')\n")
     assert out == "0 True\n"
 
@@ -998,6 +998,95 @@ def test_deep_scenario_nesting_is_bad_input(tmp_path, capsys):
     code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
     assert (code, out) == (2, "")
     assert err == "bubblekit: invalid JSON: nested too deeply\n"
+
+
+BOOLEAN_FIELDS = [
+    ("grid_step", "true", "malformed continuous path document: TypeError('expected a number, got true')"),
+    ("prices", "[true, 1.0]", "malformed continuous path document: TypeError('expected numbers, got true or false')"),
+    ("prices", "false", "malformed continuous path document: TypeError('expected numbers, got true or false')"),
+    ("density", "[false, 0.1]", "malformed continuous path document: TypeError('expected numbers, got true or false')"),
+    ("jumps", '[{"t": true, "dF": 0.1}]', "malformed continuous path document: TypeError('expected a number, got true')"),
+    ("jumps", '[{"t": 0.5, "dF": false}]', "malformed continuous path document: TypeError('expected a number, got false')"),
+    ("horizon", "true", "malformed continuous path document: TypeError('expected a number, got true')"),
+    ("interpreted_component", "false", "malformed continuous path document: TypeError('expected a number, got false')"),
+    ("tail", '{"kind": "constant-yield", "level": true}', "bad parameters for tail 'constant-yield': expected a number, got true"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BOOLEAN_FIELDS)
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+def test_json_booleans_are_not_numbers(field, value, message, command, capsys, monkeypatch):
+    doc = {
+        "grid_step": "1.0",
+        "horizon": "1.0",
+        "prices": "[1.0, 1.0]",
+        "density": "[0.1, 0.1]",
+        "jumps": '[{"t": 0.5, "dF": 0.1}]',
+        "tail": '{"kind": "constant-yield", "level": 0.1}',
+        "interpreted_component": "0.5",
+    }
+
+    def text():
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+
+    code, out, err = run(capsys, [command], stdin=text(), monkeypatch=monkeypatch)
+    assert code != 2, err  # the document without the boolean is good input
+    doc[field] = value
+    code, out, err = run(capsys, [command], stdin=text(), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"bubblekit: {'-: ' if command == 'analyze' else ''}{message}\n"
+
+
+def test_a_document_of_booleans_is_bad_input(capsys, monkeypatch):
+    doc = (
+        '{"grid_step": true, "prices": [true, 2], "density": [false, 0.1], '
+        '"tail": {"kind": "constant-yield", "level": true}}'
+    )
+    code, out, err = run(capsys, ["analyze"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["marginal_q", "capital", "interpreted_component", "dividend", "rate",
+     "horizon", "grid_step", "initial_price", "initial_dividend"],
+)
+def test_scenario_booleans_are_not_numbers(field, tmp_path, capsys):
+    from bubblekit.io import _SCENARIO_FIELDS
+
+    assert field in _SCENARIO_FIELDS
+    fields = {"marginal_q": 1.0, "capital": 2.0, "interpreted_component": 0.5, "dividend": 0.1}
+    fields[field] = True
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(fields))
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: bad scenario value: expected a number, got true\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"grid_step": 1, "prices": [1.0, 1e400], "density": [0.1, 0.1]}',
+         "invalid JSON: number is infinity when parsed as double at column 34 (char 33) (line 1)"),
+        ('{"grid_step": 1,\n "prices": [1.0, 2.0,]}',
+         "invalid JSON: Expecting value at column 22 (char 38) (line 2)"),
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes at column 2 (char 1) (line 1)"),
+    ],
+)
+def test_a_json_error_names_its_position_once(text, message, capsys, monkeypatch):
+    code, out, err = run(capsys, ["analyze"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"bubblekit: -: {message}\n"
+
+
+def test_a_scenario_json_error_names_its_position_once(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"marginal_q": 1.0,\n\n "capital": }')
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: invalid JSON: Expecting value at column 13 (char 33) (line 3)\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-identity"])

@@ -1,0 +1,226 @@
+"""``bubblekit analyze`` over arbitrary bytes: the exit-code contract.
+
+Whatever bytes ``analyze`` reads, from files or from stdin, it exits 0 (no
+bubble), 10 (a bubble) or 2 (bad input); stdout is strict JSON, one report
+per good document; stderr holds one line per bad document; and no
+``RuntimeWarning`` is raised.  The bytes are arbitrary, or ``generate``
+outputs, CSV and continuous JSON, with a few bytes changed.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import random
+import subprocess
+import sys
+import warnings
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bubblekit.cli import main
+
+GENERATE = [
+    ["constant", "--P", "100", "--D", "5", "--T", "12"],
+    ["gordon", "--D0", "1", "--g", "1.01", "--R", "1.05", "--T", "12"],
+    ["money", "--P0", "2", "--T", "12"],
+    ["convergent-yield", "--alpha", "0.5", "--rho", "0.8", "--T", "12"],
+    ["miao-wang", "--Q", "1.2", "--K", "2", "--Bmw", "0.5", "--D", "0.1",
+     "--horizon", "2", "--grid-step", "0.25"],
+]
+
+# analyze flags that write nothing to stderr for a good document
+FLAGS = [
+    [],
+    ["--tail", "constant-yield"],
+    ["--tail", "zero-dividends"],
+    ["--accept-suggested-tail"],
+    ["--horizon", "5"],
+    ["--step", "0.5", "--jump-side", "left"],
+]
+
+# bytes the document formats give meaning to, and some they do not
+SPECIAL = b"0123456789.,-+eE_ \t\n\r\"#[]{}:xn\xa0\xff"
+
+
+def call(argv, stdin=b""):
+    """``main(argv)`` with ``stdin`` as its standard input: the exit code,
+    stdout, stderr and the warnings raised."""
+    out, err = io.StringIO(), io.StringIO()
+    fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    with contextlib.ExitStack() as stack:
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(mock.patch.object(sys, "stdin", fake_stdin))
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@functools.cache
+def generated() -> list[bytes]:
+    """The ``generate`` outputs, and the Miao-Wang one with a jump."""
+    docs = []
+    for argv in GENERATE:
+        code, out, err, _ = call(["generate", *argv])
+        assert (code, err) == (0, ""), err
+        docs.append(out.encode())
+    jumps = b'"jumps":[{"t":0.5,"dF":0.05},{"t":1.25,"dF":0.1}]'
+    docs.append(docs[-1].replace(b'"jumps":[]', jumps))
+    return docs
+
+
+def strict_json(line: str):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def assert_contract(n_docs, code, out, err, caught):
+    assert code in (0, 2, 10), err
+    reports = out.splitlines()
+    errors = err.splitlines()
+    for line in reports:
+        strict_json(line)
+    assert len(reports) + len(errors) == n_docs, (out, err)
+    assert (code == 2) == bool(errors), err
+    assert all(line.startswith("bubblekit: ") for line in errors), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def mutate(doc: bytes, edits) -> bytes:
+    """``doc`` with each ``(where, kind, byte)`` edit: at ``where`` (a
+    fraction of the length) replace, insert or delete one byte."""
+    data = bytearray(doc)
+    for where, kind, byte in edits:
+        k = min(int(where * len(data)), max(len(data) - 1, 0))
+        if kind == "insert" or not data:
+            data.insert(k, byte)
+        elif kind == "replace":
+            data[k] = byte
+        else:
+            del data[k]
+    return bytes(data)
+
+
+byte = st.one_of(st.sampled_from(list(SPECIAL)), st.integers(0, 255))
+edit = st.tuples(
+    st.floats(0, 1), st.sampled_from(["replace", "insert", "delete"]), byte
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = draw(st.sampled_from(generated()))
+    return mutate(doc, draw(st.lists(edit, min_size=1, max_size=4)))
+
+
+fuzz = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@fuzz
+@given(st.binary(max_size=200), st.sampled_from(FLAGS))
+def test_arbitrary_bytes_on_stdin(data, flags):
+    assert_contract(1, *call(["analyze", *flags], stdin=data))
+
+
+@fuzz
+@given(st.lists(st.binary(max_size=200), min_size=1, max_size=3), st.sampled_from(FLAGS))
+def test_arbitrary_bytes_in_files(tmp_path, docs, flags):
+    names = []
+    for k, data in enumerate(docs):
+        path = tmp_path / f"{k}.doc"
+        path.write_bytes(data)
+        names.append(str(path))
+    assert_contract(len(docs), *call(["analyze", *flags, *names]))
+
+
+@fuzz
+@given(mutated_documents(), st.sampled_from(FLAGS))
+def test_mutated_generator_output_on_stdin(data, flags):
+    assert_contract(1, *call(["analyze", *flags], stdin=data))
+
+
+@fuzz
+@given(
+    st.lists(st.one_of(mutated_documents(), st.sampled_from(generated())),
+             min_size=1, max_size=3),
+    st.sampled_from(FLAGS),
+    st.booleans(),
+)
+def test_mutated_generator_outputs_in_files(tmp_path, docs, flags, with_stdin):
+    names = []
+    for k, data in enumerate(docs):
+        path = tmp_path / f"{k}.doc"
+        path.write_bytes(data)
+        names.append(str(path))
+    stdin = b""
+    if with_stdin:  # the first document once more, through stdin
+        names.append("-")
+        stdin = docs[0]
+    n_docs = len(names)
+    assert_contract(n_docs, *call(["analyze", *flags, *names], stdin=stdin))
+
+
+@pytest.mark.parametrize("k", range(len(GENERATE) + 1))
+def test_unmutated_generator_outputs_are_good_input(k):
+    code, out, err, caught = call(["analyze"], stdin=generated()[k])
+    assert_contract(1, code, out, err, caught)
+    assert err == ""
+
+
+def test_mutated_documents_in_a_fresh_process(tmp_path):
+    rng = random.Random(0)
+    docs = []
+    for k in range(24):
+        doc = rng.choice(generated())
+        edits = [
+            (rng.random(), rng.choice(["replace", "insert", "delete"]), rng.choice(SPECIAL))
+            for _ in range(rng.randint(0, 3))
+        ]
+        docs.append(mutate(doc, edits))
+    docs.append(bytes(rng.randrange(256) for _ in range(100)))
+    names = []
+    for k, data in enumerate(docs):
+        path = tmp_path / f"{k}.doc"
+        path.write_bytes(data)
+        names.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bubblekit.cli",
+         "analyze", *names, "-"],
+        input=docs[0],
+        capture_output=True,
+        timeout=120,
+    )
+    out, err = proc.stdout.decode(), proc.stderr.decode()
+    assert_contract(len(docs) + 1, proc.returncode, out, err, [])
+    assert err  # some of the documents are bad
+    assert out  # and some are good
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # D / P = 5 / -0.0 = -inf: log1p gives NaN before the zero-price rule
+        ("t,P,D\n0,100,\n1,-0,5\n2,100,5\n", 0),
+        ("t,P,D\n0,100,\n1,100,5\n2,-0.0,5\n", 0),
+        # a supplied q off by a factor past the double range
+        ("t,P,D,q\n0,100,,1\n1,5e-324,5,0.95\n2,100,5,0.9\n", 2),
+    ],
+)
+@pytest.mark.parametrize("command", [["analyze", "--tail", "zero-dividends"], ["check-identity"]])
+def test_zero_and_subnormal_prices_raise_no_warning(doc, code, command):
+    result = call(command, stdin=doc.encode())
+    assert result[0] == code, result[2]
+    if command[0] == "analyze":
+        assert_contract(1, *result)
+    assert not result[3]

@@ -3,15 +3,20 @@
 ``oracles.parse_path_csv_rows`` checks one row at a time in file order;
 ``bubblekit.io.parse_path_csv`` checks whole columns.  On every document
 both must accept the same paths bit for bit, or raise the same error
-class, message and line.
+class, message and line.  Bodies of plain JSON numbers take the reader's
+one-``orjson.loads`` route, every other spelling the cell-by-cell one;
+both routes are checked here.
 """
 
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bubblekit.io
 from bubblekit.errors import BubblekitError, ParseError
 from bubblekit.io import _BLANK_ROW_CHARS, parse_path_csv
 
@@ -79,13 +84,49 @@ def documents(draw):
     header = ["t", " P", "D "]
     if draw(st.booleans()):
         header.append("q")
-        q = 1.0
-        for t, row in enumerate(rows):
-            if t:
-                cum = float(row[1]) + (float(row[2]) if row[2].strip() else 0.0)
-                q *= float(rows[t - 1][1]) / cum
-            row.append(repr(q))
+        with_deflators(rows)
     head = draw(st.lists(st.sampled_from(COMMENTS + ["", "  "]), max_size=3))
+    return head, header, rows
+
+
+def with_deflators(rows):
+    """``rows`` with a ``q`` cell each, following the recursion from the
+    values their cells parse to."""
+    q = 1.0
+    for t, row in enumerate(rows):
+        if t:
+            cum = float(row[1]) + (float(row[2]) if row[2].strip() else 0.0)
+            q *= float(rows[t - 1][1]) / cum
+        row.append(repr(q))
+
+
+def plain_cell(draw, x: float) -> str:
+    """``x`` as a plain JSON number, padded with spaces and tabs only."""
+    forms = [repr(x)]
+    if x == int(x):
+        forms.append(str(int(x)))
+    pad = st.sampled_from(["", "", " ", "\t", " \t"])
+    return draw(pad) + draw(st.sampled_from(forms)) + draw(pad)
+
+
+@st.composite
+def plain_documents(draw):
+    """``(head, header, rows)`` of a valid document whose rows after row 0
+    hold plain JSON numbers: integer dates, ``repr`` (or integer) prices,
+    dividends and deflators, padded with spaces and tabs."""
+    n = draw(st.integers(2, 25))
+    prices = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000).map(float))
+    dividend = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.integers(0, 50).map(float))
+    rows = [[draw(st.sampled_from(["0", " 0", "+0"])), plain_cell(draw, draw(prices)),
+             draw(st.sampled_from(["", " ", "0", "0.0", "-0"]))]]
+    for t in range(1, n):
+        rows.append([plain_cell(draw, t), plain_cell(draw, draw(prices)),
+                     plain_cell(draw, draw(dividend))])
+    header = ["t", "P", "D"]
+    if draw(st.booleans()):
+        header.append("q")
+        with_deflators(rows)
+    head = draw(st.lists(st.sampled_from(COMMENTS + [""]), max_size=2))
     return head, header, rows
 
 
@@ -131,12 +172,48 @@ def corrupted_documents(draw):
         elif kind == "skip":
             row[0] = str(k + draw(st.sampled_from([1, 2, -1])))
         elif kind == "t = 0":
-            rows[0][2] = draw(st.sampled_from(["3", "1e-300", "nan"]))
+            if len(rows[0]) > 2:  # row 0 may have lost its D cell already
+                rows[0][2] = draw(st.sampled_from(["3", "1e-300", "nan"]))
         else:
             column, cells = CORRUPTIONS[kind]
             if column < len(row):
                 row[column] = draw(st.sampled_from(cells))
     return join_document(draw, head, header, rows)
+
+
+def plain_mutations(k: int) -> list[tuple[int, str]]:
+    """``(column, cell)`` replacements for a cell of row ``k`` of a plain
+    document: spellings JSON reads apart from ``float()`` / ``int()``, or
+    not at all."""
+    numbers = ["-0", "-0.0", "0e0", str(2**64 - 1), str(2**64 + 1), str(10**30),
+               "1e400", "5e-324", "true", "null", "[1]", "1]", "{", ""]
+    dates = [f"{k}.0", f"{k}e0", f"0{k}", f"+{k}", "-0", "", "true", "[1]"]
+    return (
+        [(0, cell) for cell in dates]
+        + [(1, cell) for cell in numbers]
+        + [(2, cell) for cell in numbers + [" ", "\t"]]
+        + [(3, cell) for cell in ["-0", "0e0", "true", "[1]", ""]]
+    )
+
+
+@st.composite
+def mutated_plain_documents(draw):
+    head, header, rows = draw(plain_documents())
+    k = draw(st.integers(1, len(rows) - 1))
+    column, cell = draw(st.sampled_from(plain_mutations(k)))
+    if column < len(header):
+        rows[k][column] = cell
+    return join_document(draw, head, header, rows)
+
+
+def read_rows(doc):
+    """The outcome of ``doc``, and the number of rows each cell-by-cell
+    read was given."""
+    with mock.patch.object(
+        bubblekit.io, "_cell_columns", wraps=bubblekit.io._cell_columns
+    ) as cell_columns:
+        result = outcome(parse_path_csv, doc)
+    return result, [call.args[1] for call in cell_columns.call_args_list]
 
 
 def test_blank_row_chars_are_comma_and_every_space():
@@ -156,6 +233,85 @@ def test_valid_documents_parse_like_the_row_reader(doc):
 @given(corrupted_documents())
 def test_corrupted_documents_fail_like_the_row_reader(doc):
     assert_same(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plain_documents_are_read_in_one_call(data):
+    # only row 0 is read cell by cell
+    doc = join_document(data.draw, *data.draw(plain_documents()))
+    result, reads = read_rows(doc)
+    assert isinstance(result[0], bytes), result
+    assert reads == [1]
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_plain_documents())
+def test_mutated_plain_documents_fail_like_the_row_reader(doc):
+    assert_same(doc)
+
+
+PLAIN = "t,P,D,q\n0,100,,1\n1,100,5,0.9523809523809523\n2, 100 ,\t5.0,0.9070294784580498\n"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("column, cell", plain_mutations(1))
+def test_each_plain_mutation_reads_like_the_row_reader(column, cell, k):
+    rows = [line.split(",") for line in PLAIN.splitlines()]
+    for width in (3, 4):
+        mutated = [row[:width] for row in rows]
+        if column < width:
+            mutated[1 + k][column] = cell.replace("1", str(k)) if column == 0 else cell
+        assert_same("\n".join(map(",".join, mutated)) + "\n")
+
+
+@pytest.mark.parametrize(
+    "cell, reads, price",
+    [
+        ("5", [1], 5.0),
+        ("-0", [3], -0.0),  # orjson would read the int -0 as +0
+        ("-0.0", [1], -0.0),
+        ("-0e0", [1], -0.0),
+        (str(2**64 - 1), [1], float(2**64)),
+        (str(2**64 + 1), [1], float(2**64)),
+        ("5e-324", [1], 5e-324),
+        ("1e-400", [1], 0.0),
+    ],
+)
+def test_price_cell_route_and_value(cell, reads, price):
+    doc = f"t,P,D\n0,100,\n1,{cell},5\n2,100,5\n"
+    result, seen = read_rows(doc)
+    assert seen == reads
+    assert np.frombuffer(result[0])[1].hex() == price.hex()
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
+@pytest.mark.parametrize("date", ["1.0", "1e0", "1E0", "1.5", "true", "-0", "01", "+1"])
+def test_dates_json_reads_as_numbers_are_read_by_int(date):
+    doc = f"t,P,D\n0,100,\n{date},100,5\n2,100,5\n"
+    result, reads = read_rows(doc)
+    assert reads[-1] == 3
+    if date in ("01", "+1"):
+        assert isinstance(result[0], bytes)
+    else:
+        assert result[0] is ParseError and result[2] == 3
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
+@pytest.mark.parametrize("empty", [1, 3])
+def test_a_parser_that_skips_empty_cells_cannot_misalign_columns(empty):
+    # orjson rejects "1,,2"; were it to skip the empty cell instead, the
+    # value count would no longer match the rows
+    import orjson
+
+    loads = orjson.loads
+    rows = [f"{t},100,{'' if t <= empty else 5}" for t in range(1, 5)]
+    doc = "t,P,D\n0,100,\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(orjson, "loads", lambda text: loads(text.replace(",,", ","))):
+        result, reads = read_rows(doc)
+    assert reads == [1, 5]
+    assert result == outcome(parse_path_csv_rows, doc)
 
 
 @settings(max_examples=300, deadline=None)
