@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -64,6 +65,9 @@ EXIT_VALIDATION = 2
 EXIT_BUBBLE = 10
 
 ENV_TOL = "BUBBLEKIT_TOL"
+
+# check-identity writes a relative gap past the double range as this
+_LARGEST_DOUBLE = sys.float_info.max
 
 
 def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> float:
@@ -306,6 +310,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_NO_BUBBLE
 
 
+def _log_ratio(values: np.ndarray, base: float) -> np.ndarray:
+    """``log(values / base)``, from the ratios themselves where they are
+    normal doubles, so that a 2^k scaling of both leaves it bit-exact; a
+    ratio past that range is taken apart in logs instead."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        logs = np.log(values / base)
+        if np.abs(logs).max() > 708.0:
+            far = np.abs(logs) > 708.0
+            logs[far] = np.log(values[far]) - math.log(base)
+    return logs
+
+
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     data = _read_input(args.file)
     if data.lstrip().startswith("{"):
@@ -313,23 +329,24 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         cpath = parse_continuous_json(data)
         # |lhs / rhs - 1| from the logs, which stay finite where qP underflows
         log_lhs, log_rhs = _deflated_log_profile(cpath, args.jump_side)
-        gap = np.abs(np.expm1(log_lhs - log_rhs))
+        with np.errstate(over="ignore"):
+            gap = np.abs(np.expm1(log_lhs - log_rhs))
         result = {
             "identity": "deflated-price exponential",
-            "max_relative_gap": float(np.max(gap)),
-            "at_horizon": float(gap[-1]),
+            "max_relative_gap": min(float(np.max(gap)), _LARGEST_DOUBLE),
+            "at_horizon": min(float(gap[-1]), _LARGEST_DOUBLE),
             "tol": tol,
         }
     else:
         tol = _resolve_tol(args.tol, fallback=1e-12)
         path = parse_path_csv(data, _resolve_tol(None))
         deflators = implied_deflators(path)
-        with np.errstate(divide="ignore"):
-            terms = np.exp(deflators.log_q[1:] + np.log(path.dividends[1:]))
-            deflated = np.exp(deflators.log_q + np.log(path.prices))
-        partials = compensated_cumsum(terms)
+        # q_t D_t and q_t P_t as fractions of P_0
         price0 = float(path.prices[0])
-        residuals = np.abs(price0 - partials - deflated[1:]) / price0
+        terms = np.exp(deflators.log_q[1:] + _log_ratio(path.dividends[1:], price0))
+        deflated = np.exp(deflators.log_q + _log_ratio(path.prices, price0))
+        partials = compensated_cumsum(terms)
+        residuals = np.abs(1.0 - partials - deflated[1:])
         result = {
             "identity": "telescoping present-value",
             "max_relative_gap": float(np.max(residuals)),

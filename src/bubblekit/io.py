@@ -23,8 +23,9 @@ import math
 import operator
 import re
 from dataclasses import fields as dataclass_fields
+from functools import reduce
 from itertools import compress, count, islice, repeat
-from typing import Any, NoReturn
+from typing import Any, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -186,6 +187,9 @@ _BLANK_ROW_CHARS = (
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
 
+# The characters other than "\n" at which str.splitlines() ends a line.
+_OTHER_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
 
 def parse_path_csv(
     data: str | bytes, tol: float = DEFAULT_TOL
@@ -202,48 +206,56 @@ def parse_path_csv(
     holding a ``"`` is rejected.  Rows of blank cells are skipped (line
     numbers still count them), and an empty ``D`` cell is a zero dividend.
     A bad document raises the ``ParseError`` of its first bad row.
+
+    Only the first lines are split off one at a time: the comments, the
+    header and row 0.  The rest of the text, rows 1.., goes whole to
+    :func:`_body_columns`.  Where that reader declines, the document is
+    split into lines, its blank rows are dropped, and :func:`_csv_columns`
+    reads the rows that are left, naming the first bad one.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    tail_spec: str | None = None
-    lines = data.splitlines()
-    body_start = 0
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            if stripped.lower().startswith("# tail:"):
-                tail_spec = stripped[len("# tail:") :].strip()
-            body_start += 1
-        else:
-            break
-    if body_start == len(lines):
-        raise ParseError("empty document", line=1)
-    header = tuple(cell.strip() for cell in lines[body_start].split(","))
-    if header != _CSV_HEADER and header != _CSV_HEADER + ("q",):
-        raise ParseError(
-            f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
-            line=body_start + 1,
-        )
-    body = lines[body_start + 1 :]
-    rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
-    prices, dividends, deflators, bad = _csv_columns(rows, len(header))
+    head = _split_head(data)
+    columns = None if head is None else _body_columns(head.row0, head.body, head.width)
+    rows = body = bad = None
+    if columns is not None:
+        tail_spec, body_start = head.tail_spec, head.body_start
+    else:
+        lines = data.splitlines()
+        skipped, tail_spec, header = _preamble(iter(lines))
+        body_start = len(skipped)
+        if header is None:
+            raise ParseError("empty document", line=1)
+        width = _width(header)
+        if width is None:
+            got = ",".join(cell.strip() for cell in header.split(","))
+            raise ParseError(
+                f"expected header 't,P,D' or 't,P,D,q', got {got!r}",
+                line=body_start + 1,
+            )
+        body = lines[body_start + 1 :]
+        rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
+        tried = None if head is None else (head.row0, head.body)
+        columns, bad = _csv_columns(rows, width, tried)
+    bad = _broken_rule(columns) or bad
     if bad is not None:
         k, message = bad
-        if len(rows) < len(body):
+        if rows is not None and len(rows) < len(body):
             kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
             k = next(islice(kept, k, None))
         raise ParseError(message, line=body_start + 2 + k)
 
+    prices, dividends, *deflators = columns
     if prices.size < 2:
         raise ParseError("need at least dates 0 and 1")
     path = DiscretePath(prices=prices, dividends=dividends)
     if tail_spec is not None:
         last = (float(path.prices[-1]), float(path.dividends[-1]))
         path = path.with_tail(parse_tail_spec(tail_spec, last))
-    if deflators is not None:
-        if abs(float(deflators[0]) - 1.0) > 1e-12:
+    if deflators:
+        if abs(float(deflators[0][0]) - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
-        supplied = Deflators(np.concatenate(([0.0], np.log(deflators[1:]))))
+        supplied = Deflators(np.concatenate(([0.0], np.log(deflators[0][1:]))))
         if not check_no_arbitrage(path, supplied, tol):
             raise ArbitrageError(
                 "supplied deflators violate the no-arbitrage recursion "
@@ -252,42 +264,124 @@ def parse_path_csv(
     return path
 
 
-def _csv_columns(
-    rows: list[str], width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[int, str] | None]:
-    """The ``P``, ``D`` and ``q`` columns of non-blank body rows, checked.
+def _preamble(lines: Iterator[str]) -> tuple[list[str], str | None, str | None]:
+    """The leading comment and blank lines taken from ``lines``, the spec of
+    a ``# tail:`` one among them, and the line after them, the header (None
+    if there is none)."""
+    skipped = []
+    tail_spec = None
+    for line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            return skipped, tail_spec, line
+        if stripped.lower().startswith("# tail:"):
+            tail_spec = stripped[len("# tail:") :].strip()
+        skipped.append(line)
+    return skipped, tail_spec, None
 
-    Returns ``(prices, dividends, deflators, bad)``, ``deflators`` None
-    without a ``q`` column.  ``bad`` is None, or ``(k, message)`` naming the
-    first row ``k`` that fails a check and the first check it fails.  Each
-    check runs on whole columns, over the rows before the first failure
-    found so far, in the order the checks apply within a row: quoting,
-    field count, date syntax, date sequence, number syntax, value rules.
-    The numbers are read by :func:`_json_columns`, or where it declines,
-    by :func:`_cell_columns`.
+
+def _width(header: str) -> int | None:
+    """3 or 4, the width of a ``t,P,D`` or ``t,P,D,q`` header line, or None."""
+    cells = tuple(cell.strip() for cell in header.split(","))
+    return len(cells) if cells in (_CSV_HEADER, _CSV_HEADER + ("q",)) else None
+
+
+def _newline_lines(data: str) -> Iterator[str]:
+    """The lines of ``data`` that end in ``"\\n"``, without it, one at a time."""
+    start = 0
+    while (end := data.find("\n", start)) >= 0:
+        yield data[start:end]
+        start = end + 1
+
+
+class _Head(NamedTuple):
+    """A document split after its row 0 (see :func:`_split_head`)."""
+
+    tail_spec: str | None
+    body_start: int  # the number of comment and blank lines before the header
+    row0: str
+    body: str  # rows 1.., separated by "\n"
+    width: int
+
+
+def _split_head(data: str) -> _Head | None:
+    """``data`` split at ``"\\n"`` into its comment lines, header, row 0 and
+    body, or None.
+
+    Only the lines up to row 0 are split off; the body is the rest of the
+    text, up to the end of its last row: blank rows after that, and the
+    final ``"\\n"``, are left out.  None where the text has no header and
+    row 0 ended by ``"\\n"``, or a line up to row 0 holds another of
+    ``str.splitlines``' line breaks.
     """
+    lines = _newline_lines(data)
+    skipped, tail_spec, header = _preamble(lines)
+    row0 = next(lines, None)
+    if row0 is None:
+        return None
+    end = sum(map(len, skipped)) + len(skipped) + len(header) + len(row0) + 2
+    width = _width(header)
+    if width is None or _OTHER_LINE_BREAKS.search(data, 0, end):
+        return None
+    stop = len(data)
+    while stop > end and data[stop - 1] in " \t,\n":
+        stop -= 1
+    stop = data.find("\n", stop)
+    body = data[end:] if stop < 0 else data[end:stop]
+    return _Head(tail_spec, len(skipped), row0, body, width)
+
+
+def _separators(text: bytes) -> tuple[np.ndarray, bytes]:
+    """The offsets of the commas and newlines of ``text``, and those bytes in
+    order: the field count of every row, with no string per row."""
+    chars = np.frombuffer(text, np.uint8)
+    at = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    return at, chars[at].tobytes()
+
+
+def _csv_columns(
+    rows: list[str], width: int, tried: tuple[str, str] | None
+) -> tuple[list[np.ndarray], tuple[int, str] | None]:
+    """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of non-blank body
+    rows, up to the first that fails a syntax check.
+
+    Returns the columns and None, or ``(k, message)`` naming that row ``k``
+    and the first check it fails.  The rows are read by
+    :func:`_body_columns`, unless it has already declined the same row 0
+    and body (``tried``).  Otherwise each check runs on whole columns, over
+    the rows before the first failure found so far, in the order the checks
+    apply within a row: quoting, field count, and then those of
+    :func:`_cell_columns`.
+    """
+    if rows:
+        body = "\n".join(rows[1:])
+        if (rows[0], body) != tried:
+            columns = _body_columns(rows[0], body, width)
+            if columns is not None:
+                return columns, None
     n = len(rows)
     bad = None
-    text = ",".join(rows)
+    text = "\n".join(rows)
     if '"' in text:
         n = next(k for k, row in enumerate(rows) if '"' in row)
         bad = n, "quoted cells are not supported"
-    fields = np.fromiter(map(str.count, rows[:n], repeat(",")), np.intp, n) + 1
+    _, separators = _separators(text.encode())
+    ends = np.flatnonzero(np.frombuffer(separators, np.uint8) == ord("\n"))
+    fields = np.diff(np.concatenate(([-1], ends, [len(separators)])))[:n]
     ragged = np.flatnonzero(fields != width)
     if ragged.size:
         n = int(ragged[0])
         bad = n, f"expected {width} fields, got {fields[n]}"
-    if n < len(rows):
-        text = ",".join(rows[:n])
+    columns, failed = _cell_columns(",".join(rows[:n]), n, width)
+    return columns, failed or bad
 
-    columns = _json_columns(text, rows[0], n, width) if n else None
-    if columns is None:
-        columns, failed = _cell_columns(text, n, width)
-        if failed is not None:
-            bad = failed
-            n = failed[0]
+
+def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
+    """``(k, message)`` for the first row ``k`` that breaks a value rule, and
+    the first rule it breaks, or None: finite, nonnegative prices and
+    dividends, no dividend at t = 0, and a positive ``q``."""
     prices, dividends, *deflators = columns
-
+    n = prices.size
     finite = np.isfinite(prices) & np.isfinite(dividends)
     rules = [
         (~finite, "non-finite price or dividend"),
@@ -302,60 +396,73 @@ def _csv_columns(
         q = deflators[0]
         positive = np.isfinite(q) & (q > 0)
         rules.append((~positive, "supplied deflators must be positive"))
-    firsts = [int(np.argmax(mask)) if mask.any() else n for mask, _ in rules]
-    k = min(firsts)
-    if k < n:
-        bad = k, rules[firsts.index(k)][1]
-    return prices, dividends, (deflators[0] if deflators else None), bad
+    broken = reduce(operator.or_, [mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    k = int(np.argmax(broken))
+    return k, next(message for mask, message in rules if mask[k])
 
 
 # The characters of a body orjson may read: those of JSON numbers, commas,
-# and the blanks float() strips that JSON allows between values.
-_JSON_NUMBER_CHARS = b"0123456789eE+-., \t"
+# the blanks float() strips that JSON allows between values, and "\n".
+_JSON_NUMBER_CHARS = b"0123456789eE+-., \t\n"
 
 # An integer -0: orjson reads it as the int 0, float() as -0.0.  (It also
 # finds the exponent in 1e-0, which only costs the other route.)
-_INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE0-9])")
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
 
 
-def _json_columns(text: str, head: str, n: int, width: int) -> list[np.ndarray] | None:
-    """The columns of the ``n`` rows joined in ``text``, or None.
+def _body_columns(row0: str, body: str, width: int) -> list[np.ndarray] | None:
+    """The columns of row 0 and of the ``"\\n"``-separated rows ``body``, or
+    None.
 
-    Row 0, ``head``, is read cell by cell: its ``D`` cell is empty in every
-    generated document, which JSON cannot spell.  Rows 1.. are read by one
-    ``orjson.loads`` of ``[rows]`` straight into float64.  That reads the
-    values ``float()`` reads only where every cell is a plain JSON number,
-    so None, sending the document to :func:`_cell_columns`, is returned
-    unless all of these hold: the rows hold nothing but number characters,
-    commas, spaces and tabs; no cell is the integer ``-0``; orjson accepts
-    them; every row gives ``width`` values; every date is a JSON integer,
-    the row's index; and row 0 passes the date and number syntax checks.
+    ``body`` is read whole, by one ``orjson.loads`` of its rows joined by
+    commas, straight into float64; ``row0`` cell by cell, since its ``D``
+    cell is empty in every generated document, which JSON cannot spell.
+    That reads the values ``float()`` reads only where every cell of the
+    body is a plain JSON number, so None, for the cell-by-cell route, is
+    returned unless all of these hold:
+
+    - row 0 and every row of the body have ``width`` fields, and no row of
+      the body is blank; the body's rows are counted on its bytes, from
+      the offsets of its commas and newlines, with no string per row;
+    - the body holds nothing but number characters, commas, spaces, tabs
+      and ``"\\n"``, and no cell is the integer ``-0``;
+    - orjson accepts the values, and there are ``width`` of them a row;
+    - row 0 passes the date and number syntax checks;
+    - every date of the body is a JSON integer, the row's index.
     """
     import orjson
 
-    body = text[len(head) + 1 :]
+    if row0.count(",") != width - 1 or not body.isascii():
+        return None
+    raw = body.encode()
+    # without its spaces and tabs, a blank row is nothing but its commas
+    packed = raw.translate(None, b" \t") if b" " in raw or b"\t" in raw else raw
+    at, separators = _separators(packed)
+    rows = (at.size + 1) // width
+    commas = b"," * (width - 1)
+    row_ends = np.concatenate(([-1], at[width - 1 :: width], [len(packed)]))
     if (
-        not body.isascii()
-        or body.encode().translate(None, _JSON_NUMBER_CHARS)
-        or _INTEGER_MINUS_ZERO.search(body)
+        separators != (commas + b"\n") * (rows - 1) + commas
+        or np.diff(row_ends).min() == width
+        or raw.translate(None, _JSON_NUMBER_CHARS)
+        or (b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw))
     ):
         return None
-    first, failed = _cell_columns(head, 1, width)
-    if failed is not None:
-        return None
     try:
-        values = orjson.loads(f"[{body}]")
+        values = orjson.loads("[" + body.replace("\n", ",") + "]")
     except orjson.JSONDecodeError:
         return None
-    if len(values) != (n - 1) * width:
+    first, failed = _cell_columns(row0, 1, width)
+    if failed is not None or len(values) != rows * width:
         return None
-    dates = values[::width]
-    if set(map(type, dates)) - {int}:
+    if set(map(type, values[::width])) - {int}:
         return None
-    table = np.array(values, dtype=np.float64).reshape(n - 1, width)
-    if not np.array_equal(table[:, 0], np.arange(1, n)):
+    table = np.array(values, dtype=np.float64).reshape(rows, width)
+    if not (table[:, 0] == np.arange(1, rows + 1)).all():
         return None
-    return [np.concatenate((row0, table[:, j])) for j, row0 in enumerate(first, 1)]
+    return [np.concatenate((cell, table[:, j])) for j, cell in enumerate(first, 1)]
 
 
 def _cell_columns(
@@ -422,17 +529,21 @@ def serialize_path_csv(path: DiscretePath) -> str:
     """
     import orjson
 
+    # no copy of a whole column's text or of the document is made past the
+    # ones joined: on a long path each is megabytes of fresh memory
     prices, dividends = (
-        orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-        .decode()
-        .split(",")
+        orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode().split(",")
         for column in (path.prices, path.dividends[1:])
     )
+    for cells in (prices, dividends):  # less the brackets
+        cells[0] = cells[0][1:]
+        cells[-1] = cells[-1][:-1]
     dates = map(str, range(1, path.horizon + 1))
     lines = [] if path.tail is None else [f"# tail: {format_tail_spec(path.tail)}"]
     lines += ["t,P,D", f"0,{prices[0]},"]
-    lines += map(",".join, zip(dates, prices[1:], dividends))
-    return "\n".join(lines) + "\n"
+    lines += map(",".join, zip(dates, islice(prices, 1, None), dividends))
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------- continuous JSON ----------
@@ -457,19 +568,21 @@ def _reject_constant(name: str) -> NoReturn:
 
 
 def _json_number(value: Any) -> float:
-    """``float(value)``, but JSON ``true`` and ``false`` are not numbers."""
-    if isinstance(value, bool):
+    """``float(value)``, but JSON strings, ``true`` and ``false`` are not
+    numbers."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {json.dumps(value)}")
     return float(value)
 
 
 def _json_numbers(value: Any) -> np.ndarray:
-    """``np.asarray(value, float64)``, but JSON ``true`` and ``false`` are not
-    numbers, alone or in a list."""
-    if isinstance(value, bool) or (
-        isinstance(value, list) and any(isinstance(v, bool) for v in value)
-    ):
-        raise TypeError("expected numbers, got true or false")
+    """``np.asarray(value, float64)``, but JSON strings, ``true`` and
+    ``false`` are not numbers, alone or in a list."""
+    for item in value if isinstance(value, list) else (value,):
+        if isinstance(item, bool):
+            raise TypeError("expected numbers, got true or false")
+        if isinstance(item, str):
+            raise TypeError("expected numbers, got a string")
     return np.asarray(value, dtype=np.float64)
 
 

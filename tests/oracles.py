@@ -309,7 +309,7 @@ def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
     whole document becomes a tree of Python objects, one float per number,
     before numpy copies the arrays out of it.  Like the library it names a
     syntax error's reason, column and char offset, and its line once, and
-    rejects JSON ``true`` / ``false`` where a number belongs.
+    rejects JSON strings, ``true`` and ``false`` where a number belongs.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -324,15 +324,16 @@ def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
         raise ParseError("continuous path document must be a JSON object")
 
     def number(value):
-        if value is True or value is False:
+        if value is True or value is False or type(value) is str:
             raise TypeError(f"expected a number, got {json.dumps(value)}")
         return float(value)
 
     def numbers(value):
-        if value is True or value is False or (
-            type(value) is list and any(v is True or v is False for v in value)
-        ):
-            raise TypeError("expected numbers, got true or false")
+        for item in value if type(value) is list else [value]:
+            if item is True or item is False:
+                raise TypeError("expected numbers, got true or false")
+            if type(item) is str:
+                raise TypeError("expected numbers, got a string")
         return np.array(value, dtype=np.float64)
 
     for key in ("grid_step", "prices", "density"):

@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit import (
@@ -413,6 +414,35 @@ def test_check_identity_continuous(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def check_identity_gap(capsys, monkeypatch, rows, k):
+    """The ``max_relative_gap`` of the ``(P, D)`` rows scaled by 2^k, and
+    the exit code."""
+    doc = "t,P,D\n" + "".join(
+        f"{t},{math.ldexp(p, k)!r},{'' if t == 0 else repr(math.ldexp(d, k))}\n"
+        for t, (p, d) in enumerate(rows)
+    )
+    code, out, err = run(capsys, ["check-identity"], stdin=doc, monkeypatch=monkeypatch)
+    assert code in (0, 1), err
+    return json.loads(out)["max_relative_gap"], code
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.lists(st.tuples(st.integers(1, 1000), st.integers(0, 1000)), min_size=2, max_size=12),
+    st.integers(-1060, 1000),
+)
+@example([(100, 0)] + [(100, 5)] * 5, -1060)  # every value an exact subnormal
+def test_check_identity_gap_is_scale_free(capsys, monkeypatch, rows, k):
+    # integers of 10 bits stay exact at every scale 2^k here, subnormals included
+    rows = [(float(p), float(d)) for p, d in rows]
+    assert all(math.ldexp(math.ldexp(x, k), -k) == x for row in rows for x in row)
+    assert check_identity_gap(capsys, monkeypatch, rows, k) == check_identity_gap(
+        capsys, monkeypatch, rows, 0
+    )
 
 
 def test_check_identity_fails_on_inconsistent_deflator_column(capsys, monkeypatch):
@@ -1013,9 +1043,35 @@ BOOLEAN_FIELDS = [
 ]
 
 
+STRING_FIELDS = [
+    ("grid_step", '"1.0"', """malformed continuous path document: TypeError('expected a number, got "1.0"')"""),
+    ("prices", '["1.0", 1.0]', "malformed continuous path document: TypeError('expected numbers, got a string')"),
+    ("prices", '[1.0, "1.0"]', "malformed continuous path document: TypeError('expected numbers, got a string')"),
+    ("prices", '"1.0"', "malformed continuous path document: TypeError('expected numbers, got a string')"),
+    ("density", '["0.1", 0.1]', "malformed continuous path document: TypeError('expected numbers, got a string')"),
+    ("jumps", '[{"t": "0.5", "dF": 0.1}]', """malformed continuous path document: TypeError('expected a number, got "0.5"')"""),
+    ("jumps", '[{"t": 0.5, "dF": "0.1"}]', """malformed continuous path document: TypeError('expected a number, got "0.1"')"""),
+    ("horizon", '"1.0"', """malformed continuous path document: TypeError('expected a number, got "1.0"')"""),
+    ("interpreted_component", '"0.5"', """malformed continuous path document: TypeError('expected a number, got "0.5"')"""),
+    ("tail", '{"kind": "constant-yield", "level": "0.1"}', 'bad parameters for tail \'constant-yield\': expected a number, got "0.1"'),
+]
+
+
 @pytest.mark.parametrize("field, value, message", BOOLEAN_FIELDS)
 @pytest.mark.parametrize("command", ["analyze", "check-identity"])
 def test_json_booleans_are_not_numbers(field, value, message, command, capsys, monkeypatch):
+    assert_field_is_bad_input(field, value, message, command, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("field, value, message", STRING_FIELDS)
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+def test_json_strings_are_not_numbers(field, value, message, command, capsys, monkeypatch):
+    assert_field_is_bad_input(field, value, message, command, capsys, monkeypatch)
+
+
+def assert_field_is_bad_input(field, value, message, command, capsys, monkeypatch):
+    """A good continuous document with ``field`` set to ``value`` is bad
+    input: exit 2, nothing on stdout and ``message`` on stderr."""
     doc = {
         "grid_step": "1.0",
         "horizon": "1.0",
@@ -1035,6 +1091,17 @@ def test_json_booleans_are_not_numbers(field, value, message, command, capsys, m
     code, out, err = run(capsys, [command], stdin=text(), monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == f"bubblekit: {'-: ' if command == 'analyze' else ''}{message}\n"
+
+
+def test_a_document_of_strings_is_bad_input(capsys, monkeypatch):
+    doc = (
+        '{"grid_step": "1", "prices": ["1", "2"], "density": ["0.1", "0.1"], '
+        '"tail": {"kind": "constant-yield", "level": "0.1"}}'
+    )
+    for command in ("analyze", "check-identity"):
+        code, out, err = run(capsys, [command], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
 
 
 def test_a_document_of_booleans_is_bad_input(capsys, monkeypatch):
@@ -1063,6 +1130,21 @@ def test_scenario_booleans_are_not_numbers(field, tmp_path, capsys):
     code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
     assert (code, out) == (2, "")
     assert err == "bubblekit: bad scenario value: expected a number, got true\n"
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["marginal_q", "capital", "interpreted_component", "dividend", "rate",
+     "horizon", "grid_step", "initial_price", "initial_dividend"],
+)
+def test_scenario_strings_are_not_numbers(field, tmp_path, capsys):
+    fields = {"marginal_q": 1.0, "capital": 2.0, "interpreted_component": 0.5, "dividend": 0.1}
+    fields[field] = "1.5"
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(fields))
+    code, out, err = run(capsys, ["generate", "miao-wang", "--scenario", str(scenario)])
+    assert (code, out) == (2, "")
+    assert err == 'bubblekit: bad scenario value: expected a number, got "1.5"\n'
 
 
 @pytest.mark.parametrize(
@@ -1115,6 +1197,16 @@ def test_continuous_identity_holds_where_both_routes_underflow(tmp_path, capsys)
     assert result["max_relative_gap"] == 0.0
     assert result["at_horizon"] == 0.0
     assert result["pass"] is True
+
+
+def test_continuous_gap_past_the_double_range_is_the_largest_double(capsys, monkeypatch):
+    # log lhs - log rhs is about 1e300: its expm1 overflows a double
+    doc = '{"grid_step":1,"prices":[1e-300,1],"density":[0,1e300]}'
+    code, out, err = run(capsys, ["check-identity"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    result = strict_json(out)
+    assert result["max_relative_gap"] == result["at_horizon"] == sys.float_info.max
+    assert result["pass"] is False
 
 
 def test_density_past_the_double_range_is_bad_input(tmp_path, capsys):

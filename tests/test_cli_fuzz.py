@@ -1,9 +1,13 @@
-"""``bubblekit analyze`` over arbitrary bytes: the exit-code contract.
+"""``bubblekit analyze`` and ``check-identity`` over arbitrary bytes: the
+exit-code contract.
 
 Whatever bytes ``analyze`` reads, from files or from stdin, it exits 0 (no
 bubble), 10 (a bubble) or 2 (bad input); stdout is strict JSON, one report
 per good document; stderr holds one line per bad document; and no
-``RuntimeWarning`` is raised.  The bytes are arbitrary, or ``generate``
+``RuntimeWarning`` is raised.  ``check-identity`` exits 0 with a passing
+result, 1 with a failing one (a strict-JSON line with ``"pass": false``)
+or 2 with one stderr line, never with an internal error, and raises no
+``RuntimeWarning`` either.  The bytes are arbitrary, or ``generate``
 outputs, CSV and continuous JSON, with a few bytes changed.
 """
 
@@ -18,7 +22,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit.cli import main
@@ -205,6 +209,62 @@ def test_mutated_documents_in_a_fresh_process(tmp_path):
     assert_contract(len(docs) + 1, proc.returncode, out, err, [])
     assert err  # some of the documents are bad
     assert out  # and some are good
+
+
+def assert_identity_contract(code, out, err, caught):
+    assert code in (0, 1, 2), err
+    assert "internal:" not in err, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, (out, err)
+        assert err.startswith("bubblekit: "), err
+    else:
+        assert err == "" and out.count("\n") == 1, (out, err)
+        assert strict_json(out)["pass"] is (code == 0)
+
+
+def check_identity(tmp_path, data, in_file):
+    """``check-identity`` of ``data``, read from a file or from stdin."""
+    if not in_file:
+        return call(["check-identity"], stdin=data)
+    path = tmp_path / "doc"
+    path.write_bytes(data)
+    return call(["check-identity", str(path)])
+
+
+# a relative gap past the double range; prices of 100 and dividends of 5
+# times 2^-1060, exact subnormals; a dividend yield past the double range
+IDENTITY_EXAMPLES = [
+    b'{"grid_step":1,"prices":[1e-300,1],"density":[0,1e300]}',
+    b"t,P,D\n0,8.09477e-318,\n" + b"".join(b"%d,8.09477e-318,4.0474e-319\n" % t for t in range(1, 6)),
+    b"t,P,D\n0,1e-300,\n1,1,1e300\n",
+]
+
+
+@fuzz
+@given(st.binary(max_size=200), st.booleans())
+def test_check_identity_of_arbitrary_bytes(tmp_path, data, in_file):
+    assert_identity_contract(*check_identity(tmp_path, data, in_file))
+
+
+@fuzz
+@given(st.one_of(mutated_documents(), st.sampled_from(generated())), st.booleans())
+@example(IDENTITY_EXAMPLES[0], False)
+@example(IDENTITY_EXAMPLES[1], True)
+@example(IDENTITY_EXAMPLES[2], False)
+def test_check_identity_of_mutated_generator_output(tmp_path, data, in_file):
+    assert_identity_contract(*check_identity(tmp_path, data, in_file))
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    zip(IDENTITY_EXAMPLES, [1, 0, 0]),
+    ids=["gap-past-double-range", "subnormal-path", "yield-past-double-range"],
+)
+def test_check_identity_examples(doc, code):
+    result = call(["check-identity"], stdin=doc)
+    assert result[0] == code, result
+    assert_identity_contract(*result)
 
 
 @pytest.mark.parametrize(

@@ -223,3 +223,29 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
     doc = '{"prices": ' + "[" * 100_000 + "1" + "]" * 100_000 + "}"
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_continuous_json(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grid_step", "1"),
+        ("horizon", "1"),
+        ("prices", ["1", 2]),
+        ("prices", [1, "2"]),
+        ("prices", "1"),
+        ("density", ["0.1", 0.1]),
+        ("jumps", [{"t": "0.5", "dF": 0.1}]),
+        ("jumps", [{"t": 0.5, "dF": "0.1"}]),
+        ("interpreted_component", "0.5"),
+        ("tail", {"kind": "constant-yield", "level": "0.1"}),
+    ],
+)
+def test_strings_are_not_numbers_in_either_reader(field, value):
+    obj = {"grid_step": 1, "horizon": 1, "prices": [1, 2], "density": [0.1, 0.1],
+           "jumps": [{"t": 0.5, "dF": 0.1}], "interpreted_component": 0.5,
+           "tail": {"kind": "constant-yield", "level": 0.1}}
+    assert not isinstance(outcome(parse_continuous_json, json.dumps(obj))[0], type)
+    obj[field] = value
+    doc = json.dumps(obj)
+    assert outcome(parse_continuous_json, doc)[0] is ParseError
+    assert_same(doc)

@@ -3,9 +3,11 @@
 ``oracles.parse_path_csv_rows`` checks one row at a time in file order;
 ``bubblekit.io.parse_path_csv`` checks whole columns.  On every document
 both must accept the same paths bit for bit, or raise the same error
-class, message and line.  Bodies of plain JSON numbers take the reader's
-one-``orjson.loads`` route, every other spelling the cell-by-cell one;
-both routes are checked here.
+class, message and line.  A body of plain JSON numbers separated by
+``"\n"`` is read whole, by one ``orjson.loads``; a document with blank rows
+between rows or other line breaks is split into lines first, and any other
+spelling is read cell by cell.  All routes are checked here, with documents
+built to get past a weaker check of the whole-body reader.
 """
 
 import sys
@@ -206,6 +208,45 @@ def mutated_plain_documents(draw):
     return join_document(draw, head, header, rows)
 
 
+OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def whole_body_documents(draw):
+    """A plain document joined by ``"\\n"``, with edits a weaker check of the
+    whole-body reader could let past: a short row followed by a long one
+    whose dates still line up (``1,5,6`` / ``2,7`` / ``3,3,8,9``), blank rows
+    in the body and at its end, no final newline, another line break in
+    the comments, header, row 0 or body, or a comment line after the
+    header."""
+    head, header, rows = draw(plain_documents())
+    width = len(header)
+    lines = [",".join(row) for row in rows]
+    edits = draw(st.lists(
+        st.sampled_from(["compensate", "blank", "break", "comment", "no newline"]),
+        min_size=1, max_size=3,
+    ))
+    if "compensate" in edits and len(rows) > 2:
+        k = draw(st.integers(1, len(rows) - 2))
+        lines[k] = ",".join(rows[k][: width - 1])
+        lines[k + 1] = ",".join([rows[k + 1][0]] + rows[k + 1])
+    if "comment" in edits:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(COMMENTS)))
+    for _ in range(edits.count("blank")):
+        blank = draw(st.sampled_from(BLANK_ROWS + [" , ,", "\t,\t,"]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    text = "\n".join(list(head) + [",".join(header)] + lines)
+    if "break" in edits:
+        at = draw(st.integers(0, len(text)))
+        line_break = draw(st.sampled_from(OTHER_LINE_BREAKS))
+        if draw(st.booleans()) and "\n" in text[at:]:  # in place of a "\n"
+            at = text.index("\n", at)
+            text = text[:at] + line_break + text[at + 1 :]
+        else:
+            text = text[:at] + line_break + text[at:]
+    return text if "no newline" in edits else text + "\n"
+
+
 def read_rows(doc):
     """The outcome of ``doc``, and the number of rows each cell-by-cell
     read was given."""
@@ -250,6 +291,64 @@ def test_plain_documents_are_read_in_one_call(data):
 @given(mutated_plain_documents())
 def test_mutated_plain_documents_fail_like_the_row_reader(doc):
     assert_same(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_body_documents())
+def test_whole_body_edits_read_like_the_row_reader(doc):
+    assert_same(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        ("t,P,D\n0,100,\n1,5,6\n2,7\n3,3,8,9\n", 4, "expected 3 fields, got 2"),
+        ("t,P,D,q\n0,1,,1\n1,5,6,1\n2,7,1\n3,3,8,9,1\n", 4, "expected 4 fields, got 3"),
+        ("t,P,D\n0,100,\n1,100,5\n#\n2,100,5\n", 4, "expected 3 fields, got 1"),
+    ],
+)
+def test_a_ragged_row_is_named_where_the_comma_total_matches(doc, line, message):
+    assert outcome(parse_path_csv, doc) == (ParseError, f"{message} (line {line})", line)
+    assert_same(doc)
+
+
+@pytest.mark.parametrize("line_break", OTHER_LINE_BREAKS)
+@pytest.mark.parametrize("where", ["comment", "header", "row 0", "body"])
+def test_other_line_breaks_split_lines_as_splitlines_does(line_break, where):
+    lines = ["# tail: zero-dividends", "t,P,D", "0,100,", "1,100,5", "2,100,5"]
+    k = {"comment": 0, "header": 1, "row 0": 2, "body": 3}[where]
+    for cut in range(len(lines[k]) + 1):
+        edited = lines[:k] + [lines[k][:cut] + line_break + lines[k][cut:]] + lines[k + 1 :]
+        assert_same("\n".join(edited) + "\n")
+    assert_same("\n".join(lines).replace("\n", line_break) + "\n")
+
+
+def test_a_generated_document_is_read_without_splitlines():
+    from bubblekit.io import serialize_path_csv
+    from bubblekit.models import gen_gordon
+
+    def splitlines_calls(doc):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) == "splitlines":
+                calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            result = outcome(parse_path_csv, doc)
+        finally:
+            sys.setprofile(None)
+        return result, calls
+
+    doc = serialize_path_csv(gen_gordon(1.0, 1.0001, 1.001, 10_000))
+    result, calls = splitlines_calls(doc)
+    assert calls == []
+    assert isinstance(result[0], bytes) and len(result[0]) == 8 * 10_001
+    assert result == outcome(parse_path_csv_rows, doc)
+    # a blank row in the body sends the document to the line route
+    blank_result, blank_calls = splitlines_calls(doc.replace("\n5,", "\n\n5,", 1))
+    assert blank_result == result and blank_calls
 
 
 PLAIN = "t,P,D,q\n0,100,,1\n1,100,5,0.9523809523809523\n2, 100 ,\t5.0,0.9070294784580498\n"
