@@ -54,6 +54,7 @@ from .numerics import compensated_cumsum
 from .series import (
     DEFAULT_TOL,
     DiscretePath,
+    _log_ratio,
     decompose,
     implied_deflators,
     no_arbitrage_residuals,
@@ -71,15 +72,20 @@ _LARGEST_DOUBLE = sys.float_info.max
 
 
 def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> float:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
+    """The tolerance of ``--tol``, else of ``BUBBLEKIT_TOL``, else
+    ``fallback``; one that is not finite and >= 0 is a ValidationError."""
+    source, tol = "--tol", flag_value
+    if tol is None:
+        source, env = ENV_TOL, os.environ.get(ENV_TOL)
+        if env is None:
+            return fallback
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise ValidationError(f"bad {ENV_TOL} value {env!r}") from None
-    return fallback
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"{source} must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _read_input(name: str) -> str:
@@ -308,18 +314,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:  # argparse choices make this unreachable
         raise ValidationError(f"unknown model {args.model!r}")
     return EXIT_NO_BUBBLE
-
-
-def _log_ratio(values: np.ndarray, base: float) -> np.ndarray:
-    """``log(values / base)``, from the ratios themselves where they are
-    normal doubles, so that a 2^k scaling of both leaves it bit-exact; a
-    ratio past that range is taken apart in logs instead."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        logs = np.log(values / base)
-        if np.abs(logs).max() > 708.0:
-            far = np.abs(logs) > 708.0
-            logs[far] = np.log(values[far]) - math.log(base)
-    return logs
 
 
 def _cmd_check_identity(args: argparse.Namespace) -> int:

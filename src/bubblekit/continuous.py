@@ -323,7 +323,7 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
     The declared tail is carried over, rescaled to per-period yields.
     """
     ratio = step / cpath.grid_step
-    m = int(round(ratio))
+    m = round(ratio) if math.isfinite(ratio) else 0  # inf and NaN are no multiple
     if m < 1 or abs(ratio - m) > _GRID_RTOL * max(1.0, ratio):
         raise StepMismatchError(
             f"step {step} is not a positive integer multiple of the grid "

@@ -12,8 +12,13 @@ byte-identical documents and serialize/parse/serialize is the identity.
 Generated path documents are written the same way, but through orjson,
 which formats a whole numpy array in one call.  The readers parse number
 arrays through orjson too: a CSV body of plain JSON numbers in one call,
-continuous JSON's ``prices`` and ``density`` a chunk at a time.  orjson
-is imported on first use, so importing the CLI does not load it.
+continuous JSON's ``prices`` and ``density`` a chunk at a time.  The
+continuous reader finds its flat number arrays in two steps: a regex
+finds the strings and each ``[`` that may open one, and C-level string
+calls (``find``, ``rfind``, ``bytes.translate``) decide whether it does,
+so neither Python code nor the regex engine steps through the numbers of
+a long array.  orjson is imported on first use, so importing the CLI
+does not load it.
 """
 
 from __future__ import annotations
@@ -607,12 +612,71 @@ def _json_loads(text: str) -> Any:
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
+# characters of array text read by orjson, or checked by the scan, at a time
+_CHUNK = 1 << 16
+
 # A JSON string, to its closing quote (or to the end of the text if it has
-# none), or a flat number array: one that holds nothing but number
-# characters, commas and JSON whitespace.
-_STRING_OR_NUMBERS = re.compile(
-    r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[[0-9eE+\-., \t\n\r]*\]', re.DOTALL
+# none), or a "[" that may open a flat number array: one followed by a
+# number character, a comma, JSON whitespace or "]".
+_STRING_OR_CANDIDATE = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[(?=[0-9eE+\-., \t\n\r\]])', re.DOTALL
 )
+
+# What a flat number array holds between its brackets: number characters,
+# commas and JSON whitespace.
+_NUMBER_ARRAY_CHARS = b"0123456789eE+-., \t\n\r"
+
+
+def _number_array_spans(data: str) -> Iterator[tuple[int, int]]:
+    """The ``(start, stop)`` spans of the flat number arrays of ``data``
+    outside strings, in order: each a ``[``, then nothing but
+    ``_NUMBER_ARRAY_CHARS``, then ``]``.
+
+    The regex finds strings and each ``[`` that may open an array, and
+    steps no further into an array.  For a candidate, the next ``]`` and
+    the next ``"`` are found by ``str.find`` and kept while the scan is
+    below them.  Where a string comes before the ``]``, no ``[`` up to the
+    string can open an array, and the scan goes on at the string.
+    Otherwise only the last ``[`` before the ``]`` can, and it does if
+    every character between them is a number character (checked
+    ``_CHUNK`` characters at a time, so no copy of a whole array is made);
+    the scan goes on after the ``]``.  Each stretch of text is looked at a
+    bounded number of times, so the scan is linear in the text, however
+    many ``[`` it holds.
+    """
+    close = quote = -1  # the first "]" and '"' at or after the scan position
+    pos = 0
+    while match := _STRING_OR_CANDIDATE.search(data, pos):
+        start, stop = match.span()
+        if data[start] == '"':
+            pos = stop
+            continue
+        if close < start:
+            close = data.find("]", start)
+            if close < 0:  # no array closes after this point
+                return
+        if quote < start:
+            quote = data.find('"', start)
+            if quote < 0:
+                quote = len(data)
+        if quote < close:
+            pos = quote
+            continue
+        last = data.rfind("[", start, close)
+        if _number_characters_only(data, last + 1, close):
+            yield last, close + 1
+        pos = close + 1
+
+
+def _number_characters_only(data: str, start: int, stop: int) -> bool:
+    """Whether ``data[start:stop]`` holds only ``_NUMBER_ARRAY_CHARS``,
+    looked at ``_CHUNK`` characters at a time (ASCII first, since a lone
+    surrogate cannot be encoded)."""
+    for first in range(start, stop, _CHUNK):
+        window = data[first : min(first + _CHUNK, stop)]
+        if not window.isascii() or window.encode().translate(None, _NUMBER_ARRAY_CHARS):
+            return False
+    return True
 
 
 def _placeholder(value: Any) -> int | None:
@@ -620,10 +684,6 @@ def _placeholder(value: Any) -> int | None:
     if type(value) is list and len(value) == 1 and type(value[0]) is int:
         return value[0]
     return None
-
-
-# characters of array text orjson reads at a time
-_CHUNK = 1 << 16
 
 
 def _float_array(data: str, start: int, stop: int) -> np.ndarray:
@@ -660,10 +720,14 @@ def _decode_continuous(data: str) -> Any:
 
     Each flat number array outside strings is cut out of the text and
     replaced by a placeholder ``[k]``, and ``json.loads`` parses the small
-    skeleton left.  Then the arrays are read in turn: orjson reads a
-    top-level ``prices`` or ``density`` array straight into float64, and
-    any other array gets its ``json.loads`` list back.  orjson never sees
-    nested text.
+    skeleton left.  The arrays are found in two steps
+    (:func:`_number_array_spans`): a regex finds the strings and the
+    ``[`` that may open an array, and ``str.find``, ``str.rfind`` and
+    ``bytes.translate`` decide whether one does, so neither Python nor
+    the regex engine steps through the numbers of a long array.  Then the
+    arrays are read in turn: orjson reads a top-level ``prices`` or
+    ``density`` array straight into float64, and any other array gets its
+    ``json.loads`` list back.  orjson never sees nested text.
 
     A number past the double range in those two arrays is a ParseError,
     where ``json.loads`` reads it as an infinity.  Every other rejection
@@ -673,11 +737,10 @@ def _decode_continuous(data: str) -> Any:
     spans = []
     pieces = []
     end = 0
-    for match in _STRING_OR_NUMBERS.finditer(data):
-        if data[match.start()] == "[":
-            pieces += (data[end : match.start()], f"[{len(spans)}]")
-            spans.append(match.span())
-            end = match.end()
+    for start, stop in _number_array_spans(data):
+        pieces += (data[end:start], f"[{len(spans)}]")
+        spans.append((start, stop))
+        end = stop
     pieces.append(data[end:])
     try:
         obj = _json_loads("".join(pieces))

@@ -18,7 +18,8 @@ classification) can be exercised against known answers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .series import DiscretePath
 from .tails import ConstantLevels, ConstantYield, GeometricYield, ZeroDividends
 
 __all__ = [
+    "MAX_PERIODS",
     "MiaoWangScenario",
     "gen_money",
     "gen_constant",
@@ -36,11 +38,24 @@ __all__ = [
     "gen_miao_wang",
 ]
 
+# The most periods of a discrete path, or grid steps of a continuous one, a
+# generator makes: ten times the largest paths the project is sized for
+# (10^6 periods or grid points).  The size is checked before any array is
+# allocated, since an array too large to hold need not raise MemoryError:
+# where the host overcommits memory, filling it gets the process killed.
+MAX_PERIODS = 10_000_000
+
+
+def _check_periods(T_max: int) -> None:
+    if not 1 <= T_max <= MAX_PERIODS:
+        raise ValidationError(f"T_max must be in [1, {MAX_PERIODS}], got {T_max}")
+
 
 def gen_money(P0: float, T_max: int) -> DiscretePath:
     """Pure-bubble asset: price P0 forever, no dividends ever."""
     if not P0 > 0:
         raise ValidationError("money needs a positive price")
+    _check_periods(T_max)
     return DiscretePath(
         prices=np.full(T_max + 1, float(P0)),
         dividends=np.zeros(T_max),
@@ -52,6 +67,7 @@ def gen_constant(P: float, D: float, T_max: int) -> DiscretePath:
     """Constant price and positive dividend; implied gross rate (P+D)/P."""
     if not (P > 0 and D > 0):
         raise ValidationError("constant path needs P > 0 and D > 0")
+    _check_periods(T_max)
     return DiscretePath(
         prices=np.full(T_max + 1, float(P)),
         dividends=np.full(T_max, float(D)),
@@ -71,6 +87,7 @@ def gen_gordon(D0: float, g: float, R: float, T_max: int) -> DiscretePath:
         raise ParameterOrderError("gordon needs gross discount rate R > 1")
     if not 0 < g < R:
         raise ParameterOrderError("gordon needs growth 0 < g < R")
+    _check_periods(T_max)
     t = np.arange(T_max + 1, dtype=np.float64)
     growth = g**t
     prices = D0 * g * growth / (R - g)
@@ -88,6 +105,7 @@ def gen_convergent_yield(alpha: float, rho: float, T_max: int) -> DiscretePath:
         raise ValidationError("convergent-yield needs alpha > 0")
     if not 0 < rho < 1:
         raise ValidationError("convergent-yield needs rho in (0, 1)")
+    _check_periods(T_max)
     t = np.arange(1, T_max + 1, dtype=np.float64)
     return DiscretePath(
         prices=np.ones(T_max + 1),
@@ -121,6 +139,8 @@ class MiaoWangScenario:
     initial_dividend: float | None = None
 
     def __post_init__(self):
+        if not all(v is None or math.isfinite(v) for v in astuple(self)):
+            raise ValidationError("scenario parameters must be finite")
         if not (self.marginal_q > 0 and self.capital > 0):
             raise ValidationError("needs marginal_q > 0 and capital > 0")
         if self.interpreted_component < 0:
@@ -151,7 +171,12 @@ def gen_miao_wang(scenario: MiaoWangScenario) -> ContinuousPath:
     d0 = scenario.initial_dividend
     p0 = steady_price / 2.0 if p0 is None else p0
     d0 = scenario.dividend / 2.0 if d0 is None else d0
-    n = int(round(scenario.horizon / scenario.grid_step))
+    steps = scenario.horizon / scenario.grid_step
+    if steps > MAX_PERIODS:
+        raise ValidationError(
+            f"horizon / grid_step is {steps:.6g} grid steps; at most {MAX_PERIODS}"
+        )
+    n = round(steps)
     if n < 1:
         raise ValidationError("horizon must cover at least one grid step")
     t = np.arange(n + 1, dtype=np.float64) * scenario.grid_step

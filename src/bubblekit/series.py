@@ -69,6 +69,24 @@ EPS_BUBBLE = 1e-9
 # default relative tolerance for the no-arbitrage recursion check
 DEFAULT_TOL = 1e-9
 
+# the smallest normal double
+_TINY = np.finfo(np.float64).tiny
+
+
+def _log_ratio(num, den) -> np.ndarray:
+    """``log(num / den)`` elementwise, from the ratio itself where it is a
+    normal double, so that a 2^k scaling of both leaves it bit-exact.  A
+    ratio outside that range, or a zero or -0.0 ``den``, is taken apart in
+    logs instead."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        ratios = num / den
+        logs = np.log(ratios)
+        if not (ratios.min() >= _TINY and ratios.max() < np.inf):  # NaN too
+            num, den = np.broadcast_arrays(num, den)
+            far = ~(ratios >= _TINY) | np.isinf(ratios)
+            logs[far] = np.log(num[far]) - np.log(den[far])
+    return logs
+
 
 def _frozen_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -216,12 +234,7 @@ def _deflators(path: DiscretePath, log_yield: np.ndarray) -> Deflators:
     """
     prices = path.prices
     zero = prices == 0.0
-    denom = np.where(zero, path.dividends, prices)
-    with np.errstate(over="ignore", under="ignore"):
-        ratios = prices[0] / denom
-    far = (ratios < np.finfo(np.float64).tiny) | np.isinf(ratios)
-    log_q = np.log(np.where(far, 1.0, ratios))
-    log_q[far] = math.log(prices[0]) - np.log(denom[far])
+    log_q = _log_ratio(prices[0], np.where(zero, path.dividends, prices))
     cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
     return Deflators(log_q - ((cum + 1.0) - 1.0))
 
@@ -239,25 +252,33 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     """Per-step relative residuals of the no-arbitrage recursion.
 
     residual[t] = |q_{t+1}(P_{t+1}+D_{t+1}) - q_t P_t| / (q_t P_t),
-    computed scale-free in the log domain so it stays meaningful where
-    linear-domain deflators underflow.
+    computed in the log domain so it stays meaningful where linear-domain
+    deflators underflow: log(q_{t+1} / q_t) plus the log of the price
+    ratio (P_{t+1}+D_{t+1}) / P_t, taken as in :func:`_deflators`, so that
+    a 2^k scaling of the path leaves it bit-exact.  Where P + D is past
+    the double range, the ratio is that of the halves.
     """
     _check_same_horizon(path, deflators)
     prices, dividends = path.prices, path.dividends
-    with np.errstate(divide="ignore", over="ignore"):
-        lhs = deflators.log_q[:-1] + np.log(prices[:-1])
-        log_cum = np.log(prices[1:] + dividends[1:])
-        # P + D past the double range
-        far = np.isinf(log_cum)
-        log_cum[far] = np.logaddexp(np.log(prices[1:][far]), np.log(dividends[1:][far]))
-    rhs = deflators.log_q[1:] + log_cum
-    # -inf on both sides means both values are exactly zero: no violation
-    both_zero = np.isneginf(lhs) & np.isneginf(rhs)
-    # a gap past the double range is an infinite residual
-    with np.errstate(invalid="ignore", over="ignore"):
-        delta = rhs - lhs
-        residuals = np.abs(np.expm1(delta))
-    residuals[both_zero] = 0.0
+    log_q = deflators.log_q
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gross = prices[1:] + dividends[1:]
+        log_ratio = _log_ratio(gross, prices[:-1])
+        if np.isinf(gross.max()):  # P + D past the double range
+            far = np.flatnonzero(np.isinf(gross))
+            p, d, base = prices[1:][far], dividends[1:][far], prices[:-1][far]
+            # halving is exact for P_t >= 2 * _TINY; the ratio of a smaller
+            # P_t is far past the double range, and comes from logs
+            log_ratio[far] = np.where(
+                base >= 2 * _TINY,
+                _log_ratio(0.5 * p + 0.5 * d, 0.5 * base),
+                np.logaddexp(np.log(p), np.log(d)) - np.log(base),
+            )
+        # a gap past the double range is an infinite residual
+        residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_ratio))
+    # NaN (-inf + inf, or log 0 - log 0) comes only where q_t P_t and
+    # q_{t+1} (P_{t+1}+D_{t+1}) are both exactly zero: no violation
+    residuals[np.isnan(residuals)] = 0.0
     return residuals
 
 

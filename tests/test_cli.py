@@ -376,6 +376,37 @@ def test_env_var_tolerance_relaxes_check(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_tolerance_flag_must_be_finite_and_nonnegative(capsys, monkeypatch, command, value):
+    argv = [command, f"--tol={value}"] + ["--tail=constant-levels"] * (command == "analyze")
+    code, out, err = run(capsys, argv, stdin=CONSTANT_CSV, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "--tol must be finite and >= 0" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_tolerance_env_var_must_be_finite_and_nonnegative(
+    capsys, monkeypatch, command, value
+):
+    monkeypatch.setenv("BUBBLEKIT_TOL", value)
+    argv = [command] + ["--tail=constant-levels"] * (command == "analyze")
+    code, out, err = run(capsys, argv, stdin=CONSTANT_CSV, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "BUBBLEKIT_TOL must be finite and >= 0" in err and "internal" not in err
+
+
+def test_tolerance_zero_is_accepted(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        ["analyze", "--tol=0", "--tail=constant-levels"],
+        stdin=CONSTANT_CSV,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and json.loads(out)["config"]["tol"] == 0.0
+
+
 def test_flag_tolerance_beats_env_var(capsys, monkeypatch):
     monkeypatch.setenv("BUBBLEKIT_TOL", "0.01")
     code, _, err = run(
@@ -468,6 +499,42 @@ def test_generate_missing_parameter_is_validation_error(capsys):
     code, _, err = run(capsys, ["generate", "constant", "--P", "100"])
     assert code == 2
     assert "--D" in err
+
+
+class NoArrays:
+    """A stand-in for numpy in ``bubblekit.models``: making an array fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the size was checked")
+
+
+MIAO_WANG = ["miao-wang", "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["money", "--P0", "1", "--T", "-3"], "T_max must be in [1, 10000000]"),
+        (["money", "--P0", "1", "--T", "0"], "T_max must be in [1, 10000000]"),
+        (["money", "--P0", "1", "--T", "100000000000"], "T_max must be in"),
+        (["constant", "--P", "1", "--D", "1", "--T", "10000001"], "T_max must be in"),
+        (["gordon", "--D0", "1", "--g", "1", "--R", "2", "--T", "-1"], "T_max must be in"),
+        (["convergent-yield", "--alpha", "1", "--rho", "0.5", "--T", "0"], "T_max must be in"),
+        (MIAO_WANG + ["--horizon", "inf"], "scenario parameters must be finite"),
+        (MIAO_WANG + ["--grid-step", "nan"], "scenario parameters must be finite"),
+        (MIAO_WANG + ["--rate", "inf"], "scenario parameters must be finite"),
+        (MIAO_WANG + ["--grid-step", "1e-300"], "at most 10000000"),
+        (MIAO_WANG + ["--horizon", "1e300", "--grid-step", "1e-300"], "at most 10000000"),
+        (MIAO_WANG + ["--horizon", "10000", "--grid-step", "0.000999"], "at most 10000000"),
+    ],
+)
+def test_generate_refuses_sizes_and_ranges_before_any_array(
+    capsys, monkeypatch, argv, message
+):
+    monkeypatch.setattr("bubblekit.models.np", NoArrays())
+    code, out, err = run(capsys, ["generate", *argv])
+    assert (code, out) == (2, "")
+    assert message in err and "internal" not in err
 
 
 def test_generate_embeds_tail_comment(capsys):
@@ -611,6 +678,26 @@ def test_analyze_continuous_step_flag(capsys, monkeypatch):
         capsys, ["analyze", "--step", "0.015"], stdin=doc, monkeypatch=monkeypatch
     )
     assert code == 2 and "multiple" in err
+
+
+@pytest.mark.parametrize(
+    "grid_step, step",
+    [(0.01, "inf"), (0.01, "-inf"), (0.01, "nan"), (1e-10, "1e300")],  # ratio inf
+)
+def test_analyze_continuous_step_must_be_a_finite_multiple(
+    capsys, monkeypatch, grid_step, step
+):
+    doc = json.dumps(
+        {
+            "grid_step": grid_step,
+            "prices": [1.0] * 5,
+            "density": [0.1] * 5,
+            "tail": {"kind": "constant-yield", "level": 0.1},
+        }
+    )
+    code, out, err = run(capsys, ["analyze", f"--step={step}"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "multiple" in err and "internal" not in err
 
 
 # ---------- strict reports and the exit-code contract ----------

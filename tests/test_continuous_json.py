@@ -10,13 +10,16 @@ number past the double range in ``prices`` or ``density``, which
 ``json.loads`` reads as an infinity, is a ``ParseError`` of its own.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit import io as bio
@@ -49,12 +52,20 @@ def holds_overflow(doc):
     )
 
 
-def assert_same(doc, chunk=bio._CHUNK):
-    saved, bio._CHUNK = bio._CHUNK, chunk
+@contextlib.contextmanager
+def chunks_of(size):
+    """orjson reads array text, and the scan checks its characters, ``size``
+    characters at a time."""
+    saved, bio._CHUNK = bio._CHUNK, size
     try:
-        new = outcome(parse_continuous_json, doc)
+        yield
     finally:
         bio._CHUNK = saved
+
+
+def assert_same(doc, chunk=bio._CHUNK):
+    with chunks_of(chunk):
+        new = outcome(parse_continuous_json, doc)
     old = outcome(parse_continuous_json_stdlib, doc)
     if new[0] is ParseError and OVERFLOW in new[1]:
         assert issubclass(old[0], BubblekitError) and holds_overflow(doc)
@@ -71,15 +82,16 @@ class Num(str):
 
 def write(value, indent, level=0):
     """JSON text of ``value`` with ``Num`` leaves as spelled, ``indent``
-    None (one line, ``", "`` and ``": "``) or a string (one item a line)."""
+    None (one line, ``", "`` and ``": "``) or a string (one item a line).
+    Strings keep their characters past ASCII as they are."""
     if isinstance(value, Num):
         return value
     if not isinstance(value, (list, dict)):
-        return json.dumps(value)
+        return json.dumps(value, ensure_ascii=False)
     items = [
         write(v, indent, level + 1)
         if isinstance(value, list)
-        else f"{json.dumps(k)}: {write(v, indent, level + 1)}"
+        else f"{json.dumps(k, ensure_ascii=False)}: {write(v, indent, level + 1)}"
         for k, v in (enumerate(value) if isinstance(value, list) else value.items())
     ]
     ends = "[]" if isinstance(value, list) else "{}"
@@ -107,9 +119,13 @@ def spelled(draw, x: float) -> Num:
     return Num(draw(st.sampled_from(forms)))
 
 
-STRINGS = ['[1, 2.5e3]', '"[4,5]"', 'x\\"[3]', '[', ']', '\\\\', '"', '[-0]" , [1]']
+STRINGS = [
+    '[1, 2.5e3]', '"[4,5]"', 'x\\"[3]', '[', ']', '\\\\', '"', '[-0]" , [1]',
+    "é[1]", "\u2028[2]", "[1, é]", "[2,\u2028 3]",
+]
 EXTRAS = [
     [[1, 2], [3.5]],
+    [Num("1\r"), Num("\r2.5")],
     {"a": [1, 2], "b": {"c": [0.5, -1]}},
     [],
     [1, [2, [3]], "[4]"],
@@ -223,6 +239,41 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
     doc = '{"prices": ' + "[" * 100_000 + "1" + "]" * 100_000 + "}"
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_continuous_json(doc)
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    ["[" * 10**6, "[ " * 10**6, "[1 " * 10**6 + "]" * 10**6],
+    ids=["unclosed", "unclosed-spaced", "closed"],
+)
+def test_a_million_brackets_are_a_parse_error_in_linear_time(brackets):
+    doc = '{"prices": ' + brackets
+    began = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_continuous_json(doc)
+    assert time.perf_counter() - began < 2.0
+
+
+# A flat number array by its definition: one regex over the whole text,
+# stepping through every character of each array.
+WHOLE_TEXT_SCAN = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[[0-9eE+\-., \t\n\r]*\]', re.DOTALL
+)
+
+SCAN_PIECES = [
+    "[", "]", '"', "\\", ",", " ", "\r", "\n", "1", "-", "e", ".", "é", "\u2028",
+    "\ud800", "{", "}", ":", "x", "[1, 2]", "[]", "[[", "]]",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SCAN_PIECES), max_size=40).map("".join), CHUNKS)
+@example('{"a": [1, é], "b": [\u2028 2], "c": [1,\r2]}', 1)
+@example('{"a": [1, \ud800], "b": "é[1]", "c": [2]}', 2)
+def test_array_spans_are_those_of_a_whole_text_regex(text, chunk):
+    expected = [m.span() for m in WHOLE_TEXT_SCAN.finditer(text) if text[m.start()] == "["]
+    with chunks_of(chunk):
+        assert list(bio._number_array_spans(text)) == expected
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubblekit import (
     Classification,
@@ -25,6 +27,7 @@ from bubblekit import (
     fundamental_value,
     gen_money,
     implied_deflators,
+    no_arbitrage_residuals,
     partial_value,
     reroot,
     tvc_holds,
@@ -158,6 +161,49 @@ def test_no_arbitrage_horizon_mismatch():
     d = implied_deflators(constant_path(T=29))
     with pytest.raises(HorizonMismatchError):
         check_no_arbitrage(p, d)
+
+
+NORMAL_AT_EVERY_SCALE = st.floats(1e-3, 1e3)  # stays normal times 2^k, |k| <= 1000
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(NORMAL_AT_EVERY_SCALE, st.just(0.0) | NORMAL_AT_EVERY_SCALE),
+        min_size=2,
+        max_size=12,
+    ),
+    st.integers(-1000, 1000),
+)
+@example([(100.0, 0.0)] + [(100.0, 5.0)] * 5, 900)
+@example([(100.0, 0.0)] + [(100.0, 5.0)] * 5, -1060)  # every value an exact subnormal
+# P + D past the double range at 2^0, not at 2^-2 or 2^-3
+@example([(1e308, 0.0), (1e308, 1e308)], -2)
+@example([(1.3e308, 0.0), (1.1e308, 0.9e308), (1.7e308, 0.4e308), (1e300, 3.0)], -3)
+def test_no_arbitrage_residuals_are_scale_free(rows, k):
+    def residuals(k):
+        p = DiscretePath(
+            [math.ldexp(price, k) for price, _ in rows],
+            [math.ldexp(dividend, k) for _, dividend in rows[1:]],
+        )
+        return no_arbitrage_residuals(p, implied_deflators(p))
+
+    assert residuals(k).tobytes() == residuals(0).tobytes()
+
+
+def test_no_arbitrage_residuals_where_values_are_zero_or_past_the_double_range():
+    p = DiscretePath([1.0, 2.0, 0.0, 0.0, 3.0], [0.5, 1.0, 1.0, 0.2])
+    # from the zero price on, both sides of the recursion are exactly zero
+    assert (no_arbitrage_residuals(p, implied_deflators(p))[2:] == 0.0).all()
+    for prices, dividends in [
+        ([1e-300, 1e300, 1.0], [1e300, 1e-300]),  # ratios past the double range
+        ([1e308, 1e308, 1.0], [1e308, 1.0]),  # P + D past it, its ratio 2
+        ([1.0, 1.7e308, 1.0], [1.7e308, 1.0]),  # P + D and the ratio past it
+        ([math.ldexp(5, -1074), 1.7e308, 1.0], [1.7e308, 1.0]),  # P_t inexact halved
+        ([1e-300, 1e300, -0.0, 1.0], [1.0, 1.0, 1.0]),  # and a price -0.0 after it
+    ]:
+        p = DiscretePath(prices, dividends)
+        assert no_arbitrage_residuals(p, implied_deflators(p)).max() <= 1e-12
 
 
 # ---------- partial and fundamental value ----------
