@@ -10,7 +10,9 @@ Reports are plain dicts with stable keys; JSON rendering uses sorted keys
 and shortest round-trip float representation, so identical inputs produce
 byte-identical documents and serialize/parse/serialize is the identity.
 Generated path documents are written the same way, but through orjson,
-which formats a whole numpy array in one call.  The readers parse number
+which formats a whole numpy array in one call; a CSV document's rows go
+out as one flat array whose bytes are then turned into lines in place, so
+no string is made per row or number.  The readers parse number
 arrays through orjson too: a CSV body of plain JSON numbers in one call,
 continuous JSON's ``prices`` and ``density`` a chunk at a time.  The
 continuous reader finds its flat number arrays in two steps: a regex
@@ -531,24 +533,36 @@ def serialize_path_csv(path: DiscretePath) -> str:
 
     Each number is the shortest decimal that reads back to the same double,
     spelled as orjson writes it (``1e-7``, ``0.00001``, ``1e16``).
+
+    The rows ``(t, P_t, D_t)`` go through one orjson call as one flat
+    float64 array, ``[0.0,P_0,D_0,1.0,P_1,D_1,...]``, and the text is then
+    edited in place as bytes: every third comma and the closing ``]`` become
+    line ends, and a NUL goes over the opening ``[``, over the ``.0`` of each
+    date and over row 0's dividend, which one ``translate`` then deletes.  No
+    object is made per row or cell.  This relies on three facts: orjson
+    spells each integer-valued double below 1e16 as ``t.0`` (``MAX_PERIODS``
+    is far below that), no number contains a comma or a NUL, and a path holds
+    only finite values.
     """
     import orjson
 
-    # no copy of a whole column's text or of the document is made past the
-    # ones joined: on a long path each is megabytes of fresh memory
-    prices, dividends = (
-        orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode().split(",")
-        for column in (path.prices, path.dividends[1:])
-    )
-    for cells in (prices, dividends):  # less the brackets
-        cells[0] = cells[0][1:]
-        cells[-1] = cells[-1][:-1]
-    dates = map(str, range(1, path.horizon + 1))
-    lines = [] if path.tail is None else [f"# tail: {format_tail_spec(path.tail)}"]
-    lines += ["t,P,D", f"0,{prices[0]},"]
-    lines += map(",".join, zip(dates, islice(prices, 1, None), dividends))
-    lines.append("")
-    return "\n".join(lines)
+    rows = np.empty((path.horizon + 1, 3))
+    rows[:, 0] = np.arange(path.horizon + 1)
+    rows[:, 1] = path.prices
+    rows[:, 2] = path.dividends
+    head = b"t,P,D\n"
+    if path.tail is not None:
+        head = f"# tail: {format_tail_spec(path.tail)}\n".encode() + head
+    document = bytearray(head)
+    document += orjson.dumps(rows.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
+    chars = np.frombuffer(document, dtype=np.uint8, offset=len(head))
+    commas = np.flatnonzero(chars == ord(","))
+    chars[commas[2::3]] = ord("\n")
+    chars[-1] = ord("\n")  # the closing ]
+    dates = commas[0::3]
+    for filled in (0, dates - 1, dates - 2, slice(commas[1] + 1, commas[2])):
+        chars[filled] = 0
+    return document.translate(None, b"\x00").decode()
 
 
 # ---------- continuous JSON ----------

@@ -19,6 +19,7 @@ classification) can be exercised against known answers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
 # allocated, since an array too large to hold need not raise MemoryError:
 # where the host overcommits memory, filling it gets the process killed.
 MAX_PERIODS = 10_000_000
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_periods(T_max: int) -> None:
@@ -81,17 +84,31 @@ def gen_gordon(D0: float, g: float, R: float, T_max: int) -> DiscretePath:
     P_t = D0 g^{t+1} / (R - g), so the dividend yield is the constant
     (R - g) / g however close g gets to R (a high price is not a bubble).
     """
-    if not D0 > 0:
-        raise ValidationError("gordon needs D0 > 0")
-    if not R > 1:
-        raise ParameterOrderError("gordon needs gross discount rate R > 1")
+    if not 0 < D0 < math.inf:
+        raise ValidationError("gordon needs a finite D0 > 0")
+    if not 1 < R < math.inf:
+        raise ParameterOrderError("gordon needs a finite gross discount rate R > 1")
     if not 0 < g < R:
         raise ParameterOrderError("gordon needs growth 0 < g < R")
     _check_periods(T_max)
+    # the largest price and dividend: at T_max when dividends grow, else
+    # at t = 0 (price) and t = 1 (dividend)
+    n = T_max if g > 1 else 0
+    log_price = math.log(D0) + (n + 1) * math.log(g) - math.log(R - g)
+    log_dividend = math.log(D0) + max(n, 1) * math.log(g)
+    if max(log_price, log_dividend) > _LOG_MAX:
+        raise ValidationError(
+            f"gordon path overflows the double range: largest log P_t "
+            f"{log_price:.6g}, largest log D_t {log_dividend:.6g}, limit {_LOG_MAX:.6g}"
+        )
     t = np.arange(T_max + 1, dtype=np.float64)
-    growth = g**t
-    prices = D0 * g * growth / (R - g)
-    dividends = D0 * growth[1:]
+    # a value within rounding of the largest double, or a factor g^t or
+    # D0 g of one that fits, may still overflow: DiscretePath refuses the
+    # inf as not finite
+    with np.errstate(over="ignore"):
+        growth = g**t
+        prices = D0 * g * growth / (R - g)
+        dividends = D0 * growth[1:]
     return DiscretePath(prices, dividends, tail=ConstantYield((R - g) / g))
 
 
@@ -101,8 +118,8 @@ def gen_convergent_yield(alpha: float, rho: float, T_max: int) -> DiscretePath:
     The yield sum converges, so a positive share of the price is bubble:
     B_0 is the infinite product of 1 / (1 + alpha rho^t).
     """
-    if not alpha > 0:
-        raise ValidationError("convergent-yield needs alpha > 0")
+    if not 0 < alpha < math.inf:  # inf * rho^t is NaN where rho^t underflows
+        raise ValidationError("convergent-yield needs a finite alpha > 0")
     if not 0 < rho < 1:
         raise ValidationError("convergent-yield needs rho in (0, 1)")
     _check_periods(T_max)

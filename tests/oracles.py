@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: high
 precision arithmetic via mpmath, brute-force recursion of the deflated
 price, direct partial sums, a row-by-row CSV reader, a continuous-JSON
 reader that builds the whole ``json.loads`` tree, and document writers
-that format one number at a time with ``float.__repr__``.  Tests compare
-bubblekit's answers against these, never the other way around.
+that format one number at a time, with ``float.__repr__`` or with one
+``orjson.dumps`` call a number.  Tests compare bubblekit's answers against
+these, never the other way around.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Any
 
 import mpmath as mp
 import numpy as np
+import orjson
 
 from bubblekit.errors import ArbitrageError, ParseError, ValidationError
 from bubblekit.continuous import ContinuousPath, CumulativeDividend
@@ -280,6 +282,25 @@ def serialize_path_csv_repr(path: DiscretePath) -> str:
     lines.append(f"0,{float(path.prices[0])!r},")
     for t in range(1, path.horizon + 1):
         lines.append(f"{t},{float(path.prices[t])!r},{float(path.dividends[t])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_path_csv_cells(path: DiscretePath) -> str:
+    """``bubblekit.io.serialize_path_csv`` one row and one number at a time.
+
+    The byte-exact reference for the array writer: each number is spelled
+    by its own ``orjson.dumps(float(x))`` call, each date by ``str``.
+    """
+    def cell(x) -> str:
+        return orjson.dumps(float(x)).decode()
+
+    lines = []
+    if path.tail is not None:
+        lines.append(f"# tail: {format_tail_spec(path.tail)}")
+    lines.append("t,P,D")
+    lines.append(f"0,{cell(path.prices[0])},")
+    for t in range(1, path.horizon + 1):
+        lines.append(f"{t},{cell(path.prices[t])},{cell(path.dividends[t])}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +511,8 @@ class NoArrays:
 
 
 MIAO_WANG = ["miao-wang", "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2"]
+# D0 g^(T+1) / (R - g) passes the largest double near T = 71,000
+GORDON_OVERFLOW = ["gordon", "--D0", "1", "--g", "1.01", "--R", "1.05", "--T", "1000000"]
 
 
 @pytest.mark.parametrize(
@@ -526,6 +530,7 @@ MIAO_WANG = ["miao-wang", "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2"]
         (MIAO_WANG + ["--grid-step", "1e-300"], "at most 10000000"),
         (MIAO_WANG + ["--horizon", "1e300", "--grid-step", "1e-300"], "at most 10000000"),
         (MIAO_WANG + ["--horizon", "10000", "--grid-step", "0.000999"], "at most 10000000"),
+        (GORDON_OVERFLOW, "gordon path overflows the double range"),
     ],
 )
 def test_generate_refuses_sizes_and_ranges_before_any_array(
@@ -535,6 +540,36 @@ def test_generate_refuses_sizes_and_ranges_before_any_array(
     code, out, err = run(capsys, ["generate", *argv])
     assert (code, out) == (2, "")
     assert message in err and "internal" not in err
+
+
+# the log check passes the largest price by less than its rounding, so
+# D0 g^2 / (R - g) overflows only when the arrays are made
+GORDON_LAST_ULP = ["gordon", "--D0", "3.9948736330274917e+307", "--g", "1.5", "--R", "2", "--T", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (GORDON_OVERFLOW, "gordon path overflows the double range"),
+        (GORDON_LAST_ULP, "prices and dividends must be finite"),
+    ],
+    ids=["past-the-range", "last-ulp"],
+)
+def test_generate_gordon_overflow_is_bad_input(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["generate", *argv])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("bubblekit: ") and message in err
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bubblekit.cli",
+         "generate", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
 
 
 def test_generate_embeds_tail_comment(capsys):

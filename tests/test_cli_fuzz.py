@@ -1,5 +1,5 @@
-"""``bubblekit analyze`` and ``check-identity`` over arbitrary bytes: the
-exit-code contract.
+"""``bubblekit analyze`` and ``check-identity`` over arbitrary bytes, and
+``generate`` over arbitrary flag values: the exit-code contract.
 
 Whatever bytes ``analyze`` reads, from files or from stdin, it exits 0 (no
 bubble), 10 (a bubble) or 2 (bad input); stdout is strict JSON, one report
@@ -8,13 +8,16 @@ per good document; stderr holds one line per bad document; and no
 result, 1 with a failing one (a strict-JSON line with ``"pass": false``)
 or 2 with one stderr line, never with an internal error, and raises no
 ``RuntimeWarning`` either.  The bytes are arbitrary, or ``generate``
-outputs, CSV and continuous JSON, with a few bytes changed.
+outputs, CSV and continuous JSON, with a few bytes changed.  ``generate``
+of a discrete model exits 0 with a CSV of T + 1 rows or 2 with one stderr
+line, whatever numbers its flags hold.
 """
 
 import contextlib
 import functools
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -26,6 +29,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit.cli import main
+from bubblekit.io import parse_path_csv
+from bubblekit.models import MAX_PERIODS
+
+from oracles import serialize_path_csv_cells
+from test_cli import NoArrays
 
 GENERATE = [
     ["constant", "--P", "100", "--D", "5", "--T", "12"],
@@ -50,14 +58,16 @@ FLAGS = [
 SPECIAL = b"0123456789.,-+eE_ \t\n\r\"#[]{}:xn\xa0\xff"
 
 
-def call(argv, stdin=b""):
+def call(argv, stdin=b"", runtime_warnings="always"):
     """``main(argv)`` with ``stdin`` as its standard input: the exit code,
-    stdout, stderr and the warnings raised."""
+    stdout, stderr and the warnings raised.  ``runtime_warnings="error"``
+    raises each ``RuntimeWarning`` instead."""
     out, err = io.StringIO(), io.StringIO()
     fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
     with contextlib.ExitStack() as stack:
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
+        warnings.simplefilter(runtime_warnings, RuntimeWarning)
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         stack.enter_context(mock.patch.object(sys, "stdin", fake_stdin))
@@ -284,3 +294,54 @@ def test_zero_and_subnormal_prices_raise_no_warning(doc, code, command):
     if command[0] == "analyze":
         assert_contract(1, *result)
     assert not result[3]
+
+
+# the numeric flags of each discrete model
+MODEL_FLAGS = {
+    "money": ["P0"],
+    "constant": ["P", "D"],
+    "gordon": ["D0", "g", "R"],
+    "convergent-yield": ["alpha", "rho"],
+}
+MAX = 1.7976931348623157e308
+flag_values = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, MAX, 1.0]),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e100, MAX),
+    st.floats(-10.0, 10.0),
+    st.floats(0.5, 2.0),
+)
+# sizes that run stay small; the two past the cap are refused unmade
+periods = st.one_of(st.integers(-3, 60), st.sampled_from([MAX_PERIODS + 1, 2**63]))
+
+
+@st.composite
+def generate_argvs(draw):
+    model = draw(st.sampled_from(sorted(MODEL_FLAGS)))
+    T = draw(periods)
+    # --flag=value, so that argparse reads -inf or -1e-05 as a value
+    flags = [f"--{name}={draw(flag_values)!r}" for name in MODEL_FLAGS[model]]
+    return ["generate", model, f"--T={T}", *flags], T
+
+
+@fuzz
+@given(generate_argvs())
+@example((["generate", "gordon", "--D0=1", "--g=1.01", "--R=1.05", "--T=1000000"], 10**6))
+@example((["generate", "gordon", "--D0=inf", "--g=1e10", "--R=inf", "--T=3"], 3))
+@example((["generate", "gordon", "--D0=5e-324", "--g=1e10", "--R=inf", "--T=40"], 40))
+@example((["generate", "convergent-yield", "--alpha=inf", "--rho=1e-300", "--T=3"], 3))
+def test_generate_of_any_flag_values(argv_and_T):
+    argv, T = argv_and_T
+    with contextlib.ExitStack() as stack:
+        if not 1 <= T <= 60:  # refused before any array
+            stack.enter_context(mock.patch("bubblekit.models.np", NoArrays()))
+        code, out, err, _ = call(argv, runtime_warnings="error")
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+        path = parse_path_csv(out)
+        assert path.horizon == T
+        assert out == serialize_path_csv_cells(path)
+    else:
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("bubblekit: ") and "internal" not in err, err

@@ -80,6 +80,10 @@ def test_path_rejects_nonzero_dividend_at_origin():
         ([1.0, 1.0], [-0.5]),
         ([1.0, 0.0], [0.0]),  # P_1 + D_1 = 0
         ([1.0, np.inf], [0.5]),
+        # the CSV writer relies on a path holding only finite values
+        ([np.nan, 1.0], [0.5]),
+        ([1.0, 1.0], [np.inf]),
+        ([1.0, 1.0], [np.nan]),
     ],
 )
 def test_path_rejects_invalid_data(prices, dividends):

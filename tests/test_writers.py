@@ -1,17 +1,21 @@
-"""The array-at-a-time document writers against the one-repr-per-number ones.
+"""The array-at-a-time document writers against one-number-at-a-time ones.
 
 ``bubblekit.io.serialize_path_csv`` and ``serialize_continuous_json`` format
 whole arrays with orjson; ``oracles.serialize_path_csv_repr`` and
 ``oracles.serialize_continuous_json_repr`` call ``float.__repr__`` once per
 number.  Both must write the same lines or keys and the same doubles, and
 the documents must parse back to the same arrays bit for bit.  Only the
-spelling of a number may differ (``1e-7`` for ``1e-07``).
+spelling of a number may differ (``1e-7`` for ``1e-07``).  The CSV writer
+must also match ``oracles.serialize_path_csv_cells``, one ``orjson.dumps``
+call a number, byte for byte, and the facts its byte edits rely on are
+pinned here.
 """
 
 import json
 import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,10 +27,15 @@ from bubblekit.io import (
     serialize_continuous_json,
     serialize_path_csv,
 )
+from bubblekit.models import MAX_PERIODS
 from bubblekit.series import DiscretePath
 from bubblekit.tails import ConstantYield, GeometricYield, ZeroDividends
 
-from oracles import serialize_continuous_json_repr, serialize_path_csv_repr
+from oracles import (
+    serialize_continuous_json_repr,
+    serialize_path_csv_cells,
+    serialize_path_csv_repr,
+)
 
 MAX = 1.7976931348623157e308
 TINY = 2.2250738585072014e-308  # the least normal double
@@ -146,6 +155,46 @@ def assert_same_json(cpath: ContinuousPath) -> None:
 @example(DiscretePath(prices=[1.0, MAX, 5e-324], dividends=[-0.0, 1e16]))
 def test_csv_writer_matches_repr_writer(path):
     assert_same_csv(path)
+
+
+def varied_path(T: int, tail=None) -> DiscretePath:
+    """A path of ``T`` periods whose numbers have every length of spelling."""
+    rng = np.random.default_rng(T)
+    values = np.exp(rng.uniform(-745.0, 709.0, T + 1))
+    return DiscretePath(prices=values, dividends=values[1:], tail=tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_paths())
+@example(DiscretePath(prices=[1.0, 2.0], dividends=[-0.0, 1.0]))
+@example(DiscretePath(prices=[5e-324, MAX, TINY], dividends=[MAX, 5e-324]))
+@example(DiscretePath(prices=[MAX, 5e-324], dividends=[-0.0, TINY], tail=ZeroDividends()))
+@example(varied_path(9))
+@example(varied_path(10, tail=ConstantYield(0.05)))
+@example(varied_path(99))
+@example(varied_path(100, tail=GeometricYield(1e-5, 0.9)))
+@example(varied_path(999))
+@example(varied_path(1000, tail=ZeroDividends()))
+@example(varied_path(10**4))
+def test_csv_writer_matches_cell_writer_byte_for_byte(path):
+    assert serialize_path_csv(path) == serialize_path_csv_cells(path)
+
+
+# 10^power for every power of ten up to MAX_PERIODS
+@pytest.mark.parametrize("power", range(len(str(MAX_PERIODS))))
+def test_orjson_spells_each_date_with_a_dot_zero(power):
+    top = 10**power
+    dates = [t for t in (0, 1, top - 1, top, top + 1) if t <= MAX_PERIODS]
+    text = orjson.dumps(np.array(dates, dtype=np.float64), option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text.decode() == "[" + ",".join(f"{t}.0" for t in dates) + "]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(doubles, st.floats(allow_nan=False, allow_infinity=False))))
+def test_orjson_numbers_hold_no_comma_or_nul(values):
+    text = orjson.dumps(np.array(values, dtype=np.float64), option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text.count(b",") == max(len(values) - 1, 0)
+    assert b"\x00" not in text
 
 
 @settings(max_examples=200, deadline=None)
