@@ -120,12 +120,34 @@ class TailFit:
 _FLAT_SLOPE = 1e-3
 
 
+def _line_fit(
+    x: np.ndarray, rise: np.ndarray, rise_mean: float, y_mean: float
+) -> tuple[float, float]:
+    """Ordinary least-squares line y = a + b x, in closed form on centred
+    data: b = sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2 and
+    a = y_mean - b x_mean.  Returns (b, a).
+
+    ``rise`` is y - y_0 and ``rise_mean`` its mean, so y - y_mean is
+    rise - rise_mean and, with dx = x - x_mean, the cross sum is
+    sum dx rise - rise_mean sum dx.  The second term vanishes in exact
+    arithmetic; in floating point it cancels the rounding of x_mean, which
+    keeps b exact to a few ulps of the data's own scale at any offset of x.
+    Exactly constant y (rise 0) gives b = 0.0 exactly.
+    """
+    x_mean = x.mean()
+    dx = x - x_mean
+    slope = float((np.dot(dx, rise) - dx.sum() * rise_mean) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
 def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
     """Least-squares tail fit on the trailing window of the yield series.
 
     Fits constant, geometric, and power decay to log y_t over the last
     ``window_fraction`` of the sample (at least 8 points) and proposes the
-    best valid candidate.  Zero yields are excluded from the fits.
+    best valid candidate.  The fits are closed-form ordinary least squares
+    (the mean, and a line in t or in log t).  Zero yields are excluded from
+    the fits.
     """
     yields = _yields(path)
     n = yields.size
@@ -153,37 +175,41 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
     at = t[far].astype(np.intp)
     log_y[far] = np.log(path.dividends[at]) - np.log(path.prices[at])
 
-    def rmse(pred: np.ndarray) -> float:
-        return float(np.sqrt(np.mean((log_y - pred) ** 2)))
+    def rmse(residuals: np.ndarray) -> float:
+        return float(np.sqrt(np.mean(residuals**2)))
 
     candidates: dict[str, dict[str, Any]] = {}
-    slope, intercept = np.polyfit(t, log_y, 1)
-    p_slope, p_intercept = np.polyfit(np.log(t), log_y, 1)
+    mean = log_y.mean()
+    rise = log_y - log_y[0]
+    rise_mean = rise.mean()
+    log_t = np.log(t)
+    slope, intercept = _line_fit(t, rise, rise_mean, mean)
+    p_slope, p_intercept = _line_fit(log_t, rise, rise_mean, mean)
     # steep decay or huge yields: a coefficient past exp's range drops its
     # candidate
     with np.errstate(over="ignore"):
-        level = float(np.exp(log_y.mean()))
+        level = float(np.exp(mean))
         g_coeff = float(np.exp(intercept))
         p_coeff = float(np.exp(p_intercept))
 
     if math.isfinite(level):
         candidates["constant-yield"] = {
             "model": ConstantYield(level),
-            "rmse": rmse(np.full_like(log_y, log_y.mean())),
+            "rmse": rmse(log_y - mean),
         }
 
     geo_flat = abs(slope) < _FLAT_SLOPE
     if slope < 0 and math.isfinite(g_coeff) and not geo_flat:
         candidates["geometric-yield"] = {
             "model": GeometricYield(g_coeff, float(np.exp(slope))),
-            "rmse": rmse(intercept + slope * t),
+            "rmse": rmse(log_y - (intercept + slope * t)),
         }
 
     p_flat = abs(p_slope * np.log(t[-1] / t[0])) <= _FLAT_SLOPE
     if p_slope < 0 and math.isfinite(p_coeff) and not p_flat:
         candidates["power-yield"] = {
-            "model": PowerYield(p_coeff, float(-p_slope)),
-            "rmse": rmse(p_intercept + p_slope * np.log(t)),
+            "model": PowerYield(p_coeff, -p_slope),
+            "rmse": rmse(log_y - (p_intercept + p_slope * log_t)),
         }
 
     if not candidates:

@@ -121,6 +121,11 @@ class ContinuousPath:
                 f"price grid has {prices.size}"
             )
         horizon = (prices.size - 1) * self.grid_step
+        if horizon == math.inf:
+            raise ValidationError(
+                f"{prices.size - 1} grid steps of {self.grid_step!r} pass the "
+                "double range"
+            )
         for t, _ in self.dividends.jumps:
             if t > horizon * (1 + _GRID_RTOL):
                 raise ValidationError(f"jump at t = {t} lies beyond horizon {horizon}")

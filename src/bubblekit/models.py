@@ -78,6 +78,13 @@ def gen_constant(P: float, D: float, T_max: int) -> DiscretePath:
     )
 
 
+def _zero_or_inf(values: np.ndarray) -> np.ndarray:
+    """The indices of the entries of ``values`` that are 0 or inf."""
+    if 0.0 < values.min() and values.max() < math.inf:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero((values == 0.0) | np.isinf(values))
+
+
 def gen_gordon(D0: float, g: float, R: float, T_max: int) -> DiscretePath:
     """Growing dividends D_t = D0 g^t priced at gross discount rate R.
 
@@ -102,13 +109,21 @@ def gen_gordon(D0: float, g: float, R: float, T_max: int) -> DiscretePath:
             f"{log_price:.6g}, largest log D_t {log_dividend:.6g}, limit {_LOG_MAX:.6g}"
         )
     t = np.arange(T_max + 1, dtype=np.float64)
-    # a value within rounding of the largest double, or a factor g^t or
-    # D0 g of one that fits, may still overflow: DiscretePath refuses the
-    # inf as not finite
+    log_g = math.log(g)
     with np.errstate(over="ignore"):
         growth = g**t
-        prices = D0 * g * growth / (R - g)
+        prices = D0 * g * growth
         dividends = D0 * growth[1:]
+        # where g^t, D0 g or their product D0 g^(t+1) leaves the double
+        # range, the entry is 0 or inf though its value may fit: it is formed
+        # in logs instead, exp(log D0 + t log g ...).  A value within rounding
+        # of the largest double still overflows, and DiscretePath refuses it.
+        far_prices = _zero_or_inf(prices)
+        far_dividends = _zero_or_inf(growth[1:])
+        prices /= R - g
+        log_first = math.log(D0) + log_g
+        prices[far_prices] = np.exp(log_first - math.log(R - g) + far_prices * log_g)
+        dividends[far_dividends] = np.exp(log_first + far_dividends * log_g)
     return DiscretePath(prices, dividends, tail=ConstantYield((R - g) / g))
 
 
@@ -162,6 +177,11 @@ class MiaoWangScenario:
             raise ValidationError("needs marginal_q > 0 and capital > 0")
         if self.interpreted_component < 0:
             raise ValidationError("interpreted_component must be >= 0")
+        if not 0 < self.steady_price < math.inf:  # Q K may underflow or overflow
+            raise ValidationError(
+                "steady-state price marginal_q * capital + interpreted_component "
+                f"must be positive and finite, got {self.steady_price!r}"
+            )
         if not self.dividend > 0:
             raise ValidationError("steady-state dividend must be positive")
         if not (self.rate > 0 and self.horizon > 0 and self.grid_step > 0):
@@ -196,8 +216,11 @@ def gen_miao_wang(scenario: MiaoWangScenario) -> ContinuousPath:
     n = round(steps)
     if n < 1:
         raise ValidationError("horizon must cover at least one grid step")
-    t = np.arange(n + 1, dtype=np.float64) * scenario.grid_step
-    relax = np.exp(-scenario.rate * t)
+    # t or rate t past the double range is inf: the relaxation has ended
+    # there, exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        t = np.arange(n + 1, dtype=np.float64) * scenario.grid_step
+        relax = np.exp(-scenario.rate * t)
     prices = steady_price + (p0 - steady_price) * relax
     density = scenario.dividend + (d0 - scenario.dividend) * relax
     return ContinuousPath(

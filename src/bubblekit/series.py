@@ -19,7 +19,7 @@ results can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -152,8 +152,16 @@ class DiscretePath:
         return self.prices.size - 1
 
     def with_tail(self, tail: TailModel | None) -> DiscretePath:
-        """Copy of this path with a different (or cleared) declared tail."""
-        return replace(self, tail=tail)
+        """Copy of this path with a different (or cleared) declared tail.
+
+        The copy shares this path's read-only ``prices`` and ``dividends``,
+        which were validated when it was built, and is not checked again.
+        """
+        path = object.__new__(type(self))
+        object.__setattr__(path, "prices", self.prices)
+        object.__setattr__(path, "dividends", self.dividends)
+        object.__setattr__(path, "tail", tail)
+        return path
 
 
 @dataclass(frozen=True)
@@ -422,25 +430,42 @@ def decompose(path: DiscretePath) -> Decomposition:
 def ensemble_decompose(decompositions: Sequence[Decomposition]) -> Decomposition:
     """Aggregate decompositions across assets (e.g. firms) by summation.
 
-    The aggregate bubble is the sum of member bubbles, so it is zero
-    exactly when every member bubble is zero; the verdict threshold is
-    EPS_BUBBLE relative to the aggregate price.
+    A sum of nonnegative bubbles is positive exactly when one member's is
+    (Santos & Woodford 1997), so the verdict is bubble exactly when some
+    member's verdict is.  ``log_bubble`` is the log-sum-exp of those
+    members' log bubbles (their ``log_bubble`` diagnostic, else the log of
+    a positive bubble), finite where the aggregate bubble underflows, and
+    None otherwise.  ``boundary`` flags an aggregate bubble at or below
+    EPS_BUBBLE times the aggregate price, and a nonzero bubble within it
+    under a no-bubble verdict.
     """
     if not decompositions:
         raise EmptyEnsembleError("cannot aggregate an empty ensemble")
     price = math.fsum(d.price for d in decompositions)
     fundamental = math.fsum(d.fundamental for d in decompositions)
     bubble = math.fsum(d.bubble for d in decompositions)
-    threshold = EPS_BUBBLE * price
-    verdict = (
-        Classification.BUBBLE if bubble > threshold else Classification.NO_BUBBLE
-    )
+    members = [d for d in decompositions if d.verdict is Classification.BUBBLE]
+    verdict = Classification.BUBBLE if members else Classification.NO_BUBBLE
+    logs = [v for v in map(_member_log_bubble, members) if v is not None]
+    log_bubble = None
+    if logs:
+        top = max(logs)
+        log_bubble = top + math.log(math.fsum(math.exp(v - top) for v in logs))
     diagnostics: dict[str, Any] = {
         "members": len(decompositions),
-        "boundary": bubble != 0.0 and abs(bubble) <= threshold,
+        "log_bubble": log_bubble,
+        "boundary": abs(bubble) <= EPS_BUBBLE * price
+        and (bubble != 0.0 or verdict is Classification.BUBBLE),
         "member_bubble_max": max(d.bubble for d in decompositions),
     }
     return Decomposition(price, fundamental, bubble, verdict, diagnostics)
+
+
+def _member_log_bubble(dec: Decomposition) -> float | None:
+    log_bubble = dec.diagnostics.get("log_bubble")
+    if log_bubble is None and dec.bubble > 0.0:
+        return math.log(dec.bubble)
+    return log_bubble
 
 
 def reroot(path: DiscretePath, t: int) -> DiscretePath:

@@ -95,6 +95,24 @@ def log_tail_sum_power(
         return head_sum + float(integral + f_cut / 2 - fprime / 12)
 
 
+def least_squares_line(x, y, dps: int = 50) -> tuple[float, float]:
+    """Exact least-squares line y = a + b x through the given doubles.
+
+    The sums are taken in ``dps``-digit arithmetic from the doubles as
+    given (the rounding of x and y is the data, not an error), and only
+    the result is rounded: returns (b, a).
+    """
+    with mp.workdps(dps):
+        xs = [mp.mpf(float(v)) for v in x]
+        ys = [mp.mpf(float(v)) for v in y]
+        x_mean = mp.fsum(xs) / len(xs)
+        y_mean = mp.fsum(ys) / len(ys)
+        sxy = mp.fsum((u - x_mean) * (v - y_mean) for u, v in zip(xs, ys))
+        sxx = mp.fsum((u - x_mean) ** 2 for u in xs)
+        slope = sxy / sxx
+        return float(slope), float(y_mean - slope * x_mean)
+
+
 def deflated_terminal_log(prices, dividends) -> float:
     """log(q_T P_T) by direct recursion: each period divides qP by 1 + y_t.
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubblekit import (
     Classification,
@@ -19,7 +21,9 @@ from bubblekit import (
     montrucchio_discrete,
     suggest_tail,
 )
-from bubblekit.characterization import _yields
+from bubblekit.characterization import _line_fit, _yields
+
+from oracles import least_squares_line
 
 
 def test_yield_series_constant():
@@ -193,3 +197,95 @@ def test_suggest_far_yield_enters_the_fit_as_its_log():
     level = fit.candidates["constant-yield"]["model"].level
     expected = math.exp((7 * math.log(0.05) + 310 * math.log(10)) / 8)
     assert level == pytest.approx(expected, rel=1e-12)
+
+
+# ---------- the closed-form line fit ----------
+
+
+@st.composite
+def line_data(draw):
+    """A fit window of 3 to 2,000 dates at an offset up to 10^6, x = t or
+    x = log t, and log-yields in [-700, 700]: exactly constant, exactly
+    linear (dyadic steps on x = t), nearly linear, or scattered."""
+    n = draw(st.integers(3, 2_000))
+    offset = draw(st.integers(1, 10**6))
+    t = np.arange(offset, offset + n, dtype=np.float64)
+    x = draw(st.sampled_from([t, np.log(t)]))
+    kind = draw(st.sampled_from(["constant", "linear", "near-linear", "scattered"]))
+    y0 = draw(st.floats(-700, 700))
+    if kind == "constant":
+        y = np.full(n, y0)
+    elif kind == "linear":
+        # y0 + k 2^-30 (t - t_0), |k| <= 2^20, stays in [-700, 700]: every
+        # value is exact, and so is the line
+        y0 = round(min(max(y0, -698.0), 698.0) * 2**10) / 2**10
+        step = draw(st.integers(-(2**20), 2**20)) / 2**30
+        y = y0 + step * (t - t[0])
+    elif kind == "near-linear":
+        end = draw(st.floats(-700, 700))
+        y = y0 + (end - y0) / (x[-1] - x[0]) * (x - x[0])
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        y = np.random.default_rng(seed).uniform(-700, 700, n)
+    return x, y, kind
+
+
+def _fit_errors(x, y, slope, intercept, exact):
+    """Slope and intercept errors against the exact line, each relative to
+    the scale the data sets for it: max(|b|, spread) for the slope, with
+    spread = range(y) / range(x), and for the intercept also |a|, |y_mean|
+    and that slope scale times max |x| (a = y_mean - b x_mean)."""
+    b, a = exact
+    spread = (y.max() - y.min()) / (x.max() - x.min())
+    slope_scale = max(abs(b), spread)
+    intercept_scale = max(abs(a), abs(float(y.mean())), slope_scale * np.abs(x).max())
+    return (
+        abs(slope - b) / slope_scale if slope_scale else abs(slope - b),
+        abs(intercept - a) / intercept_scale if intercept_scale else abs(intercept - a),
+    )
+
+
+@given(line_data())
+@settings(max_examples=150, deadline=None)
+@example((np.arange(999_998.0, 1_000_001.0), np.array([-700.0, 700.0, -700.0]), "scattered"))
+@example((np.log(np.arange(1.0, 2_001.0)), np.full(2_000, 0.1), "constant"))
+def test_line_fit_matches_the_exact_least_squares_line(data):
+    x, y, kind = data
+    exact = least_squares_line(x, y)
+    rise = y - y[0]
+    slope, intercept = _line_fit(x, rise, rise.mean(), y.mean())
+    errors = _fit_errors(x, y, slope, intercept, exact)
+    assert max(errors) <= 1e-12, (errors, exact, slope, intercept)
+    # no less accurate than np.polyfit, which the fit replaced: polyfit's
+    # scaled Vandermonde solve loses up to ~1e-7 of the slope scale on short
+    # windows far from x = 0, where centring loses nothing
+    old = _fit_errors(x, y, *np.polyfit(x, y, 1), exact)
+    eps = np.finfo(np.float64).eps
+    assert errors[0] <= old[0] + 4 * eps and errors[1] <= old[1] + 4 * eps
+    if kind == "constant":
+        assert slope == 0.0 and exact[0] == 0.0
+        assert intercept == pytest.approx(y[0], rel=1e-15, abs=1e-300)
+
+
+def test_suggest_tail_on_exactly_constant_log_yields_has_zero_slope():
+    # yields 0.1, whose log-yield mean is inexact, and a window with a gap
+    dividends = np.full(60, 0.1)
+    dividends[52] = 0.0
+    path = DiscretePath(np.ones(61), dividends)
+    fit = suggest_tail(path)
+    assert fit.suggestion.level == pytest.approx(0.1, rel=1e-15)
+    assert "log-yield slope is approximately zero" in fit.note
+    assert set(fit.candidates) == {"constant-yield"}
+    t = np.arange(49.0, 61.0)[dividends[48:] > 0]
+    log_y = np.log(dividends[t.astype(int) - 1])
+    rise = log_y - log_y[0]
+    for x in (t, np.log(t)):
+        assert _line_fit(x, rise, rise.mean(), log_y.mean())[0] == 0.0
+
+
+def test_suggest_geometric_fit_of_exact_data_is_exact():
+    # alpha rho^t at unit price: the fitted ratio is rho to the last bit
+    t = np.arange(1.0, 301.0)
+    fit = suggest_tail(DiscretePath(np.ones(301), 0.5 * 0.55**t))
+    assert fit.candidates["geometric-yield"]["model"].ratio == 0.55
+    assert fit.candidates["geometric-yield"]["model"].coeff == pytest.approx(0.5, rel=1e-13)

@@ -18,6 +18,7 @@ from bubblekit import (
     TailModel,
     ValidationError,
     gen_constant,
+    gen_convergent_yield,
     gen_gordon,
     suggest_tail,
 )
@@ -572,6 +573,30 @@ def test_generate_gordon_overflow_is_bad_input(capsys, argv, message):
     assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, last_log_price",
+    [
+        # g^t is inf from t = 1024; the largest log price is 349.6
+        (["gordon", "--D0", "1e-300", "--g", "2", "--R", "3", "--T", "1500"],
+         math.log(1e-300) + 1501 * math.log(2)),
+        # g^t underflows to 0 from t = 1075; every price is >= 1e-152
+        (["gordon", "--D0", "1e300", "--g", "0.5", "--R", "3", "--T", "1500"],
+         math.log(1e300) + 1501 * math.log(0.5) - math.log(2.5)),
+    ],
+    ids=["growth-overflows", "growth-underflows"],
+)
+def test_generate_gordon_with_a_factor_past_the_double_range(capsys, argv, last_log_price):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["generate", *argv])
+    assert (code, err) == (0, "")
+    path = parse_path_csv(out)
+    assert path.horizon == 1500
+    assert math.log(path.prices[-1]) == pytest.approx(last_log_price, rel=1e-14)
+    ratios = path.dividends[1:] / path.prices[1:]
+    assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0)
+
+
 def test_generate_embeds_tail_comment(capsys):
     code, out, _ = run(capsys, ["generate", "money", "--P0", "1", "--T", "10"])
     assert code == 0
@@ -792,6 +817,31 @@ def test_tail_fit_runs_once_per_document(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert calls == [60, 40, 10]  # the continuous path is fitted once discretized
     assert len(out.splitlines()) == 3 and len(err.splitlines()) == 3
+
+
+@pytest.mark.parametrize("embedded", [True, False], ids=["tail-lines", "no-tail-lines"])
+def test_each_document_is_validated_once(tmp_path, capsys, monkeypatch, embedded):
+    # a tail from a '# tail:' line or from the fit is swapped in unchecked
+    calls = []
+    post_init = DiscretePath.__post_init__
+
+    def counting(path):
+        calls.append(path)
+        post_init(path)
+
+    monkeypatch.setattr(DiscretePath, "__post_init__", counting)
+    paths = [gen_constant(100, 5, 30), gen_gordon(1.0, 1.02, 1.05, 25),
+             gen_convergent_yield(0.5, 0.8, 40), gen_constant(50, 1, 20)]
+    files = []
+    for i, path in enumerate(paths):
+        f = tmp_path / f"doc{i}.csv"
+        f.write_text(serialize_path_csv(path if embedded else path.with_tail(None)))
+        files.append(str(f))
+    calls.clear()
+    code, out, err = run(capsys, ["analyze", "--accept-suggested-tail", *files])
+    assert code == 10 and err == ""
+    assert len(out.splitlines()) == len(paths)
+    assert len(calls) == len(paths)
 
 
 def test_continuous_json_bad_horizon_is_a_parse_error(capsys, monkeypatch):

@@ -10,7 +10,10 @@ or 2 with one stderr line, never with an internal error, and raises no
 ``RuntimeWarning`` either.  The bytes are arbitrary, or ``generate``
 outputs, CSV and continuous JSON, with a few bytes changed.  ``generate``
 of a discrete model exits 0 with a CSV of T + 1 rows or 2 with one stderr
-line, whatever numbers its flags hold.
+line, whatever numbers its flags hold; so does ``generate miao-wang``, with
+a strict-JSON document that ``analyze`` takes.  The numeric flags of
+``analyze`` (``--tol``, ``--horizon``, ``--step``) and ``check-identity``
+(``--tol``) keep the same contracts whatever numbers they hold.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit.cli import main
@@ -342,6 +345,122 @@ def test_generate_of_any_flag_values(argv_and_T):
         path = parse_path_csv(out)
         assert path.horizon == T
         assert out == serialize_path_csv_cells(path)
+    else:
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("bubblekit: ") and "internal" not in err, err
+
+
+# the numeric flags of analyze, check-identity and generate miao-wang
+small_ints = st.one_of(
+    st.integers(-3, 20), st.sampled_from([-(2**63), 2**63, MAX_PERIODS + 1])
+)
+# the continuous documents' grid step is 0.25: some steps are its multiples
+step_values = st.one_of(flag_values, st.sampled_from([0.25, 0.5, 0.75, 2.0, 2.25]))
+
+
+@fuzz
+@given(
+    st.sampled_from(range(len(GENERATE) + 1)),
+    st.one_of(st.none(), flag_values),
+    st.one_of(st.none(), small_ints),
+    st.one_of(st.none(), step_values),
+    st.sampled_from([[], ["--accept-suggested-tail"], ["--tail", "constant-yield"]]),
+)
+@example(0, math.nan, None, None, [])
+@example(4, None, None, 2.0 ** -1074, [])
+@example(0, None, 2**63, None, [])
+def test_analyze_of_any_flag_values(k, tol, horizon, step, flags):
+    argv = ["analyze", *flags]
+    for name, value in (("tol", tol), ("horizon", horizon), ("step", step)):
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    code, out, err, caught = call(argv, stdin=generated()[k], runtime_warnings="error")
+    assert_contract(1, code, out, err, caught)
+    assert "internal" not in err, err
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        assert code == 2 and "--tol must be finite and >= 0" in err, err
+    elif horizon is not None and horizon < 1 and k < len(GENERATE) - 1:
+        assert code == 2 and "--horizon must be at least 1" in err, err
+
+
+@fuzz
+@given(
+    st.sampled_from(range(len(GENERATE) + 1)),
+    flag_values,
+    st.sampled_from(["right", "left"]),
+)
+@example(0, -0.0, "right")
+@example(4, math.inf, "right")
+def test_check_identity_of_any_tol(k, tol, side):
+    argv = ["check-identity", f"--tol={tol!r}", "--jump-side", side]
+    result = call(argv, stdin=generated()[k], runtime_warnings="error")
+    assert_identity_contract(*result)
+    code, _, err, _ = result
+    if not (math.isfinite(tol) and tol >= 0):
+        assert code == 2 and "--tol must be finite and >= 0" in err, err
+    else:
+        assert code in (0, 1), err
+
+
+MIAO_WANG_FLAGS = ["Q", "K", "Bmw", "D", "rate", "initial-price", "initial-dividend"]
+# mostly ordinary values, so that some drawn economies are valid
+mw_values = st.one_of(flag_values, st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+
+
+@st.composite
+def miao_wang_argvs(draw):
+    """``generate miao-wang`` argv with every float flag drawn (the optional
+    ones may be left out), and its grid steps horizon / grid_step: a few,
+    or too many to hold."""
+    argv = ["generate", "miao-wang"]
+    for name in MIAO_WANG_FLAGS:
+        required = name in ("Q", "K", "Bmw", "D")
+        value = draw(mw_values if required else st.one_of(st.none(), mw_values))
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    grid_step = draw(mw_values)
+    few = st.integers(1, 40).map(lambda n: n * grid_step)
+    horizon = draw(st.one_of(
+        flag_values,
+        few,
+        few,
+        st.sampled_from([2 * MAX_PERIODS, 2**63, 1e300]).map(lambda n: n * grid_step),
+    ))
+    argv += [f"--grid-step={grid_step!r}", f"--horizon={horizon!r}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        steps = horizon / grid_step if grid_step else math.inf
+    assume(not 60 < steps <= MAX_PERIODS)  # sizes that run stay small
+    return argv, steps
+
+
+@fuzz
+@given(miao_wang_argvs())
+@example((["generate", "miao-wang", "--Q=1.0", "--K=2.0", "--Bmw=0.5", "--D=0.2",
+           "--grid-step=1e-300", "--horizon=1e300"], math.inf))
+@example((["generate", "miao-wang", "--Q=1e308", "--K=10.0", "--Bmw=0.5", "--D=0.2",
+           "--grid-step=0.5", "--horizon=2.0"], 4.0))
+@example((["generate", "miao-wang", "--Q=5e-324", "--K=5e-324", "--Bmw=-0.0",
+           "--D=4.633450443753803e-309", "--grid-step=1.0", "--horizon=1.0"], 1.0))
+@example((["generate", "miao-wang", "--Q=1.0", "--K=2.0", "--Bmw=0.5", "--D=0.2",
+           "--rate=1e208", "--grid-step=1e+100", "--horizon=1e+100"], 1.0))
+@example((["generate", "miao-wang", "--Q=1.0", "--K=2.0", "--Bmw=0.5", "--D=0.2",
+           "--grid-step=5.992310449541053e+307", "--horizon=1.7976931348623157e+308"], 3.0))
+@example((["generate", "miao-wang", "--Q=1.0", "--K=2.0", "--Bmw=0.5", "--D=1e308",
+           "--initial-dividend=0.0", "--rate=5e-324", "--grid-step=0.5",
+           "--horizon=2.0"], 4.0))
+def test_generate_miao_wang_of_any_flag_values(argv_and_steps):
+    argv, steps = argv_and_steps
+    with contextlib.ExitStack() as stack:
+        if not steps <= 60:  # refused before any array (NaN too)
+            stack.enter_context(mock.patch("bubblekit.models.np", NoArrays()))
+        code, out, err, _ = call(argv, runtime_warnings="error")
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == "" and out.endswith("\n") and out.count("\n") == 1
+        doc = strict_json(out)
+        assert len(doc["prices"]) == len(doc["density"]) == round(steps) + 1
+        assert_contract(1, *call(["analyze"], stdin=out.encode(), runtime_warnings="error"))
     else:
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("bubblekit: ") and "internal" not in err, err

@@ -79,6 +79,16 @@ def test_rejects_jump_beyond_horizon():
         grid_path(1.0, 0.1, jumps=((2.0, 1.0),))
 
 
+def test_rejects_a_grid_past_the_double_range():
+    # 3 * 6e307 is inf: the horizon, and every time on the grid, must be finite
+    with pytest.raises(ValidationError, match="pass the double range"):
+        ContinuousPath(
+            grid_step=6e307,
+            prices=np.ones(4),
+            dividends=CumulativeDividend(density=np.ones(4)),
+        )
+
+
 def test_rejects_density_grid_mismatch():
     with pytest.raises(ValidationError):
         ContinuousPath(

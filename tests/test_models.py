@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,6 +106,46 @@ def test_gordon_analytic_deflators_pass_no_arbitrage():
     p = gen_gordon(1.0, 1.02, 1.05, 200)
     analytic = Deflators(-np.arange(201, dtype=float) * math.log(1.05))
     assert check_no_arbitrage(p, analytic, tol=1e-9)
+
+
+def _gordon_direct(D0, g, R, T_max):
+    """P_t = D0 g g^t / (R - g) and D_t = D0 g^t with the bare factor g^t:
+    0 or inf where g^t or an intermediate product leaves the double range."""
+    t = np.arange(T_max + 1, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        growth = g**t
+        return D0 * g * growth / (R - g), D0 * growth[1:]
+
+
+@pytest.mark.parametrize(
+    "D0, g, R, T_max, reformed",
+    [
+        (1e-300, 2.0, 3.0, 1500, True),  # g^t is inf from t = 1024
+        (1e300, 0.5, 3.0, 1500, True),  # g^t underflows to 0 from t = 1075
+        (1.0, 2.0, 1e10, 1023, True),  # D0 g g^T overflows before / (R - g)
+        (1.0, 1.02, 1.05, 300, False),  # nothing leaves the range
+    ],
+)
+def test_gordon_entries_past_a_factors_range_come_from_logs(D0, g, R, T_max, reformed):
+    p = gen_gordon(D0, g, R, T_max)
+    assert np.all(np.isfinite(p.prices)) and np.all(p.prices > 0)
+    assert np.all(np.isfinite(p.dividends[1:])) and np.all(p.dividends[1:] > 0)
+    direct_prices, direct_dividends = _gordon_direct(D0, g, R, T_max)
+    logs = 0
+    with mp.workdps(30):
+        d0, gg, rr = (mp.mpf(repr(v)) for v in (D0, g, R))
+        for got, direct, scale in (
+            (p.prices, direct_prices, 1 / (rr - gg)),
+            (p.dividends[1:], direct_dividends, 1),
+        ):
+            kept = np.isfinite(direct) & (direct != 0.0)
+            # every entry the bare factor gives keeps its bits
+            np.testing.assert_array_equal(got[kept], direct[kept])
+            for k in np.flatnonzero(~kept):
+                exact = d0 * gg ** (int(k) + 1) * scale
+                assert got[k] == pytest.approx(float(exact), rel=1e-12)
+                logs += 1
+    assert (logs > 0) is reformed
 
 
 @pytest.mark.parametrize("g, R", [(1.05, 1.05), (1.2, 1.05), (1.02, 0.99)])
@@ -213,6 +255,18 @@ def test_miao_wang_scenario_validation():
         small_scenario(marginal_q=-1.0)
     with pytest.raises(ValidationError):
         small_scenario(interpreted_component=-0.5)
+    # Q K underflows to 0 (the yield D / P was a ZeroDivisionError), or
+    # overflows
+    for q, k in ((5e-324, 5e-324), (1e308, 10.0)):
+        with pytest.raises(ValidationError, match="steady-state price"):
+            small_scenario(marginal_q=q, capital=k, interpreted_component=0.0)
+
+
+def test_miao_wang_rate_times_time_past_the_double_range_has_relaxed():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cpath = gen_miao_wang(small_scenario(rate=1e308, horizon=4.0, grid_step=1.0))
+    assert list(cpath.prices) == [1.25, 2.5, 2.5, 2.5, 2.5]
 
 
 def test_generated_discrete_paths_satisfy_no_arbitrage():
@@ -240,7 +294,10 @@ def test_hundred_firm_ensemble_has_no_aggregate_bubble():
         parts.append(decompose(discretize(gen_miao_wang(s), 1.0)))
     agg = ensemble_decompose(parts)
     assert agg.bubble == 0.0
+    # no member is a bubble, so neither is the aggregate
+    assert all(p.verdict is Classification.NO_BUBBLE for p in parts)
     assert agg.verdict is Classification.NO_BUBBLE
+    assert agg.diagnostics["log_bubble"] is None
     assert agg.price == pytest.approx(
         math.fsum(p.price for p in parts), rel=1e-15
     )

@@ -10,6 +10,7 @@ from bubblekit import (
     ConstantLevels,
     DeclaredConvergent,
     DeclaredDivergent,
+    Decomposition,
     Deflators,
     DiscretePath,
     EmptyEnsembleError,
@@ -25,6 +26,7 @@ from bubblekit import (
     decompose,
     ensemble_decompose,
     fundamental_value,
+    gen_convergent_yield,
     gen_money,
     implied_deflators,
     no_arbitrage_residuals,
@@ -91,10 +93,46 @@ def test_path_rejects_invalid_data(prices, dividends):
         DiscretePath(prices, dividends)
 
 
+@pytest.mark.parametrize(
+    "prices, dividends, message",
+    [
+        ([[1.0, 1.0]], [0.5], "prices must be one-dimensional"),
+        ([1.0, 1.0], [[0.5]], "dividends must be one-dimensional"),
+        ([1.0, 1.0, 1.0], [0.5], "dividends length 1 does not match 3"),
+        ([1.0, 1.0, 0.0], [0.5, 0.0], "violated at t = 2"),
+    ],
+)
+def test_path_refusals_name_the_rule(prices, dividends, message):
+    with pytest.raises(ValidationError, match=message):
+        DiscretePath(prices, dividends)
+
+
 def test_path_arrays_are_read_only():
     p = constant_path(T=3)
     with pytest.raises(ValueError):
         p.prices[0] = 7.0
+
+
+def test_with_tail_shares_the_validated_arrays():
+    p = DiscretePath([2.0, 1.0, 1.5], [0.5, 0.25])
+    for tail in (ZeroDividends(), GeometricYield(0.5, 0.5), None):
+        q = p.with_tail(tail)
+        assert type(q) is DiscretePath and q.tail is tail
+        assert q.prices is p.prices and q.dividends is p.dividends
+        assert not q.prices.flags.writeable and not q.dividends.flags.writeable
+        assert q.horizon == 2 and list(q.dividends) == [0.0, 0.5, 0.25]
+    assert p.tail is None
+    with pytest.raises(ValueError):
+        p.with_tail(ZeroDividends()).dividends[1] = 7.0
+
+
+def test_path_built_directly_is_checked_and_copied():
+    p = constant_path(T=3)
+    q = DiscretePath(p.prices, p.dividends, tail=p.tail)
+    assert q.prices is not p.prices and q.dividends is not p.dividends
+    assert np.array_equal(q.prices, p.prices)
+    with pytest.raises(ValidationError, match="negative price"):
+        DiscretePath(-p.prices, p.dividends, tail=p.tail)
 
 
 # ---------- implied deflators ----------
@@ -473,11 +511,8 @@ def test_deflators_stay_finite_where_ratios_overflow(prices, dividends):
 
 
 def _manual_decomposition(price, fundamental, bubble):
-    verdict = (
-        Classification.BUBBLE if bubble > 1e-9 * price else Classification.NO_BUBBLE
-    )
-    from bubblekit import Decomposition
-
+    # the verdict rule of a strictly positive path: any positive bubble
+    verdict = Classification.BUBBLE if bubble > 0 else Classification.NO_BUBBLE
     return Decomposition(price, fundamental, bubble, verdict, {})
 
 
@@ -486,6 +521,8 @@ def test_ensemble_sums_of_zeros():
     agg = ensemble_decompose(parts)
     assert (agg.price, agg.fundamental, agg.bubble) == (3.0, 3.0, 0.0)
     assert agg.verdict is Classification.NO_BUBBLE
+    assert agg.diagnostics["log_bubble"] is None
+    assert agg.diagnostics["boundary"] is False
 
 
 def test_ensemble_additivity():
@@ -496,6 +533,7 @@ def test_ensemble_additivity():
     agg = ensemble_decompose(parts)
     assert agg.bubble == pytest.approx(0.1, rel=1e-15)
     assert agg.verdict is Classification.BUBBLE
+    assert agg.diagnostics["log_bubble"] == math.log(0.1)
 
 
 def test_ensemble_empty():
@@ -504,12 +542,52 @@ def test_ensemble_empty():
 
 
 def test_ensemble_boundary_flag():
+    # a bubble below EPS_BUBBLE * price is still a bubble, flagged boundary
     parts = [
         _manual_decomposition(1.0, 1.0 - 1e-12, 1e-12),
         _manual_decomposition(1.0, 1.0, 0.0),
     ]
     agg = ensemble_decompose(parts)
+    assert agg.verdict is Classification.BUBBLE
+    assert agg.diagnostics["boundary"] is True
+    assert agg.diagnostics["log_bubble"] == math.log(1e-12)
+
+
+def test_ensemble_boundary_flag_without_a_bubble_member():
+    # a nonzero residual within the threshold under a no-bubble verdict
+    parts = [Decomposition(1.0, 1.0 - 1e-12, 1e-12, Classification.NO_BUBBLE, {})]
+    agg = ensemble_decompose(parts)
     assert agg.verdict is Classification.NO_BUBBLE
+    assert agg.diagnostics["boundary"] is True
+    assert agg.diagnostics["log_bubble"] is None
+
+
+def test_one_member_ensemble_keeps_the_member_verdict():
+    # B_0 = 4.1e-36, far below EPS_BUBBLE * P_0, is still a bubble
+    dec = decompose(gen_convergent_yield(1.0, 0.99, 500))
+    assert dec.verdict is Classification.BUBBLE
+    agg = ensemble_decompose([dec])
+    assert agg.verdict is Classification.BUBBLE
+    assert agg.bubble == dec.bubble
+    assert agg.diagnostics["log_bubble"] == dec.diagnostics["log_bubble"]
+    assert agg.diagnostics["log_bubble"] == pytest.approx(-81.49, abs=0.01)
+    assert agg.diagnostics["boundary"] is dec.diagnostics["boundary"] is True
+
+
+def test_ensemble_log_bubble_survives_underflow():
+    # member bubbles e^-800 and e^-801 underflow to 0.0; their sum does not
+    # vanish in logs
+    parts = [
+        Decomposition(1.0, 1.0, 0.0, Classification.BUBBLE, {"log_bubble": -800.0}),
+        Decomposition(1.0, 1.0, 0.0, Classification.BUBBLE, {"log_bubble": -801.0}),
+        _manual_decomposition(1.0, 1.0, 0.0),
+    ]
+    agg = ensemble_decompose(parts)
+    assert agg.bubble == 0.0
+    assert agg.verdict is Classification.BUBBLE
+    assert agg.diagnostics["log_bubble"] == pytest.approx(
+        -800.0 + math.log1p(math.exp(-1.0)), rel=1e-15
+    )
     assert agg.diagnostics["boundary"] is True
 
 
