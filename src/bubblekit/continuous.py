@@ -26,7 +26,7 @@ from .errors import (
     StepMismatchError,
     ValidationError,
 )
-from .numerics import compensated_cumsum
+from .numerics import compensated_cumsum, compensated_sum
 from .series import DiscretePath
 from .tails import (
     ConstantLevels,
@@ -51,14 +51,15 @@ _GRID_RTOL = 1e-9
 _MAX_INTEGRAL = float(np.finfo(np.float64).max) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumulativeDividend:
     """Dividend measure: density samples plus discrete jumps.
 
     ``density`` is the absolutely continuous part d(t) sampled at the
     path's grid points; ``jumps`` is a sequence of (time, size) pairs with
     strictly increasing positive times.  The implied cumulative payout is
-    weakly increasing and right-continuous by construction.
+    weakly increasing and right-continuous by construction.  Instances
+    compare and hash by identity.
     """
 
     density: np.ndarray
@@ -87,12 +88,13 @@ class CumulativeDividend:
         object.__setattr__(self, "jumps", jumps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousPath:
     """Strictly positive price samples plus a dividend measure on one grid.
 
     ``interpreted_component`` is optional reporting metadata (a price
     component some model labels a bubble); it plays no role in analysis.
+    Instances compare and hash by identity.
     """
 
     grid_step: float
@@ -184,9 +186,12 @@ def integrate_dF_over_P(
     """Stieltjes integral of dF / P over [0, T].
 
     The density part uses the trapezoidal rule (with a linearly
-    interpolated partial cell when T is off-grid); each jump contributes
-    its size divided by the grid price sample at the jump time.  Raises
-    ``ValidationError`` when the total leaves the double range.
+    interpolated partial cell when T is off-grid); its whole cells, which
+    are nonnegative, are totalled by one faithfully rounded
+    ``compensated_sum``.  Each jump
+    contributes its size divided by the grid price sample at the jump
+    time.  Raises ``ValidationError`` when the total leaves the double
+    range.
     """
     horizon = cpath.horizon
     if not 0 < T <= horizon * (1 + _GRID_RTOL):
@@ -196,9 +201,10 @@ def integrate_dF_over_P(
     cells = _cell_increments(cpath, yields)
     pos = T / h
     m = min(int(math.floor(pos + _GRID_RTOL)), cells.size)
-    # a Python float: a sum past the double range becomes inf, which the
-    # check below rejects, and raises no RuntimeWarning on the way
-    total = math.fsum(cells[:m])
+    # the cells total at most _MAX_INTEGRAL, so this sum is finite; as a
+    # Python float, a jump term below that passes the double range makes
+    # it inf, which the check below rejects, with no RuntimeWarning
+    total = float(compensated_sum(cells[:m]))
     frac = pos - m
     if frac > _GRID_RTOL and m < yields.size - 1:
         edge = yields[m] + (yields[m + 1] - yields[m]) * frac
@@ -288,8 +294,6 @@ def montrucchio_continuous(
     """
     if cpath.tail is None:
         raise ValidationError("classification requires a declared tail model")
-    if np.any(cpath.prices <= 0):
-        raise NonPositivePriceError(int(np.nonzero(cpath.prices <= 0)[0][0]))
     partial = integrate_dF_over_P(cpath, cpath.horizon, jump_price_side)
     tail_class = classify_tail(cpath.tail)
     if tail_class is TailClass.CONVERGENT:
@@ -324,8 +328,11 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
     ``step`` must be an integer multiple of the grid step.  Interval k
     collects the dividend measure over ((k-1) step, k step] (jumps
     included, right-closed) and prices are sampled at interval right
-    endpoints.  A trailing remainder shorter than ``step`` is dropped.
-    The declared tail is carried over, rescaled to per-period yields.
+    endpoints.  The trapezoid cells of all intervals, which are
+    nonnegative, are totalled by one ``compensated_sum`` over a (periods,
+    cells per period) view, each interval faithfully rounded.  A trailing remainder shorter than
+    ``step`` is dropped.  The declared tail is carried over, rescaled to
+    per-period yields.
     """
     ratio = step / cpath.grid_step
     m = round(ratio) if math.isfinite(ratio) else 0  # inf and NaN are no multiple
@@ -340,9 +347,7 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
         raise OutOfRangeError("step exceeds the sampled horizon")
 
     cells = _cell_increments(cpath, cpath.dividends.density)
-    dividends = np.array(
-        [math.fsum(cells[k * m : (k + 1) * m]) for k in range(periods)]
-    )
+    dividends = compensated_sum(cells[: periods * m].reshape(periods, m))
     for t, df in cpath.dividends.jumps:
         k = math.ceil(t / step - _GRID_RTOL)  # interval ((k-1) step, k step]
         if 1 <= k <= periods:

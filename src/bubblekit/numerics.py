@@ -1,8 +1,13 @@
-"""Low-level numeric helper: compensated prefix sums.
+"""Low-level numeric helpers: compensated sums and prefix sums.
 
 Deflators and present values come from one cumulative log-yield sum over
 horizons up to 10^6 periods; its prefix sums must stay accurate to about
-one ulp, which plain ``np.cumsum`` does not guarantee.
+one ulp, which plain ``np.cumsum`` does not guarantee.  Continuous paths
+sum up to 10^7 grid cells into one integral or into per-period
+dividends; those cells are nonnegative, and ``compensated_sum`` rounds
+such totals faithfully.
+Both use the error-free TwoSum transformation (Ogita, Rump & Oishi 2005,
+*Accurate sum and dot product*, SIAM J. Sci. Comput. 26) at numpy speed.
 """
 
 from __future__ import annotations
@@ -10,6 +15,12 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact rounding errors of ``s = a + b`` (Knuth's TwoSum)."""
+    virtual = s - a
+    return (a - (s - virtual)) + (b - virtual)
 
 
 def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
@@ -25,9 +36,48 @@ def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     sums = np.cumsum(x)
     errors = np.zeros_like(sums)
-    prev, cur, add = sums[:-1], sums[1:], x[1:]
     with np.errstate(invalid="ignore", over="ignore"):
-        virtual = cur - prev
-        errors[1:] = (prev - (cur - virtual)) + (add - virtual)
+        errors[1:] = _two_sum_error(sums[:-1], x[1:], sums[1:])
     errors[~np.isfinite(sums)] = 0.0
     return sums + np.cumsum(errors)
+
+
+def compensated_sum(values: np.ndarray) -> np.ndarray | np.float64:
+    """Sums along the last axis, faithfully rounded for nonnegative input.
+
+    A pairwise TwoSum cascade, one numpy pass per level: the first half
+    of the axis is added to the second, an odd last element is folded
+    into the last sum, and the exact error of every addition goes into a
+    per-row error total.  The exact sum is the last level's sum plus all
+    those errors, so the only rounding left is in totalling the errors,
+    about (log2 n)^2 eps^2 sum|x|.  That is under one ulp of the sum,
+    so the result is faithful, when sum|x| is within a small factor of
+    |sum x|, as for nonnegative input.  Under heavy cancellation it is
+    not: ``[2**60, -2**60, 1, 2**-53, 2**-53]`` sums to 1.0, though the
+    exact sum 1 + 2**-52 is a double and ``fsum`` returns it.  Where it
+    is faithful, the result equals ``math.fsum`` except where the exact
+    sum lies within that error of a rounding midpoint:
+    ``[1, 2**-53, 2**-106]`` sums to 1.0, where ``fsum`` gives
+    1 + 2**-52.  An empty axis sums to 0.0; a sum that is
+    not finite is returned as the plain pairwise sum, without NaN from
+    the error terms.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    errors = np.zeros(x.shape[:-1])
+    if x.shape[-1] == 0:
+        return errors[()]
+    with np.errstate(invalid="ignore", over="ignore"):
+        while x.shape[-1] > 1:
+            half = x.shape[-1] // 2
+            a, b = x[..., :half], x[..., half : 2 * half]
+            s = a + b
+            errors += _two_sum_error(a, b, s).sum(axis=-1)
+            if x.shape[-1] % 2:
+                last, odd = s[..., -1:], x[..., -1:]
+                folded = last + odd
+                errors += _two_sum_error(last, odd, folded)[..., 0]
+                s[..., -1:] = folded
+            x = s
+        total = x[..., 0]
+        errors[~np.isfinite(total)] = 0.0
+        return total + errors

@@ -97,7 +97,7 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePath:
     """Sampled price/dividend path under the ex-dividend convention.
 
@@ -105,7 +105,8 @@ class DiscretePath:
     at t = 0).  A length-(T+1) dividends array with a leading zero is also
     accepted.  ``tail`` declares how the dividend yield behaves beyond the
     sampled horizon; operations that need it refuse to run when it is
-    missing.
+    missing.  Paths compare and hash by identity: their arrays have no
+    single truth value.
     """
 
     prices: np.ndarray
@@ -164,12 +165,13 @@ class DiscretePath:
         return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deflators:
     """Implied state prices in the log domain, normalized to q_0 = 1.
 
     ``log_q[t]`` may be -inf when an interior zero price drives every
     later state price to zero; it is never NaN or +inf for a valid path.
+    Instances compare and hash by identity.
     """
 
     log_q: np.ndarray

@@ -844,6 +844,37 @@ def test_each_document_is_validated_once(tmp_path, capsys, monkeypatch, embedded
     assert len(calls) == len(paths)
 
 
+def test_continuous_grid_cells_are_summed_twice_per_document(tmp_path, capsys):
+    # one compensated_sum for the yield integral and one for all periods
+    # of discretize, however many periods there are
+    import bubblekit.continuous
+    from bubblekit.numerics import compensated_sum
+
+    calls = []
+
+    def counting(values):
+        calls.append(np.shape(values))
+        return compensated_sum(values)
+
+    files = []
+    for i, (horizon, step) in enumerate([(10, 1), (30, 0.5), (2, 2)]):
+        _, doc, _ = run(
+            capsys,
+            ["generate", "miao-wang", "--Q", "1", "--K", "2", "--Bmw", "0.5", "--D", "0.2",
+             "--horizon", str(horizon), "--grid-step", "0.01"],
+        )
+        (tmp_path / f"mw{i}.json").write_text(doc)
+        files.append(["--step", str(step), str(tmp_path / f"mw{i}.json")])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bubblekit.continuous, "compensated_sum", counting)
+        for argv in files:
+            assert run(capsys, ["analyze", *argv])[0] == 0
+        code, out, _ = run(capsys, ["analyze", *(argv[-1] for argv in files)])
+    assert code == 0 and len(out.splitlines()) == 3
+    assert calls[:6] == [(1000,), (10, 100), (3000,), (60, 50), (200,), (1, 200)]
+    assert len(calls) == 12
+
+
 def test_continuous_json_bad_horizon_is_a_parse_error(capsys, monkeypatch):
     from bubblekit.io import parse_continuous_json
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from bubblekit import (
     TailClass,
     ValidationError,
     ZeroDividends,
+    MiaoWangScenario,
     decompose,
     deflated_price_profile,
     discretize,
+    gen_miao_wang,
+    implied_deflators,
     integrate_dF_over_P,
     montrucchio_continuous,
 )
+from bubblekit.continuous import _deflated_log_profile
 
 
 def grid_path(
@@ -317,3 +322,97 @@ def test_discretize_step_beyond_horizon():
     cpath = constant_flow_path(horizon=2.0, h=1e-2)
     with pytest.raises(OutOfRangeError):
         discretize(cpath, 5.0)
+
+
+def trapezoid_cells(values, h):
+    """Per-cell trapezoid increments, for the ``math.fsum`` references."""
+    return 0.5 * h * (values[:-1] + values[1:])
+
+
+def miao_wang_grid(grid_step):
+    for q, k, b, d in product(
+        (0.5, 1.0, 2.0), (1.0, 2.0, 4.0), (0.0, 0.5, 5.0), (0.1, 0.2, 1.0)
+    ):
+        yield gen_miao_wang(
+            MiaoWangScenario(
+                marginal_q=q,
+                capital=k,
+                interpreted_component=b,
+                dividend=d,
+                grid_step=grid_step,
+            )
+        )
+
+
+def test_grid_sums_equal_fsum_bit_for_bit():
+    # the compensated cell sums are faithfully rounded; on these paths
+    # they are also the correctly rounded fsum, so reports keep their bits
+    jumpy = grid_path(
+        20.0,
+        1e-2,
+        price_fn=lambda t: 2.0 + np.sin(t),
+        density_fn=lambda t: 0.3 + 0.2 * np.cos(3 * t),
+        jumps=((0.25, 0.1), (7.0, 0.2), (19.95, 0.05)),
+    )
+    for cpath in [*miao_wang_grid(1e-2), jumpy]:
+        h = cpath.grid_step
+        density, prices = cpath.dividends.density, cpath.prices
+        cells = trapezoid_cells(density, h)
+        for step in (0.1, 1.0):
+            m = round(step / h)
+            periods = cells.size // m
+            expected = [math.fsum(cells[k * m : (k + 1) * m]) for k in range(periods)]
+            for t, df in cpath.dividends.jumps:
+                expected[math.ceil(t / step - 1e-9) - 1] += df
+            assert discretize(cpath, step).dividends[1:].tolist() == expected
+        yield_cells = trapezoid_cells(density / prices, h)
+        for T in (cpath.horizon, cpath.horizon / 2, 1.0):
+            expected = math.fsum(yield_cells[: round(T / h)])
+            for t, df in cpath.dividends.jumps:
+                if t <= T:
+                    expected += df / prices[round(t / h)]
+            assert integrate_dF_over_P(cpath, T) == expected
+
+
+def test_discretize_bias_is_first_order_in_the_step():
+    # the discretized log-yield sum L_T = sum log(1 + D_t / P_t) falls
+    # short of the continuous Lambda(T) = integral of d / P by a gap
+    # proportional to the step: P_0 exp(-L_T) is 25.6%, 2.5% and 0.25%
+    # above the path's deflated price at steps 1, 0.1 and 0.01
+    cpath = gen_miao_wang(
+        MiaoWangScenario(marginal_q=1.0, capital=10.0, interpreted_component=5.0, dividend=1.0)
+    )
+    assert cpath.grid_step == 1e-3
+    _, log_rhs = _deflated_log_profile(cpath, "right")
+    lam = -log_rhs[-1]
+    gaps = []
+    for step in (1.0, 0.1, 0.01):
+        dpath = discretize(cpath, step)
+        assert dpath.horizon * step == pytest.approx(cpath.horizon)
+        log_yield_sum = math.fsum(np.log1p(dpath.dividends[1:] / dpath.prices[1:]))
+        gaps.append(lam - log_yield_sum)
+    assert [math.expm1(gap) for gap in gaps] == pytest.approx(
+        [0.2561, 0.02463, 0.002454], rel=1e-3
+    )
+    assert 8 < gaps[0] / gaps[1] < 12 and 8 < gaps[1] / gaps[2] < 12
+
+
+# ---------- identity semantics of the array-holding dataclasses ----------
+
+
+def test_paths_compare_and_hash_by_identity():
+    cpath = constant_flow_path(horizon=2.0, h=0.5)
+    dpath = discretize(cpath, 1.0)
+    copy = dpath.with_tail(dpath.tail)
+    deflators = implied_deflators(dpath)
+    twin = grid_path(2.0, 0.5, density_fn=lambda t: np.full_like(t, 5.0))
+    for obj, other in [
+        (dpath, copy),
+        (deflators, implied_deflators(dpath)),
+        (cpath, twin),
+        (cpath.dividends, twin.dividends),
+    ]:
+        assert (obj == obj) is True
+        assert (obj == other) is False and obj != other
+        assert hash(obj) == hash(obj)
+        assert len({obj, other}) == 2
