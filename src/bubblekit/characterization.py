@@ -133,10 +133,18 @@ def _line_fit(
     arithmetic; in floating point it cancels the rounding of x_mean, which
     keeps b exact to a few ulps of the data's own scale at any offset of x.
     Exactly constant y (rise 0) gives b = 0.0 exactly.
+
+    The rises are first scaled by the power of two that brings max |rise|
+    into [1/2, 1), and b scaled back, so products dx rise of subnormal
+    rises do not underflow.  For normal data the scaling is exact and b
+    keeps its bits.
     """
+    _, exponent = math.frexp(float(np.abs(rise).max()))
     x_mean = x.mean()
     dx = x - x_mean
-    slope = float((np.dot(dx, rise) - dx.sum() * rise_mean) / np.dot(dx, dx))
+    scaled_rise = np.ldexp(rise, -exponent)
+    cross = np.dot(dx, scaled_rise) - dx.sum() * math.ldexp(rise_mean, -exponent)
+    slope = math.ldexp(float(cross / np.dot(dx, dx)), exponent)
     return slope, float(y_mean - slope * x_mean)
 
 

@@ -90,7 +90,10 @@ def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> flo
 
 def _read_input(name: str) -> str:
     """The UTF-8 text of file ``name`` (``-`` reads stdin), newlines as in
-    text mode; bytes that are not UTF-8 are a ``ParseError``."""
+    text mode; bytes that are not UTF-8 are a ``ParseError``.
+
+    The bytes are dropped once decoded, and each newline rewrite replaces
+    the text, so no more than two copies of the document exist at once."""
     if name == "-":
         stdin = getattr(sys.stdin, "buffer", None)
         if stdin is None:  # a text stream put in place of stdin
@@ -108,8 +111,10 @@ def _read_input(name: str) -> str:
         raise ParseError(
             f"not UTF-8: {exc.reason} at byte offset {exc.start}"
         ) from None
+    del raw
     if "\r" in text:  # universal newlines
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
     return text
 
 

@@ -13,8 +13,12 @@ Generated path documents are written the same way, but through orjson,
 which formats a whole numpy array in one call; a CSV document's rows go
 out as one flat array whose bytes are then turned into lines in place, so
 no string is made per row or number.  The readers parse number
-arrays through orjson too: a CSV body of plain JSON numbers in one call,
-continuous JSON's ``prices`` and ``density`` a chunk at a time.  The
+arrays through orjson too, in place and one piece of about ``_CHUNK``
+characters at a time (:func:`_pieces`): a CSV body of plain JSON numbers
+a piece of whole rows at a time, continuous JSON's ``prices`` and
+``density`` a piece of whole numbers at a time.  So neither reader copies
+a whole array's text, and the Python numbers of one piece at most exist
+at once: a generated CSV document is read in less memory than its text.  The
 continuous reader finds its flat number arrays in two steps: a regex
 finds the strings and each ``[`` that may open one, and C-level string
 calls (``find``, ``rfind``, ``bytes.translate``) decide whether it does,
@@ -215,15 +219,22 @@ def parse_path_csv(
     A bad document raises the ``ParseError`` of its first bad row.
 
     Only the first lines are split off one at a time: the comments, the
-    header and row 0.  The rest of the text, rows 1.., goes whole to
-    :func:`_body_columns`.  Where that reader declines, the document is
-    split into lines, its blank rows are dropped, and :func:`_csv_columns`
-    reads the rows that are left, naming the first bad one.
+    header and row 0.  The rest of the text, rows 1.., is read in place by
+    :func:`_body_columns`, one piece of whole rows of about ``_CHUNK``
+    characters at a time, so the reader's memory is bounded by its output
+    and its tables rather than by copies of the text: less than the text's
+    length for a generated document.  Where that reader
+    declines, the document is split into lines, its blank rows are
+    dropped, and :func:`_csv_columns` reads the rows that are left, naming
+    the first bad one.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     head = _split_head(data)
-    columns = None if head is None else _body_columns(head.row0, head.body, head.width)
+    columns = (
+        None if head is None
+        else _body_columns(head.row0, data, head.start, head.stop, head.width)
+    )
     rows = body = bad = None
     if columns is not None:
         tail_spec, body_start = head.tail_spec, head.body_start
@@ -242,8 +253,7 @@ def parse_path_csv(
             )
         body = lines[body_start + 1 :]
         rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
-        tried = None if head is None else (head.row0, head.body)
-        columns, bad = _csv_columns(rows, width, tried)
+        columns, bad = _csv_columns(rows, width, data, head)
     bad = _broken_rule(columns) or bad
     if bad is not None:
         k, message = bad
@@ -307,7 +317,8 @@ class _Head(NamedTuple):
     tail_spec: str | None
     body_start: int  # the number of comment and blank lines before the header
     row0: str
-    body: str  # rows 1.., separated by "\n"
+    start: int  # the body, rows 1.. separated by "\n", is data[start:stop]
+    stop: int
     width: int
 
 
@@ -317,9 +328,10 @@ def _split_head(data: str) -> _Head | None:
 
     Only the lines up to row 0 are split off; the body is the rest of the
     text, up to the end of its last row: blank rows after that, and the
-    final ``"\\n"``, are left out.  None where the text has no header and
-    row 0 ended by ``"\\n"``, or a line up to row 0 holds another of
-    ``str.splitlines``' line breaks.
+    final ``"\\n"``, are left out.  The body is not copied: its offsets in
+    ``data`` are returned.  None where the text has no header and row 0
+    ended by ``"\\n"``, the line after the header is blank, or a line up
+    to row 0 holds another of ``str.splitlines``' line breaks.
     """
     lines = _newline_lines(data)
     skipped, tail_spec, header = _preamble(lines)
@@ -328,14 +340,15 @@ def _split_head(data: str) -> _Head | None:
         return None
     end = sum(map(len, skipped)) + len(skipped) + len(header) + len(row0) + 2
     width = _width(header)
-    if width is None or _OTHER_LINE_BREAKS.search(data, 0, end):
+    blank = not row0.strip(_BLANK_ROW_CHARS)  # the line route skips it
+    if width is None or blank or _OTHER_LINE_BREAKS.search(data, 0, end):
         return None
     stop = len(data)
     while stop > end and data[stop - 1] in " \t,\n":
         stop -= 1
     stop = data.find("\n", stop)
-    body = data[end:] if stop < 0 else data[end:stop]
-    return _Head(tail_spec, len(skipped), row0, body, width)
+    stop = len(data) if stop < 0 else stop
+    return _Head(tail_spec, len(skipped), row0, end, stop, width)
 
 
 def _separators(text: bytes) -> tuple[np.ndarray, bytes]:
@@ -347,7 +360,7 @@ def _separators(text: bytes) -> tuple[np.ndarray, bytes]:
 
 
 def _csv_columns(
-    rows: list[str], width: int, tried: tuple[str, str] | None
+    rows: list[str], width: int, data: str, tried: _Head | None
 ) -> tuple[list[np.ndarray], tuple[int, str] | None]:
     """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of non-blank body
     rows, up to the first that fails a syntax check.
@@ -355,15 +368,20 @@ def _csv_columns(
     Returns the columns and None, or ``(k, message)`` naming that row ``k``
     and the first check it fails.  The rows are read by
     :func:`_body_columns`, unless it has already declined the same row 0
-    and body (``tried``).  Otherwise each check runs on whole columns, over
-    the rows before the first failure found so far, in the order the checks
-    apply within a row: quoting, field count, and then those of
-    :func:`_cell_columns`.
+    and body (those of ``tried``, split from ``data``).  Otherwise each
+    check runs on whole columns, over the rows before the first failure
+    found so far, in the order the checks apply within a row: quoting,
+    field count, and then those of :func:`_cell_columns`.
     """
     if rows:
         body = "\n".join(rows[1:])
-        if (rows[0], body) != tried:
-            columns = _body_columns(rows[0], body, width)
+        if not (
+            tried is not None
+            and rows[0] == tried.row0
+            and len(body) == tried.stop - tried.start
+            and data.startswith(body, tried.start)
+        ):
+            columns = _body_columns(rows[0], body, 0, len(body), width)
             if columns is not None:
                 return columns, None
     n = len(rows)
@@ -410,6 +428,22 @@ def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
     return k, next(message for mask, message in rules if mask[k])
 
 
+# characters of text read by one orjson call, or checked by the continuous
+# scan, at a time
+_CHUNK = 1 << 16
+
+
+def _pieces(data: str, start: int, stop: int, sep: str) -> Iterator[tuple[int, int]]:
+    """The ``(first, cut)`` spans that cut ``data[start:stop]`` into pieces,
+    in order: each cut is at the first ``sep`` at or after ``_CHUNK``
+    characters into a piece, and that ``sep`` is in neither piece.  The
+    last piece runs to ``stop``."""
+    while (cut := data.find(sep, start + _CHUNK, stop)) >= 0:
+        yield start, cut
+        start = cut + 1
+    yield start, stop
+
+
 # The characters of a body orjson may read: those of JSON numbers, commas,
 # the blanks float() strips that JSON allows between values, and "\n".
 _JSON_NUMBER_CHARS = b"0123456789eE+-., \t\n"
@@ -419,57 +453,80 @@ _JSON_NUMBER_CHARS = b"0123456789eE+-., \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
 
 
-def _body_columns(row0: str, body: str, width: int) -> list[np.ndarray] | None:
-    """The columns of row 0 and of the ``"\\n"``-separated rows ``body``, or
-    None.
+def _body_columns(
+    row0: str, data: str, start: int, stop: int, width: int
+) -> list[np.ndarray] | None:
+    """The columns of row 0 and of the ``"\\n"``-separated rows of the body
+    ``data[start:stop]``, or None.
 
-    ``body`` is read whole, by one ``orjson.loads`` of its rows joined by
-    commas, straight into float64; ``row0`` cell by cell, since its ``D``
-    cell is empty in every generated document, which JSON cannot spell.
-    That reads the values ``float()`` reads only where every cell of the
-    body is a plain JSON number, so None, for the cell-by-cell route, is
-    returned unless all of these hold:
+    The body is read in place, one piece of whole rows at a time (cut at
+    the first ``"\\n"`` at or after ``_CHUNK`` characters, see
+    :func:`_pieces`), each piece by one ``orjson.loads`` of its rows joined
+    by commas, straight into float64; so no copy of the whole body is made,
+    and the Python numbers of one piece at most exist at once.  ``row0`` is
+    read cell by cell, since its ``D`` cell is empty in every generated
+    document, which JSON cannot spell.  That reads the values ``float()``
+    reads only where every cell of the body is a plain JSON number, so
+    None, for the cell-by-cell route, is returned unless all of these hold:
 
     - row 0 and every row of the body have ``width`` fields, and no row of
-      the body is blank; the body's rows are counted on its bytes, from
-      the offsets of its commas and newlines, with no string per row;
+      the body is blank; a piece's rows are counted on its bytes, from the
+      offsets of its commas and newlines, with no string per row;
     - the body holds nothing but number characters, commas, spaces, tabs
       and ``"\\n"``, and no cell is the integer ``-0``;
-    - orjson accepts the values, and there are ``width`` of them a row;
+    - orjson accepts the values;
     - row 0 passes the date and number syntax checks;
+    - there are ``width`` values a row;
     - every date of the body is a JSON integer, the row's index.
+
+    The checks are made in this order on each piece in turn, row 0's once.
+    Every check is local to a row and each cut falls at the end of one, so
+    the body passes exactly when each of its pieces does.
     """
     import orjson
 
-    if row0.count(",") != width - 1 or not body.isascii():
+    if row0.count(",") != width - 1:
         return None
-    raw = body.encode()
-    # without its spaces and tabs, a blank row is nothing but its commas
-    packed = raw.translate(None, b" \t") if b" " in raw or b"\t" in raw else raw
-    at, separators = _separators(packed)
-    rows = (at.size + 1) // width
     commas = b"," * (width - 1)
-    row_ends = np.concatenate(([-1], at[width - 1 :: width], [len(packed)]))
-    if (
-        separators != (commas + b"\n") * (rows - 1) + commas
-        or np.diff(row_ends).min() == width
-        or raw.translate(None, _JSON_NUMBER_CHARS)
-        or (b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw))
-    ):
-        return None
-    try:
-        values = orjson.loads("[" + body.replace("\n", ",") + "]")
-    except orjson.JSONDecodeError:
-        return None
-    first, failed = _cell_columns(row0, 1, width)
-    if failed is not None or len(values) != rows * width:
-        return None
-    if set(map(type, values[::width])) - {int}:
-        return None
-    table = np.array(values, dtype=np.float64).reshape(rows, width)
-    if not (table[:, 0] == np.arange(1, rows + 1)).all():
-        return None
-    return [np.concatenate((cell, table[:, j])) for j, cell in enumerate(first, 1)]
+    cells = None  # row 0's, read once the first piece has passed orjson
+    tables = []
+    done = 0  # the rows of the pieces before this one
+    for first, cut in _pieces(data, start, stop, "\n"):
+        text = data[first:cut]
+        if not text.isascii():
+            return None
+        raw = text.encode()
+        # without its spaces and tabs, a blank row is nothing but its commas
+        packed = raw.translate(None, b" \t") if b" " in raw or b"\t" in raw else raw
+        at, separators = _separators(packed)
+        rows = (at.size + 1) // width
+        row_ends = np.concatenate(([-1], at[width - 1 :: width], [len(packed)]))
+        if (
+            separators != (commas + b"\n") * (rows - 1) + commas
+            or np.diff(row_ends).min() == width
+            or raw.translate(None, _JSON_NUMBER_CHARS)
+            or (b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw))
+        ):
+            return None
+        try:
+            values = orjson.loads("[" + text.replace("\n", ",") + "]")
+        except orjson.JSONDecodeError:
+            return None
+        if cells is None:
+            cells, failed = _cell_columns(row0, 1, width)
+            if failed is not None:
+                return None
+        if len(values) != rows * width or set(map(type, values[::width])) - {int}:
+            return None
+        table = np.array(values, dtype=np.float64).reshape(rows, width)
+        if not (table[:, 0] == np.arange(done + 1, done + rows + 1)).all():
+            return None
+        tables.append(table)
+        done += rows
+    return [
+        np.concatenate([cell, *(table[:, j] for table in tables)])
+        for j, cell in enumerate(cells, 1)
+    ]
 
 
 def _cell_columns(
@@ -626,9 +683,6 @@ def _json_loads(text: str) -> Any:
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
-# characters of array text read by orjson, or checked by the scan, at a time
-_CHUNK = 1 << 16
-
 # A JSON string, to its closing quote (or to the end of the text if it has
 # none), or a "[" that may open a flat number array: one followed by a
 # number character, a comma, JSON whitespace or "]".
@@ -704,18 +758,14 @@ def _float_array(data: str, start: int, stop: int) -> np.ndarray:
     """The float64 values of the flat number array ``data[start:stop]``.
 
     orjson reads the text a chunk at a time, cut at commas about ``_CHUNK``
-    characters apart, so the Python floats of one chunk at most exist at
-    once.  A decode error carries its offset in ``data``.
+    characters apart (see :func:`_pieces`), so the Python floats of one
+    chunk at most exist at once.  A decode error carries its offset in
+    ``data``.
     """
     import orjson
 
     parts = []
-    first = start + 1
-    while True:
-        cut = data.find(",", first + _CHUNK, stop)
-        last = cut < 0
-        if last:
-            cut = stop - 1
+    for first, cut in _pieces(data, start + 1, stop - 1, ","):
         try:
             numbers = orjson.loads(f"[{data[first:cut]}]")
         except orjson.JSONDecodeError as exc:
@@ -723,9 +773,7 @@ def _float_array(data: str, start: int, stop: int) -> np.ndarray:
         if not numbers and first > start + 1:  # nothing between two commas
             raise json.JSONDecodeError("Expecting value", data, first)
         parts.append(np.array(numbers, dtype=np.float64))
-        if last:
-            return np.concatenate(parts)
-        first = cut + 1
+    return np.concatenate(parts)
 
 
 def _decode_continuous(data: str) -> Any:

@@ -230,6 +230,12 @@ def line_data(draw):
     return x, y, kind
 
 
+# a near-linear draw rising from 0 to 2.2e-309 over x = log t, t = 1105..1107:
+# unscaled, every product dx * rise in the fit underflows
+_x = np.log(np.arange(1105.0, 1108.0))
+SUBNORMAL_RISES = (_x, 2.2e-309 / (_x[-1] - _x[0]) * (_x - _x[0]), "near-linear")
+
+
 def _fit_errors(x, y, slope, intercept, exact):
     """Slope and intercept errors against the exact line, each relative to
     the scale the data sets for it: max(|b|, spread) for the slope, with
@@ -249,6 +255,7 @@ def _fit_errors(x, y, slope, intercept, exact):
 @settings(max_examples=150, deadline=None)
 @example((np.arange(999_998.0, 1_000_001.0), np.array([-700.0, 700.0, -700.0]), "scattered"))
 @example((np.log(np.arange(1.0, 2_001.0)), np.full(2_000, 0.1), "constant"))
+@example(SUBNORMAL_RISES)
 def test_line_fit_matches_the_exact_least_squares_line(data):
     x, y, kind = data
     exact = least_squares_line(x, y)

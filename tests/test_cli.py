@@ -1131,6 +1131,27 @@ def test_non_utf8_stdin_is_bad_input(capsys, monkeypatch):
     assert strict_json(out)["input"]["length"] == 3
 
 
+def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
+    # the bytes, then the decoded text, then the text with its newlines
+    # rewritten: never three of them at once
+    import tracemalloc
+
+    from bubblekit.cli import _read_input
+
+    lf = serialize_path_csv(gen_gordon(1.0, 1.0001, 1.001, 20_000))
+    crlf = lf.replace("\n", "\r\n")
+    doc = tmp_path / "crlf.csv"
+    doc.write_bytes(crlf.encode())
+    tracemalloc.start()
+    try:
+        text = _read_input(str(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == lf
+    assert peak < 2.5 * len(crlf)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

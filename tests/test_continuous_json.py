@@ -10,7 +10,6 @@ number past the double range in ``prices`` or ``density``, which
 ``json.loads`` reads as an infinity, is a ``ParseError`` of its own.
 """
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -28,6 +27,7 @@ from bubblekit.errors import BubblekitError, ParseError
 from bubblekit.io import parse_continuous_json, serialize_continuous_json
 from bubblekit.models import MiaoWangScenario, gen_miao_wang
 
+from chunks import CHUNKS, chunks_of
 from oracles import parse_continuous_json_stdlib
 
 OVERFLOW = "number is infinity when parsed as double"
@@ -50,17 +50,6 @@ def holds_overflow(doc):
         isinstance(a, list) and any(isinstance(x, float) and math.isinf(x) for x in a)
         for a in arrays
     )
-
-
-@contextlib.contextmanager
-def chunks_of(size):
-    """orjson reads array text, and the scan checks its characters, ``size``
-    characters at a time."""
-    saved, bio._CHUNK = bio._CHUNK, size
-    try:
-        yield
-    finally:
-        bio._CHUNK = saved
 
 
 def assert_same(doc, chunk=bio._CHUNK):
@@ -177,9 +166,6 @@ def mutated(draw):
         byte = draw(st.sampled_from(list('[]{},:"\\ \n-+.eE019NI') + ["", "[[", "]]"]))
         doc[k] = byte if draw(st.booleans()) else doc[k] + byte
     return "".join(doc)
-
-
-CHUNKS = st.sampled_from([1, 2, 5, 16, bio._CHUNK])
 
 
 @settings(max_examples=300, deadline=None)

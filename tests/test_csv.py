@@ -4,10 +4,11 @@
 ``bubblekit.io.parse_path_csv`` checks whole columns.  On every document
 both must accept the same paths bit for bit, or raise the same error
 class, message and line.  A body of plain JSON numbers separated by
-``"\n"`` is read whole, by one ``orjson.loads``; a document with blank rows
-between rows or other line breaks is split into lines first, and any other
-spelling is read cell by cell.  All routes are checked here, with documents
-built to get past a weaker check of the whole-body reader.
+``"\n"`` is read in place, one ``orjson.loads`` per piece of whole rows;
+a document with blank rows between rows or other line breaks is split
+into lines first, and any other spelling is read cell by cell.  All routes
+are checked here, with documents built to get past a weaker check of the
+whole-body reader, and with pieces from one character up.
 """
 
 import sys
@@ -22,6 +23,7 @@ import bubblekit.io
 from bubblekit.errors import BubblekitError, ParseError
 from bubblekit.io import _BLANK_ROW_CHARS, parse_path_csv
 
+from chunks import CHUNKS, chunks_of
 from oracles import parse_path_csv_rows
 
 
@@ -33,8 +35,10 @@ def outcome(parse, doc):
     return path.prices.tobytes(), path.dividends.tobytes(), path.tail
 
 
-def assert_same(doc):
-    assert outcome(parse_path_csv, doc) == outcome(parse_path_csv_rows, doc)
+def assert_same(doc, chunk=bubblekit.io._CHUNK):
+    with chunks_of(chunk):
+        new = outcome(parse_path_csv, doc)
+    assert new == outcome(parse_path_csv_rows, doc)
 
 
 def cell(draw, text: str) -> str:
@@ -263,17 +267,18 @@ def test_blank_row_chars_are_comma_and_every_space():
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_documents())
-def test_valid_documents_parse_like_the_row_reader(doc):
+@given(valid_documents(), CHUNKS)
+def test_valid_documents_parse_like_the_row_reader(doc, chunk):
     expected = outcome(parse_path_csv_rows, doc)
     assert isinstance(expected[0], bytes), expected
-    assert outcome(parse_path_csv, doc) == expected
+    with chunks_of(chunk):
+        assert outcome(parse_path_csv, doc) == expected
 
 
 @settings(max_examples=200, deadline=None)
-@given(corrupted_documents())
-def test_corrupted_documents_fail_like_the_row_reader(doc):
-    assert_same(doc)
+@given(corrupted_documents(), CHUNKS)
+def test_corrupted_documents_fail_like_the_row_reader(doc, chunk):
+    assert_same(doc, chunk)
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,16 +292,27 @@ def test_plain_documents_are_read_in_one_call(data):
     assert result == outcome(parse_path_csv_rows, doc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(mutated_plain_documents())
-def test_mutated_plain_documents_fail_like_the_row_reader(doc):
-    assert_same(doc)
+@pytest.mark.parametrize("blank", BLANK_ROWS)
+def test_a_blank_row_before_row_0_does_not_send_the_body_through_twice(blank):
+    # a blank row with the header's commas is no row 0: the line route,
+    # which skips it, is the one reader of the body
+    doc = f"t,P,D\n{blank}\n0,100,0\n1,100,5\n2,100,5\n"
+    result, reads = read_rows(doc)
+    assert isinstance(result[0], bytes), result
+    assert reads == [1]
+    assert result == outcome(parse_path_csv_rows, doc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(whole_body_documents())
-def test_whole_body_edits_read_like_the_row_reader(doc):
-    assert_same(doc)
+@given(mutated_plain_documents(), CHUNKS)
+def test_mutated_plain_documents_fail_like_the_row_reader(doc, chunk):
+    assert_same(doc, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_body_documents(), CHUNKS)
+def test_whole_body_edits_read_like_the_row_reader(doc, chunk):
+    assert_same(doc, chunk)
 
 
 @pytest.mark.parametrize(
@@ -349,6 +365,59 @@ def test_a_generated_document_is_read_without_splitlines():
     # a blank row in the body sends the document to the line route
     blank_result, blank_calls = splitlines_calls(doc.replace("\n5,", "\n\n5,", 1))
     assert blank_result == result and blank_calls
+
+
+def test_a_generated_document_is_read_without_copies_of_its_text():
+    import tracemalloc
+
+    from bubblekit.io import serialize_path_csv
+    from bubblekit.models import gen_gordon
+
+    doc = serialize_path_csv(gen_gordon(1.0, 1.00001, 1.00005, 150_000))
+    tracemalloc.start()
+    try:
+        path = parse_path_csv(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.prices.size == 150_001
+    assert peak < 1.5 * len(doc)
+
+
+def body_pieces(doc, chunk):
+    """The pieces the body of ``doc`` is read in, ``chunk`` characters
+    apiece."""
+    head = bubblekit.io._split_head(doc)
+    with chunks_of(chunk):
+        return [doc[a:b] for a, b in bubblekit.io._pieces(doc, head.start, head.stop, "\n")]
+
+
+# rows 1..8 of 8 characters: at 16 characters a piece, the pieces are rows
+# 1-3, 4-6 and 7-8
+CUT_ROWS = [f"{t},100,5" for t in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "k, row",
+    [(k, row.replace("#", str(k))) for k in (3, 4) for row in (
+        "#,-1,5", "#,100,-2", "#,x,5", "#,100", "#,100,5,1", "#.0,100,5", "9,100,5",
+        "#,-0,5", "#,1e999,5", "#,nan,5", "#,100,-0",
+    )],
+)
+def test_an_edited_row_at_either_end_of_a_piece_reads_like_the_row_reader(k, row):
+    rows = CUT_ROWS[: k - 1] + [row] + CUT_ROWS[k:]
+    doc = "t,P,D\n0,100,\n" + "\n".join(rows) + "\n"
+    first, second, *_ = body_pieces(doc, 16)
+    assert first.endswith("\n" + row) if k == 3 else second.startswith(row + "\n")
+    assert_same(doc, 16)
+
+
+@pytest.mark.parametrize("blank", ["", ",,", " , ,\t", " "])
+def test_a_blank_row_right_after_a_cut_is_skipped(blank):
+    doc = "t,P,D\n0,100,\n" + "\n".join(CUT_ROWS[:3] + [blank] + CUT_ROWS[3:]) + "\n"
+    assert body_pieces(doc, 16)[1].startswith(blank + "\n4,")
+    assert_same(doc, 16)
+    assert isinstance(outcome(parse_path_csv, doc)[0], bytes)
 
 
 PLAIN = "t,P,D,q\n0,100,,1\n1,100,5,0.9523809523809523\n2, 100 ,\t5.0,0.9070294784580498\n"
@@ -414,9 +483,9 @@ def test_a_parser_that_skips_empty_cells_cannot_misalign_columns(empty):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789,.-+e_ \t\n\rnaifx#", max_size=80))
-def test_arbitrary_bodies_fail_like_the_row_reader(body):
-    assert_same("t,P,D\n0,100,\n" + body)
+@given(st.text(alphabet="0123456789,.-+e_ \t\n\rnaifx#", max_size=80), CHUNKS)
+def test_arbitrary_bodies_fail_like_the_row_reader(body, chunk):
+    assert_same("t,P,D\n0,100,\n" + body, chunk)
 
 
 @pytest.mark.parametrize(
