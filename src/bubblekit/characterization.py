@@ -58,15 +58,13 @@ class Verdict:
 
 
 def _yields(path: DiscretePath) -> np.ndarray:
-    """Yields D_t / P_t for t = 1..T_max, +inf where they overflow.
+    """The path's yields D_t / P_t for t = 1..T_max, +inf where they overflow.
 
     Raises NonPositivePriceError naming the first index with P_t <= 0.
     """
-    bad = np.flatnonzero(path.prices <= 0)
-    if bad.size:
-        raise NonPositivePriceError(int(bad[0]))
-    with np.errstate(over="ignore"):
-        return path.dividends[1:] / path.prices[1:]
+    if not path.prices.min() > 0:
+        raise NonPositivePriceError(int(np.flatnonzero(path.prices <= 0)[0]))
+    return path._yields
 
 
 def montrucchio_discrete(path: DiscretePath) -> Verdict:
@@ -80,7 +78,7 @@ def montrucchio_discrete(path: DiscretePath) -> Verdict:
         raise ValidationError("classification requires a declared tail model")
     yields = _yields(path)
     try:
-        partial = math.fsum(yields)
+        partial = math.fsum(yields.tolist())
     except OverflowError:  # finite yields summing past the double range
         partial = math.inf
     if math.isfinite(partial):
@@ -140,7 +138,7 @@ def _line_fit(
     keeps its bits.
     """
     _, exponent = math.frexp(float(np.abs(rise).max()))
-    x_mean = x.mean()
+    x_mean = np.add.reduce(x) / x.size  # x.mean() to the bit, with less overhead
     dx = x - x_mean
     scaled_rise = np.ldexp(rise, -exponent)
     cross = np.dot(dx, scaled_rise) - dx.sum() * math.ldexp(rise_mean, -exponent)
@@ -163,7 +161,7 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
     t = np.arange(n - window + 1, n + 1, dtype=np.float64)
     y = yields[n - window:]
     pos = y > 0
-    if not np.any(pos):
+    if not pos.any():
         return TailFit(
             suggestion=ZeroDividends(),
             window=window,
@@ -179,17 +177,18 @@ def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
         )
     t, y = t[pos], y[pos]
     log_y = np.log(y)
-    far = np.isinf(y)  # D / P past the double range: log y = log D - log P
-    at = t[far].astype(np.intp)
-    log_y[far] = np.log(path.dividends[at]) - np.log(path.prices[at])
+    if not log_y.max() < np.inf:  # D / P past the double range: log D - log P
+        far = np.isinf(y)
+        at = t[far].astype(np.intp)
+        log_y[far] = np.log(path.dividends[at]) - np.log(path.prices[at])
 
     def rmse(residuals: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(residuals**2)))
+        return math.sqrt(np.add.reduce(residuals**2) / residuals.size)
 
     candidates: dict[str, dict[str, Any]] = {}
-    mean = log_y.mean()
+    mean = np.add.reduce(log_y) / log_y.size
     rise = log_y - log_y[0]
-    rise_mean = rise.mean()
+    rise_mean = np.add.reduce(rise) / rise.size
     log_t = np.log(t)
     slope, intercept = _line_fit(t, rise, rise_mean, mean)
     p_slope, p_intercept = _line_fit(log_t, rise, rise_mean, mean)

@@ -216,7 +216,8 @@ def parse_path_csv(
     Cells are plain text between commas: there is no quoting, and a row
     holding a ``"`` is rejected.  Rows of blank cells are skipped (line
     numbers still count them), and an empty ``D`` cell is a zero dividend.
-    A bad document raises the ``ParseError`` of its first bad row.
+    A bad document raises the ``ParseError`` of its first bad row, which
+    :func:`_broken_rule` looks for after the ``DiscretePath`` refuses it.
 
     Only the first lines are split off one at a time: the comments, the
     header and row 0.  The rest of the text, rows 1.., is read in place by
@@ -254,18 +255,27 @@ def parse_path_csv(
         body = lines[body_start + 1 :]
         rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
         columns, bad = _csv_columns(rows, width, data, head)
-    bad = _broken_rule(columns) or bad
-    if bad is not None:
-        k, message = bad
-        if rows is not None and len(rows) < len(body):
-            kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
-            k = next(islice(kept, k, None))
-        raise ParseError(message, line=body_start + 2 + k)
-
     prices, dividends, *deflators = columns
-    if prices.size < 2:
-        raise ParseError("need at least dates 0 and 1")
-    path = DiscretePath(prices=prices, dividends=dividends)
+    path = failure = None
+    if bad is None:
+        try:
+            path = DiscretePath(prices=prices, dividends=dividends)
+        except ValidationError as exc:
+            failure = exc
+    # NaN fails both comparisons of q
+    if path is None or (
+        deflators and not (deflators[0].min() > 0 and deflators[0].max() < np.inf)
+    ):
+        bad = _broken_rule(columns) or bad
+        if bad is not None:
+            k, message = bad
+            if rows is not None and len(rows) < len(body):
+                kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
+                k = next(islice(kept, k, None))
+            raise ParseError(message, line=body_start + 2 + k)
+        if prices.size < 2:
+            raise ParseError("need at least dates 0 and 1")
+        raise failure  # a stalled row: no line of its own breaks a rule
     if tail_spec is not None:
         last = (float(path.prices[-1]), float(path.dividends[-1]))
         path = path.with_tail(parse_tail_spec(tail_spec, last))
@@ -351,12 +361,9 @@ def _split_head(data: str) -> _Head | None:
     return _Head(tail_spec, len(skipped), row0, end, stop, width)
 
 
-def _separators(text: bytes) -> tuple[np.ndarray, bytes]:
-    """The offsets of the commas and newlines of ``text``, and those bytes in
-    order: the field count of every row, with no string per row."""
-    chars = np.frombuffer(text, np.uint8)
-    at = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
-    return at, chars[at].tobytes()
+# Every byte but "," and "\n": deleting them leaves a text's commas and
+# newlines in order, the field count of every row, with no string per row.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _csv_columns(
@@ -390,7 +397,7 @@ def _csv_columns(
     if '"' in text:
         n = next(k for k, row in enumerate(rows) if '"' in row)
         bad = n, "quoted cells are not supported"
-    _, separators = _separators(text.encode())
+    separators = text.encode().translate(None, _NOT_SEPARATORS)
     ends = np.flatnonzero(np.frombuffer(separators, np.uint8) == ord("\n"))
     fields = np.diff(np.concatenate(([-1], ends, [len(separators)])))[:n]
     ragged = np.flatnonzero(fields != width)
@@ -469,12 +476,12 @@ def _body_columns(
     reads only where every cell of the body is a plain JSON number, so
     None, for the cell-by-cell route, is returned unless all of these hold:
 
-    - row 0 and every row of the body have ``width`` fields, and no row of
-      the body is blank; a piece's rows are counted on its bytes, from the
-      offsets of its commas and newlines, with no string per row;
+    - row 0 and every row of the body have ``width`` fields; a piece's
+      rows are counted from its commas and newlines alone;
     - the body holds nothing but number characters, commas, spaces, tabs
       and ``"\\n"``, and no cell is the integer ``-0``;
-    - orjson accepts the values;
+    - orjson accepts the values, so no row of the body is blank: it has
+      no value between its commas;
     - row 0 passes the date and number syntax checks;
     - there are ``width`` values a row;
     - every date of the body is a JSON integer, the row's index.
@@ -496,14 +503,10 @@ def _body_columns(
         if not text.isascii():
             return None
         raw = text.encode()
-        # without its spaces and tabs, a blank row is nothing but its commas
-        packed = raw.translate(None, b" \t") if b" " in raw or b"\t" in raw else raw
-        at, separators = _separators(packed)
-        rows = (at.size + 1) // width
-        row_ends = np.concatenate(([-1], at[width - 1 :: width], [len(packed)]))
+        separators = raw.translate(None, _NOT_SEPARATORS)
+        rows = (len(separators) + 1) // width
         if (
             separators != (commas + b"\n") * (rows - 1) + commas
-            or np.diff(row_ends).min() == width
             or raw.translate(None, _JSON_NUMBER_CHARS)
             or (b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw))
         ):

@@ -34,12 +34,13 @@ def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
     inputs (a +-inf log) propagate without producing NaN.
     """
     x = np.asarray(values, dtype=np.float64)
-    sums = np.cumsum(x)
+    sums = x.cumsum()
     errors = np.zeros_like(sums)
     with np.errstate(invalid="ignore", over="ignore"):
         errors[1:] = _two_sum_error(sums[:-1], x[1:], sums[1:])
-    errors[~np.isfinite(sums)] = 0.0
-    return sums + np.cumsum(errors)
+    if not np.isfinite(sums[-1:]).all():  # a non-finite sum stays non-finite
+        errors[~np.isfinite(sums)] = 0.0
+    return sums + errors.cumsum()
 
 
 def compensated_sum(values: np.ndarray) -> np.ndarray | np.float64:

@@ -12,6 +12,9 @@ positive prices a bubble exists exactly when the yield sum converges, so
 the verdict is the tail class.  Staying in the log domain keeps horizons
 up to 10^6 periods free of underflow and overflow.
 
+A path is validated, and its yields D_t / P_t formed, once, when it is
+built: L, the tail fit and the classifier all read that one array.
+
 All objects are immutable and all operations are pure functions; paths and
 results can be shared freely across threads.
 """
@@ -106,7 +109,7 @@ class DiscretePath:
     accepted.  ``tail`` declares how the dividend yield behaves beyond the
     sampled horizon; operations that need it refuse to run when it is
     missing.  Paths compare and hash by identity: their arrays have no
-    single truth value.
+    single truth value.  Building one forms ``_yields``, D_t / P_t for t >= 1.
     """
 
     prices: np.ndarray
@@ -131,21 +134,28 @@ class DiscretePath:
                 f"dividends length {dividends.size} does not match "
                 f"{prices.size} price samples (expect T_max or T_max + 1 entries)"
             )
-        if not np.all(np.isfinite(prices)) or not np.all(np.isfinite(dividends)):
-            raise ValidationError("prices and dividends must be finite")
-        if np.any(prices < 0):
-            raise ValidationError("negative price")
-        if np.any(dividends < 0):
-            raise ValidationError("negative dividend")
-        stalled = (prices[1:] == 0) & (dividends[1:] == 0)
-        if np.any(stalled):
+        # one reduction per bound, which NaN fails; the rule only after that
+        low = prices.min()
+        bounded = prices.max() < np.inf and dividends.max() < np.inf
+        if not (low >= 0 and dividends.min() >= 0 and bounded):
+            if not (np.isfinite(prices).all() and np.isfinite(dividends).all()):
+                raise ValidationError("prices and dividends must be finite")
+            raise ValidationError(
+                "negative price" if (prices < 0).any() else "negative dividend"
+            )
+        if low == 0 and (stalled := (prices[1:] == 0) & (dividends[1:] == 0)).any():
             t = int(np.argmax(stalled)) + 1
             raise ValidationError(
                 f"P_t + D_t must be positive for t >= 1 (violated at t = {t})"
             )
+        # +inf past the double range, and +-inf at a zero price
+        with np.errstate(divide="ignore", over="ignore"):
+            yields = dividends[1:] / prices[1:]
         dividends.setflags(write=False)
+        yields.setflags(write=False)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dividends", dividends)
+        object.__setattr__(self, "_yields", yields)
 
     @property
     def horizon(self) -> int:
@@ -155,13 +165,11 @@ class DiscretePath:
     def with_tail(self, tail: TailModel | None) -> DiscretePath:
         """Copy of this path with a different (or cleared) declared tail.
 
-        The copy shares this path's read-only ``prices`` and ``dividends``,
-        which were validated when it was built, and is not checked again.
+        The copy shares this path's read-only arrays and yields, which were
+        validated when it was built, and is not checked again.
         """
         path = object.__new__(type(self))
-        object.__setattr__(path, "prices", self.prices)
-        object.__setattr__(path, "dividends", self.dividends)
-        object.__setattr__(path, "tail", tail)
+        path.__dict__.update(self.__dict__, tail=tail)
         return path
 
 
@@ -182,7 +190,7 @@ class Deflators:
             raise ValidationError("need deflators for at least t = 0, 1")
         if log_q[0] != 0.0:
             raise ValidationError("deflators must be normalized to q_0 = 1")
-        if np.any(np.isnan(log_q)) or np.any(log_q == np.inf):
+        if not log_q.max() < np.inf:  # NaN too
             raise ValidationError("log deflators must not be NaN or +inf")
         object.__setattr__(self, "log_q", log_q)
 
@@ -222,14 +230,13 @@ def _log_yield_sum(path: DiscretePath) -> np.ndarray:
     """
     if path.prices[0] == 0.0:
         raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
-    prices, dividends = path.prices[1:], path.dividends[1:]
     # a price of -0.0 makes D / P = -inf, whose log1p is NaN until replaced
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        yields = dividends / prices
-        steps = np.log1p(yields)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log1p(path._yields)
         # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
-        far = np.isinf(yields)
-        steps[far] = np.log(dividends[far]) - np.log(prices[far])
+        if not steps.max() < np.inf:
+            far = np.isinf(path._yields)
+            steps[far] = np.log(path.dividends[1:][far]) - np.log(path.prices[1:][far])
     return np.concatenate(([0.0], compensated_cumsum(steps)))
 
 
@@ -242,11 +249,12 @@ def _deflators(path: DiscretePath, log_yield: np.ndarray) -> Deflators:
     log deflator's resolution (eps), which moves no q_t, is rounded away:
     a scaled subnormal dividend is inexact.
     """
-    prices = path.prices
-    zero = prices == 0.0
-    log_q = _log_ratio(prices[0], np.where(zero, path.dividends, prices))
-    cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
-    return Deflators(log_q - ((cum + 1.0) - 1.0))
+    prices, cum = path.prices, log_yield
+    if prices.min() == 0.0:
+        zero = prices == 0.0
+        prices = np.where(zero, path.dividends, prices)
+        cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
+    return Deflators(_log_ratio(prices[0], prices) - ((cum + 1.0) - 1.0))
 
 
 def implied_deflators(path: DiscretePath) -> Deflators:
@@ -288,7 +296,8 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
         residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_ratio))
     # NaN (-inf + inf, or log 0 - log 0) comes only where q_t P_t and
     # q_{t+1} (P_{t+1}+D_{t+1}) are both exactly zero: no violation
-    residuals[np.isnan(residuals)] = 0.0
+    if np.isnan(residuals.max()):
+        residuals[np.isnan(residuals)] = 0.0
     return residuals
 
 
@@ -408,14 +417,14 @@ def decompose(path: DiscretePath) -> Decomposition:
         (T, price0 * -math.expm1(-float(log_yield[T])))
         for T in sorted({max(1, h // 4), max(1, h // 2), h})
     )
-    classifier = montrucchio_discrete(path) if np.all(path.prices > 0) else None
+    classifier = montrucchio_discrete(path) if path.prices.min() > 0 else None
     residuals = no_arbitrage_residuals(path, _deflators(path, log_yield))
     diagnostics: dict[str, Any] = {
         "partial_values": partials,
         "tail_contribution": split.fundamental - partials[-1][1],
         "deflated_terminal_price": price0 * math.exp(-float(log_yield[-1])),
         "log_bubble": split.log_bubble,
-        "no_arbitrage_residual_max": float(np.max(residuals)),
+        "no_arbitrage_residual_max": float(residuals.max()),
         "boundary": split.boundary,
         "classifier": None
         if classifier is None

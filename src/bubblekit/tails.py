@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import TailUnsupportedError, ValidationError
 
 __all__ = [
@@ -185,9 +187,10 @@ def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
     """sum_{t >= start} log1p(coeff * ratio^t), to near machine precision.
 
     Terms are summed directly until the geometric remainder bound drops
-    below 1e-25 absolute.  For ratios very close to 1 (where millions of
-    terms would be needed) the sum is evaluated by Euler-Maclaurin with a
-    dilogarithm antiderivative instead.
+    below 1e-25 absolute; ``np.multiply.accumulate`` forms them with the
+    roundings of a loop of ``u *= ratio``.  For ratios very close to 1
+    (where millions of terms would be needed) the sum is evaluated by
+    Euler-Maclaurin with a dilogarithm antiderivative instead.
     """
     decay = -math.log(ratio)
     u = coeff * math.exp(-decay * start)
@@ -201,10 +204,13 @@ def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
         return -dilog / decay + 0.5 * math.log1p(u) + (decay / 12.0) * u / (1.0 + u)
     terms = []
     cutoff = 1e-25 * (1.0 - ratio)
+    # in runs of one term more than stay above the cutoff; the terms never grow
     while u > cutoff:
-        terms.append(math.log1p(u))
-        u *= ratio
-    return math.fsum(terms)
+        count = 1 + int((math.log(u) - math.log(cutoff)) / decay)
+        run = np.multiply.accumulate(np.concatenate(([u], np.full(count, ratio))))
+        terms += run[run > cutoff].tolist()
+        u = run[-1] * ratio
+    return math.fsum(map(math.log1p, terms))
 
 
 def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:

@@ -61,6 +61,22 @@ def log_tail_sum(coeff: float, decay, start: int, dps: int = 40) -> float:
         return float(total)
 
 
+def geometric_head_loop(coeff: float, ratio: float, start: int) -> tuple[float, int]:
+    """sum_{t >= start} log1p(coeff * ratio^t) for ratio <= 0.999, one term
+    per pass of a Python loop: u = coeff ratio^start, then ``u *= ratio``
+    while u exceeds the cutoff 1e-25 (1 - ratio).  Returns the ``fsum`` of
+    the log1p terms and their count.
+    """
+    decay = -math.log(ratio)
+    u = coeff * math.exp(-decay * start)
+    terms = []
+    cutoff = 1e-25 * (1.0 - ratio)
+    while u > cutoff:
+        terms.append(math.log1p(u))
+        u *= ratio
+    return math.fsum(terms), len(terms)
+
+
 def log_tail_sum_power(
     coeff: float, exponent: float, start: int, head: int = 100_000
 ) -> float:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblekit.io
-from bubblekit.errors import BubblekitError, ParseError
+from bubblekit.errors import BubblekitError, ParseError, ValidationError
 from bubblekit.io import _BLANK_ROW_CHARS, parse_path_csv
 
 from chunks import CHUNKS, chunks_of
@@ -534,4 +534,79 @@ def test_valid_document_arrays_are_exact():
     path = parse_path_csv(doc)
     assert path.prices.tolist() == [10.5, 100.0]
     assert path.dividends.tolist() == [0.0, 0.25]
+    assert_same(doc)
+
+
+# ---------- value rules: checked once as the path is built ----------
+
+
+STALLED = "P_t + D_t must be positive for t >= 1 (violated at t = {})"
+
+
+@pytest.mark.parametrize(
+    "doc, t",
+    [
+        ("t,P,D\n0,100,\n1,0,0\n2,100,5\n", 1),
+        ("t,P,D\n0,100,\n1,100,5\n2,-0.0,\n3,100,5\n", 2),
+        ("t,P,D\n0,100,\n1,0,3\n2,0,0\n", 2),
+        ("t,P,D\n0,100,\n1, 0 ,-0.0\n", 1),  # read cell by cell
+        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n", 1),
+    ],
+)
+def test_a_stalled_row_is_refused_without_a_line(doc, t):
+    # no one row breaks a rule of the reader: the path's own check refuses
+    # it, with no line
+    with pytest.raises(ValidationError) as info:
+        parse_path_csv(doc)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == STALLED.format(t)
+    assert_same(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        # a row that breaks a rule is named, even after a stalled row
+        ("t,P,D\n0,100,\n1,0,0\n2,-1,5\n", 4, "negative price"),
+        ("t,P,D\n0,100,\n1,0,0\n2,100,nan\n", 4, "non-finite price or dividend"),
+        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n2,100,5,0\n", 4, "supplied deflators must be positive"),
+        # a NaN dividend alone, on both routes
+        ("t,P,D\n0,100,\n1,100,5\n2,100,nan\n", 4, "non-finite price or dividend"),
+        ("t,P,D\n0,100,\n1,100,5\n2,100,NaN \n", 4, "non-finite price or dividend"),
+        # a non-positive or non-finite q, and rules in row order
+        ("t,P,D,q\n0,100,,1\n1,100,5,-0.5\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,-0.0\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,nan\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,inf\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,0\n", 2, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,0\n2,-1,5,1\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,-1,5,1\n2,100,5,0\n", 3, "negative price"),
+        ("t,P,D,q\n0,100,,1\n1,100,-5,0\n", 3, "negative dividend"),
+        # a rule of row 0 comes before the need for a row 1
+        ("t,P,D\n0,100,3\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
+        ("t,P,D\n0,-100,\n", 2, "negative price"),
+    ],
+)
+def test_the_first_row_that_breaks_a_value_rule_is_named(doc, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_path_csv(doc)
+    assert info.value.line == line
+    assert str(info.value) == f"{message} (line {line})"
+    assert_same(doc)
+
+
+def test_a_path_of_row_0_alone_is_refused_without_a_line():
+    for doc in ("t,P,D\n0,100,\n", "t,P,D,q\n0,100,,1\n"):
+        with pytest.raises(ParseError) as info:
+            parse_path_csv(doc)
+        assert info.value.line is None
+        assert str(info.value) == "need at least dates 0 and 1"
+        assert_same(doc)
+
+
+def test_minus_zero_prices_and_dividends_are_zeros():
+    doc = "t,P,D\n0,100,\n1,-0.0,30\n2,50,-0.0\n3,50,5\n"
+    path = parse_path_csv(doc)
+    assert path.prices.tolist() == [100.0, 0.0, 50.0, 50.0]
+    assert np.signbit(path.prices[1]) and np.signbit(path.dividends[2])
     assert_same(doc)

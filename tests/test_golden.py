@@ -10,19 +10,18 @@ import json
 
 import pytest
 
-from replay import cases, expected_path, replay
+from replay import GOLDEN, cases, expected_path, replay
 
 CASES = cases()
 
 
 def test_corpus_is_small():
-    golden = expected_path("x").parent.parent
-    size = sum(f.stat().st_size for f in golden.rglob("*") if f.is_file())
+    size = sum(f.stat().st_size for f in GOLDEN.rglob("*") if f.is_file())
     assert size < 200_000
 
 
 def test_every_case_has_an_expected_file_and_no_other():
-    pinned = {f.stem for f in expected_path("x").parent.glob("*.json")}
+    pinned = {f.stem for f in (GOLDEN / "expected").glob("*.json")}
     assert pinned == set(CASES)
 
 

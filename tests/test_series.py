@@ -34,6 +34,7 @@ from bubblekit import (
     reroot,
     tvc_holds,
 )
+from bubblekit.characterization import _yields
 
 from oracles import deflated_recursion_mp, deflated_terminal_log
 
@@ -107,6 +108,46 @@ def test_path_refusals_name_the_rule(prices, dividends, message):
         DiscretePath(prices, dividends)
 
 
+@pytest.mark.parametrize(
+    "prices, dividends, message",
+    [
+        # one reduction per bound finds a failure; the rules then run in order
+        ([1.0, 1.0], [np.nan], "prices and dividends must be finite"),
+        ([1.0, np.nan], [0.5], "prices and dividends must be finite"),
+        ([1.0, -1.0], [np.inf], "prices and dividends must be finite"),
+        ([1.0, -np.inf], [0.5], "prices and dividends must be finite"),
+        ([1.0, -1.0], [-0.5], "negative price"),
+        ([1.0, 1.0], [-0.5], "negative dividend"),
+        ([1.0, 3.0, 0.0], [0.5, 0.0], "P_t + D_t must be positive for t >= 1 (violated at t = 2)"),
+        ([1.0, -0.0, 0.0], [-0.0, 3.0], "P_t + D_t must be positive for t >= 1 (violated at t = 1)"),
+        ([1.0, 1.0], [0.0, 0.0, 0.5], "dividends length 3 does not match 2"),
+    ],
+)
+def test_path_refusals_keep_their_exact_message(prices, dividends, message):
+    with pytest.raises(ValidationError) as info:
+        DiscretePath(prices, dividends)
+    assert type(info.value) is ValidationError
+    assert str(info.value).startswith(message)
+
+
+def test_minus_zero_prices_and_dividends_pass_the_sign_checks():
+    p = DiscretePath([1.0, -0.0, 2.0], [-0.0, 3.0, -0.0])
+    assert np.signbit(p.prices[1]) and np.signbit(p.dividends[2])
+    # D / -0.0 is -inf; the log-yield sum takes that date apart in logs
+    assert p._yields[0] == -np.inf
+    dec = decompose(p.with_tail(ZeroDividends()))
+    assert dec.bubble == 0.0 and dec.diagnostics["classifier"] is None
+
+
+def test_path_yields_are_formed_once_and_read_only():
+    prices = np.array([2.0, 1.0, 1.5, 1e-300])
+    dividends = np.array([0.5, 0.25, 1e10])
+    p = DiscretePath(prices, dividends)
+    assert p._yields.tolist() == [0.5, 0.25 / 1.5, np.inf]
+    assert not p._yields.flags.writeable
+    assert _yields(p) is p._yields
+
+
 def test_path_arrays_are_read_only():
     p = constant_path(T=3)
     with pytest.raises(ValueError):
@@ -119,6 +160,7 @@ def test_with_tail_shares_the_validated_arrays():
         q = p.with_tail(tail)
         assert type(q) is DiscretePath and q.tail is tail
         assert q.prices is p.prices and q.dividends is p.dividends
+        assert q._yields is p._yields
         assert not q.prices.flags.writeable and not q.dividends.flags.writeable
         assert q.horizon == 2 and list(q.dividends) == [0.0, 0.5, 0.25]
     assert p.tail is None

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblekit import (
     ConstantLevels,
@@ -15,9 +17,10 @@ from bubblekit import (
     ZeroDividends,
     classify_tail,
 )
+from bubblekit import tails
 from bubblekit.tails import geometric_tail_log_sum, power_tail_log_sum
 
-from oracles import log_tail_sum, log_tail_sum_power, pseries_partial
+from oracles import geometric_head_loop, log_tail_sum, log_tail_sum_power, pseries_partial
 
 
 @pytest.mark.parametrize(
@@ -135,3 +138,59 @@ def test_power_tail_log_sum_huge_coefficient_is_finite():
 def test_non_finite_parameters_are_rejected(make, value):
     with pytest.raises(ValidationError, match="finite"):
         make(value)
+
+
+# ---------- the geometric head against the per-term loop ----------
+
+
+class _CountingFsum:
+    """``math`` for ``bubblekit.tails``, with ``fsum`` counting its terms."""
+
+    count = None
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        terms = list(terms)
+        self.count = len(terms)
+        return math.fsum(terms)
+
+
+def assert_head_is_the_loop(coeff, ratio, start, monkeypatch):
+    expected, count = geometric_head_loop(coeff, ratio, start)
+    counting = _CountingFsum()
+    with monkeypatch.context() as patch:
+        patch.setattr(tails, "math", counting)
+        got = geometric_tail_log_sum(coeff, ratio, start)
+    assert got.hex() == expected.hex()
+    assert counting.count == count
+    return count
+
+
+@pytest.mark.parametrize(
+    "coeff, ratio, start, terms",
+    [
+        (1e-30, 0.5, 1, 0),  # u <= cutoff from the start: 0.0
+        (0.5, 0.9, 10**9, 0),  # u underflows to 0
+        (0.3, 0.75, 41, 160),
+        (1.0, 0.999, 1, 64_440),
+        (1e300, 0.999, 1, 754_870),  # ~770k terms at ratio 0.999
+        (1e300, 1e-300, 1, 1),  # a tiny ratio and a huge coeff
+        (1e300, 0.5, 900, 181),  # a large start
+        (1.7e308, 0.999, 10**4, 763_813),
+    ],
+)
+def test_geometric_head_is_the_loop_to_the_bit(coeff, ratio, start, terms, monkeypatch):
+    assert assert_head_is_the_loop(coeff, ratio, start, monkeypatch) == terms
+
+
+@given(
+    st.floats(-300, 300),
+    st.floats(1e-300, 0.99),
+    st.integers(1, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_geometric_head_is_the_loop_on_draws(log_coeff, ratio, start):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_head_is_the_loop(10.0**log_coeff, ratio, start, monkeypatch)
