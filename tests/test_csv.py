@@ -504,6 +504,25 @@ def test_arbitrary_bodies_fail_like_the_row_reader(body, chunk):
         ("t,P,D\n0,100,3\n1,-100,5\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
         ("t,P,D,q\n0,100,,1\n\n1,100,5,0\n", 4, "supplied deflators must be positive"),
         ("t,P,D,q\n0,100,,1\n1,100,x,q\n", 3, "bad number: could not convert string to float: 'x'"),
+        # a row that breaks a rule is named, even after a stalled row
+        ("t,P,D\n0,100,\n1,0,0\n2,-1,5\n", 4, "negative price"),
+        ("t,P,D\n0,100,\n1,0,0\n2,100,nan\n", 4, "non-finite price or dividend"),
+        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n2,100,5,0\n", 4, "supplied deflators must be positive"),
+        # a NaN dividend alone, on both routes
+        ("t,P,D\n0,100,\n1,100,5\n2,100,nan\n", 4, "non-finite price or dividend"),
+        ("t,P,D\n0,100,\n1,100,5\n2,100,NaN \n", 4, "non-finite price or dividend"),
+        # a non-positive or non-finite q, and rules in row order
+        ("t,P,D,q\n0,100,,1\n1,100,5,-0.5\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,-0.0\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,nan\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,inf\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,0\n", 2, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,100,5,0\n2,-1,5,1\n", 3, "supplied deflators must be positive"),
+        ("t,P,D,q\n0,100,,1\n1,-1,5,1\n2,100,5,0\n", 3, "negative price"),
+        ("t,P,D,q\n0,100,,1\n1,100,-5,0\n", 3, "negative dividend"),
+        # a rule of row 0 comes before the need for a row 1
+        ("t,P,D\n0,100,3\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
+        ("t,P,D\n0,-100,\n", 2, "negative price"),
     ],
 )
 def test_first_bad_row_is_reported(doc, line, message):
@@ -560,38 +579,6 @@ def test_a_stalled_row_is_refused_without_a_line(doc, t):
         parse_path_csv(doc)
     assert type(info.value) is ValidationError
     assert str(info.value) == STALLED.format(t)
-    assert_same(doc)
-
-
-@pytest.mark.parametrize(
-    "doc, line, message",
-    [
-        # a row that breaks a rule is named, even after a stalled row
-        ("t,P,D\n0,100,\n1,0,0\n2,-1,5\n", 4, "negative price"),
-        ("t,P,D\n0,100,\n1,0,0\n2,100,nan\n", 4, "non-finite price or dividend"),
-        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n2,100,5,0\n", 4, "supplied deflators must be positive"),
-        # a NaN dividend alone, on both routes
-        ("t,P,D\n0,100,\n1,100,5\n2,100,nan\n", 4, "non-finite price or dividend"),
-        ("t,P,D\n0,100,\n1,100,5\n2,100,NaN \n", 4, "non-finite price or dividend"),
-        # a non-positive or non-finite q, and rules in row order
-        ("t,P,D,q\n0,100,,1\n1,100,5,-0.5\n", 3, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,1\n1,100,5,-0.0\n", 3, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,1\n1,100,5,nan\n", 3, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,1\n1,100,5,inf\n", 3, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,0\n", 2, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,1\n1,100,5,0\n2,-1,5,1\n", 3, "supplied deflators must be positive"),
-        ("t,P,D,q\n0,100,,1\n1,-1,5,1\n2,100,5,0\n", 3, "negative price"),
-        ("t,P,D,q\n0,100,,1\n1,100,-5,0\n", 3, "negative dividend"),
-        # a rule of row 0 comes before the need for a row 1
-        ("t,P,D\n0,100,3\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
-        ("t,P,D\n0,-100,\n", 2, "negative price"),
-    ],
-)
-def test_the_first_row_that_breaks_a_value_rule_is_named(doc, line, message):
-    with pytest.raises(ParseError) as info:
-        parse_path_csv(doc)
-    assert info.value.line == line
-    assert str(info.value) == f"{message} (line {line})"
     assert_same(doc)
 
 
