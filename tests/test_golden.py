@@ -32,3 +32,40 @@ def test_golden_replay(name):
     assert [c["argv"] for c in got] == [c["argv"] for c in expected]
     for g, e in zip(got, expected):
         assert g == e, g["argv"]
+
+
+def test_diff_lists_each_changed_key_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    import replay as module
+
+    names = ["constant", "continuous-jump"]
+    (tmp_path / "expected").mkdir()
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "cases.json").write_text(json.dumps({n: CASES[n] for n in names}))
+    (tmp_path / "inputs" / "continuous-jump.json").write_text(
+        (GOLDEN / "inputs" / "continuous-jump.json").read_text()
+    )
+    calls = json.loads(expected_path("constant").read_text())
+    report = json.loads(calls[1]["stdout"])
+    report["decomposition"]["bubble"] = -0.0
+    report["diagnostics"]["partial_values"][0][1] += 1
+    calls[1]["stdout"] = json.dumps(report) + "\n"
+    calls[2]["stdout"] = calls[2]["stdout"].replace("fundamental:", "fundamental :")
+    calls[3]["rc"] += 1
+    (tmp_path / "expected" / "constant.json").write_text(json.dumps(calls))
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    before = sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file())
+
+    assert module.diff() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "constant: analyze --tail-suggest --accept-suggested-tail -",
+        "  stdout: decomposition.bubble",
+        "  stdout: diagnostics.partial_values.0.1",
+        "constant: analyze --format text --accept-suggested-tail -",
+        "  stdout: text from line 4",
+        "constant: check-identity -",
+        f"  rc: {calls[3]['rc']} -> {calls[3]['rc'] - 1}",
+        "continuous-jump: the calls differ from continuous-jump.json",
+    ]
+    after = sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file())
+    assert after == before
