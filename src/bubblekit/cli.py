@@ -137,10 +137,15 @@ def _default_continuous_step(cpath: ContinuousPath) -> float:
 
 
 def _analyze_one(name: str, args: argparse.Namespace, tol: float) -> dict[str, Any]:
+    # the text is dropped once parsed: the analysis needs only the path
     data = _read_input(name)
     if data.lstrip().startswith("{"):
-        return _analyze_continuous(data, args, tol)
-    return _analyze_discrete(data, args, tol)
+        cpath = parse_continuous_json(data)
+        del data
+        return _analyze_continuous(cpath, args, tol)
+    path = parse_path_csv(data, tol)
+    del data
+    return _analyze_discrete(path, args, tol)
 
 
 def _tail_fit(path: DiscretePath, args: argparse.Namespace) -> tuple[TailFit | None, str]:
@@ -177,8 +182,9 @@ def _require_tail(
     )
 
 
-def _analyze_discrete(data: str, args: argparse.Namespace, tol: float) -> dict[str, Any]:
-    path = parse_path_csv(data, tol)
+def _analyze_discrete(
+    path: DiscretePath, args: argparse.Namespace, tol: float
+) -> dict[str, Any]:
     if args.horizon is not None:
         path = _truncate(path, args.horizon)
     fit, note = _tail_fit(path, args)
@@ -194,8 +200,9 @@ def _analyze_discrete(data: str, args: argparse.Namespace, tol: float) -> dict[s
     )
 
 
-def _analyze_continuous(data: str, args: argparse.Namespace, tol: float) -> dict[str, Any]:
-    cpath = parse_continuous_json(data)
+def _analyze_continuous(
+    cpath: ContinuousPath, args: argparse.Namespace, tol: float
+) -> dict[str, Any]:
     tail_source = "embedded"
     if args.tail is not None:
         last = (float(cpath.prices[-1]), float(cpath.dividends.density[-1]))
@@ -326,10 +333,15 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     if data.lstrip().startswith("{"):
         tol = _resolve_tol(args.tol, fallback=1e-6)
         cpath = parse_continuous_json(data)
-        # |lhs / rhs - 1| from the logs, which stay finite where qP underflows
-        log_lhs, log_rhs = _deflated_log_profile(cpath, args.jump_side)
+        del data
+        # |lhs / rhs - 1| from the logs, which stay finite where qP underflows,
+        # formed in the lhs array
+        gap, log_rhs = _deflated_log_profile(cpath, args.jump_side)
         with np.errstate(over="ignore"):
-            gap = np.abs(np.expm1(log_lhs - log_rhs))
+            gap -= log_rhs
+            del log_rhs
+            np.expm1(gap, out=gap)
+            np.abs(gap, out=gap)
         result = {
             "identity": "deflated-price exponential",
             "max_relative_gap": min(float(np.max(gap)), _LARGEST_DOUBLE),
@@ -339,6 +351,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     else:
         tol = _resolve_tol(args.tol, fallback=1e-12)
         path = parse_path_csv(data, _resolve_tol(None))
+        del data
         deflators = implied_deflators(path)
         # q_t D_t and q_t P_t as fractions of P_0
         price0 = float(path.prices[0])

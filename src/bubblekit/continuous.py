@@ -266,17 +266,24 @@ def _deflated_log_profile(
     Finite where the deflated prices themselves underflow to zero.
     """
     h = cpath.grid_step
-    yields = _density_yields(cpath)
-    cells = _cell_increments(cpath, yields)
-    half = 0.5 * h * yields
+    half = _density_yields(cpath)
+    cells = _cell_increments(cpath, half)
+    half *= 0.5 * h  # the yields' own array, now the half-cell accruals
     if np.any(half[:-1] >= 1.0):
         raise ValidationError(
             "grid step too coarse: a single cell's accrued dividend "
             "exceeds the price at its start"
         )
-    steps = np.log1p(-half[:-1]) - np.log1p(half[1:])
+    # log1p(-half[k]) - log1p(half[k + 1]), formed in place; each full-length
+    # array is dropped once it has been read
+    steps = np.negative(half[:-1])
+    np.log1p(steps, out=steps)
+    steps -= np.log1p(half[1:])
+    del half
     log_lhs = np.concatenate(([0.0], compensated_cumsum(steps)))
+    del steps
     log_rhs = np.concatenate(([0.0], -compensated_cumsum(cells)))
+    del cells
     for t, log_factor in _jump_log_factors(cpath, jump_price_side):
         start = int(math.ceil(t / h - _GRID_RTOL))
         log_lhs[start:] += log_factor

@@ -1152,6 +1152,42 @@ def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
     assert peak < 2.5 * len(crlf)
 
 
+@pytest.mark.parametrize("command", ["check-identity", "analyze"])
+def test_a_continuous_document_is_read_and_checked_in_under_two_and_a_half_texts(
+    tmp_path, capsys, command
+):
+    # the text is dropped once parsed and the log profiles are formed in
+    # place, so the peak is the read itself: the bytes and then the text
+    import tracemalloc
+
+    rng = np.random.default_rng(17)
+    n = 100_001
+    prices = 10 + np.sin(np.arange(n) / 5_000) + rng.uniform(0, 1e-3, n)
+    density = 0.5 + rng.uniform(0, 0.1, n)
+
+    def numbers(values):  # 17 significant digits each, so the text dominates
+        return ", ".join(f"{x:.16e}" for x in values)
+
+    text = (
+        f'{{"grid_step": 0.001, "prices": [{numbers(prices)}], '
+        f'"density": [{numbers(density)}], '
+        '"jumps": [{"t": 30.0, "dF": 0.3}, {"t": 70.0005, "dF": 0.2}], '
+        '"tail": {"kind": "constant-yield", "level": 0.05}}'
+    )
+    doc = tmp_path / "continuous.json"
+    doc.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main([command, str(doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out
+    assert peak < 2.5 * len(text)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
