@@ -256,12 +256,12 @@ def parse_path_csv(
         rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
         columns, bad = _csv_columns(rows, width, data, head)
     prices, dividends, *deflators = columns
-    path = failure = None
+    path = None
     if bad is None:
         try:
             path = DiscretePath(prices=prices, dividends=dividends)
-        except ValidationError as exc:
-            failure = exc
+        except ValidationError:
+            pass  # its first bad row is named below
     # NaN fails both comparisons of q
     if path is None or (
         deflators and not (deflators[0].min() > 0 and deflators[0].max() < np.inf)
@@ -273,9 +273,8 @@ def parse_path_csv(
                 kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
                 k = next(islice(kept, k, None))
             raise ParseError(message, line=body_start + 2 + k)
-        if prices.size < 2:
-            raise ParseError("need at least dates 0 and 1")
-        raise failure  # a stalled row: no line of its own breaks a rule
+        # the path refuses nothing else that no row's rule names
+        raise ParseError("need at least dates 0 and 1")
     if tail_spec is not None:
         last = (float(path.prices[-1]), float(path.dividends[-1]))
         path = path.with_tail(parse_tail_spec(tail_spec, last))
@@ -411,17 +410,22 @@ def _csv_columns(
 def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
     """``(k, message)`` for the first row ``k`` that breaks a value rule, and
     the first rule it breaks, or None: finite, nonnegative prices and
-    dividends, no dividend at t = 0, and a positive ``q``."""
+    dividends, no dividend at t = 0, a positive ``P_t + D_t`` for t >= 1, and
+    a positive ``q``."""
     prices, dividends, *deflators = columns
-    n = prices.size
+    dates = np.arange(prices.size)
     finite = np.isfinite(prices) & np.isfinite(dividends)
     rules = [
         (~finite, "non-finite price or dividend"),
         (prices < 0, "negative price"),
         (dividends < 0, "negative dividend"),
         (
-            (dividends != 0) & (np.arange(n) == 0),
+            (dividends != 0) & (dates == 0),
             "no dividend at t = 0 (ex-dividend convention)",
+        ),
+        (
+            (prices == 0) & (dividends == 0) & (dates > 0),
+            "P_t + D_t must be positive for t >= 1",
         ),
     ]
     if deflators:

@@ -275,6 +275,8 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
             raise ParseError(
                 "no dividend at t = 0 (ex-dividend convention)", line=line
             )
+        if t > 0 and price == 0 and dividend == 0:
+            raise ParseError("P_t + D_t must be positive for t >= 1", line=line)
         if has_q and (not math.isfinite(deflator) or deflator <= 0):
             raise ParseError("supplied deflators must be positive", line=line)
         times.append(t)

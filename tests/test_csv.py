@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import bubblekit.io
 from bubblekit.errors import BubblekitError, ParseError, ValidationError
 from bubblekit.io import _BLANK_ROW_CHARS, parse_path_csv
+from bubblekit.series import DiscretePath
 
 from chunks import CHUNKS, chunks_of
 from oracles import parse_path_csv_rows
@@ -504,10 +505,10 @@ def test_arbitrary_bodies_fail_like_the_row_reader(body, chunk):
         ("t,P,D\n0,100,3\n1,-100,5\n", 2, "no dividend at t = 0 (ex-dividend convention)"),
         ("t,P,D,q\n0,100,,1\n\n1,100,5,0\n", 4, "supplied deflators must be positive"),
         ("t,P,D,q\n0,100,,1\n1,100,x,q\n", 3, "bad number: could not convert string to float: 'x'"),
-        # a row that breaks a rule is named, even after a stalled row
-        ("t,P,D\n0,100,\n1,0,0\n2,-1,5\n", 4, "negative price"),
-        ("t,P,D\n0,100,\n1,0,0\n2,100,nan\n", 4, "non-finite price or dividend"),
-        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n2,100,5,0\n", 4, "supplied deflators must be positive"),
+        # a stalled row is named before a later row that breaks a rule
+        ("t,P,D\n0,100,\n1,0,0\n2,-1,5\n", 3, "P_t + D_t must be positive for t >= 1"),
+        ("t,P,D\n0,100,\n1,0,0\n2,100,nan\n", 3, "P_t + D_t must be positive for t >= 1"),
+        ("t,P,D,q\n0,100,,1\n1,0,0,0.5\n2,100,5,0\n", 3, "P_t + D_t must be positive for t >= 1"),
         # a NaN dividend alone, on both routes
         ("t,P,D\n0,100,\n1,100,5\n2,100,nan\n", 4, "non-finite price or dividend"),
         ("t,P,D\n0,100,\n1,100,5\n2,100,NaN \n", 4, "non-finite price or dividend"),
@@ -559,7 +560,7 @@ def test_valid_document_arrays_are_exact():
 # ---------- value rules: checked once as the path is built ----------
 
 
-STALLED = "P_t + D_t must be positive for t >= 1 (violated at t = {})"
+STALLED = "P_t + D_t must be positive for t >= 1"
 
 
 @pytest.mark.parametrize(
@@ -573,13 +574,21 @@ STALLED = "P_t + D_t must be positive for t >= 1 (violated at t = {})"
     ],
 )
 def test_a_stalled_row_is_refused_without_a_line(doc, t):
-    # no one row breaks a rule of the reader: the path's own check refuses
-    # it, with no line
-    with pytest.raises(ValidationError) as info:
+    # the reader names the stalled row's line (these documents have no
+    # comment or blank line); the path's own check, for a caller that builds
+    # it directly, names the date and no line
+    with pytest.raises(ParseError) as info:
         parse_path_csv(doc)
-    assert type(info.value) is ValidationError
-    assert str(info.value) == STALLED.format(t)
+    assert info.value.line == t + 2
+    assert str(info.value) == f"{STALLED} (line {t + 2})"
     assert_same(doc)
+    rows = [row.split(",") for row in doc.splitlines()[1:]]
+    prices = [float(row[1]) for row in rows]
+    dividends = [float(row[2] or 0) for row in rows]
+    with pytest.raises(ValidationError) as info:
+        DiscretePath(prices=prices, dividends=dividends)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{STALLED} (violated at t = {t})"
 
 
 def test_a_path_of_row_0_alone_is_refused_without_a_line():
