@@ -273,7 +273,7 @@ def parse_path_csv(
                 kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
                 k = next(islice(kept, k, None))
             raise ParseError(message, line=body_start + 2 + k)
-        # the path refuses nothing else that no row's rule names
+        # a row's rule names every other refusal of the path
         raise ParseError("need at least dates 0 and 1")
     if tail_spec is not None:
         last = (float(path.prices[-1]), float(path.dividends[-1]))

@@ -1157,7 +1157,8 @@ def test_a_continuous_document_is_read_and_checked_in_under_two_and_a_half_texts
     tmp_path, capsys, command
 ):
     # the text is dropped once parsed and the log profiles are formed in
-    # place, so the peak is the read itself: the bytes and then the text
+    # place, so the peak is the read itself: the bytes and the text decoded
+    # from them
     import tracemalloc
 
     rng = np.random.default_rng(17)
