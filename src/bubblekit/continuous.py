@@ -167,9 +167,12 @@ def _cell_increments(cpath: ContinuousPath, values: np.ndarray) -> np.ndarray:
 
     Raises ``ValidationError`` unless the increments and their total stay
     below half the largest double, so that every partial sum of them, and
-    every half-cell ``0.5 * h * values[k]``, is finite.
+    every half-cell ``0.5 * h * values[k]``, is finite.  A value that
+    overflowed to inf is refused whatever the step: where ``0.5 * h``
+    underflows to zero, its cell is ``0 * inf``, a NaN, which fails the
+    check as an inf does.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         cells = 0.5 * cpath.grid_step * (values[:-1] + values[1:])
         total = np.sum(cells)
     if not total <= _MAX_INTEGRAL:

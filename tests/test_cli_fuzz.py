@@ -449,6 +449,9 @@ def miao_wang_argvs(draw):
 @example((["generate", "miao-wang", "--Q=1.0", "--K=2.0", "--Bmw=0.5", "--D=1e308",
            "--initial-dividend=0.0", "--rate=5e-324", "--grid-step=0.5",
            "--horizon=2.0"], 4.0))
+@example((["generate", "miao-wang", "--Q=2.404662500407343e-309", "--K=1e+100",
+           "--Bmw=0.0", "--D=2.225073858507203e-309", "--initial-dividend=1e+100",
+           "--grid-step=5e-324", "--horizon=5e-324"], 1.0))
 def test_generate_miao_wang_of_any_flag_values(argv_and_steps):
     argv, steps = argv_and_steps
     with contextlib.ExitStack() as stack:
