@@ -52,16 +52,13 @@ from .series import (
     Decomposition,
     Deflators,
     DiscretePath,
-    bubble_component,
     check_no_arbitrage,
     decompose,
     ensemble_decompose,
-    fundamental_value,
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
     reroot,
-    tvc_holds,
 )
 from .tails import (
     ConstantLevels,
@@ -88,9 +85,6 @@ __all__ = [
     "no_arbitrage_residuals",
     "check_no_arbitrage",
     "partial_value",
-    "fundamental_value",
-    "bubble_component",
-    "tvc_holds",
     "decompose",
     "ensemble_decompose",
     "reroot",

@@ -14,11 +14,12 @@ which formats a whole numpy array in one call; a CSV document's rows go
 out as one flat array whose bytes are then turned into lines in place, so
 no string is made per row or number.  The readers parse number
 arrays through orjson too, in place and one piece of about ``_CHUNK``
-characters at a time (:func:`_pieces`): a CSV body of plain JSON numbers
-a piece of whole rows at a time, continuous JSON's ``prices`` and
-``density`` a piece of whole numbers at a time.  So neither reader copies
-a whole array's text, and the Python numbers of one piece at most exist
-at once: a generated CSV document is read in less memory than its text.  The
+characters at a time (:func:`_pieces`): a CSV document's rows, whose
+cells are JSON numbers, a piece of whole rows at a time by one route,
+continuous JSON's ``prices`` and ``density`` a piece of whole numbers at a
+time.  So neither reader copies a whole array's text, and the Python
+numbers of one piece at most exist at once: a generated CSV document is
+read in less memory than its text.  The
 continuous reader finds its flat number arrays in two steps: a regex
 finds the strings and each ``[`` that may open one, and C-level string
 calls (``find``, ``rfind``, ``bytes.translate``) decide whether it does,
@@ -35,7 +36,7 @@ import operator
 import re
 from dataclasses import fields as dataclass_fields
 from functools import reduce
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Any, Iterator, NamedTuple, NoReturn
 
 import numpy as np
@@ -191,15 +192,9 @@ def parse_tail_spec(spec: str, last: tuple[float, float] | None = None) -> TailM
 
 _CSV_HEADER = ("t", "P", "D")
 
-# A blank row holds nothing but commas and the characters str.strip()
-# removes, which are exactly those for which str.isspace() is true.
-_BLANK_ROW_CHARS = (
-    ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
-    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-)
-
-# The characters other than "\n" at which str.splitlines() ends a line.
-_OTHER_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# The blanks around a cell.  A row of nothing but blanks and commas is
+# skipped.
+_BLANKS = " \t\r"
 
 
 def parse_path_csv(
@@ -213,48 +208,28 @@ def parse_path_csv(
     normalized to q_0 = 1, and satisfy the no-arbitrage recursion within
     ``tol`` or the document is rejected.
 
-    Cells are plain text between commas: there is no quoting, and a row
-    holding a ``"`` is rejected.  Rows of blank cells are skipped (line
-    numbers still count them), and an empty ``D`` cell is a zero dividend.
-    A bad document raises the ``ParseError`` of its first bad row, which
-    :func:`_broken_rule` looks for after the ``DiscretePath`` refuses it.
+    One grammar, RFC 4180 without quoting and with RFC 8259 numbers: a
+    line ends at ``"\\n"``; a cell is a JSON number, with spaces, tabs and
+    ``"\\r"`` around it blank; a date is a JSON integer equal to its row's
+    index; an empty or blank ``D`` cell is 0, and the integer ``-0`` in a
+    ``P``, ``D`` or ``q`` cell is ``-0.0``.  Comment (``#``) and blank lines
+    may come before the header, and a row of blanks and commas is skipped
+    (line numbers still count it).  Anything else is a ``ParseError`` naming
+    the line of the first bad row: the first check of :func:`_row_error` it
+    fails, or the first rule of :func:`_broken_rule` it breaks, which is
+    looked for only after the ``DiscretePath`` refuses the columns.
 
-    Only the first lines are split off one at a time: the comments, the
-    header and row 0.  The rest of the text, rows 1.., is read in place by
-    :func:`_body_columns`, one piece of whole rows of about ``_CHUNK``
-    characters at a time, so the reader's memory is bounded by its output
-    and its tables rather than by copies of the text: less than the text's
-    length for a generated document.  Where that reader
-    declines, the document is split into lines, its blank rows are
-    dropped, and :func:`_csv_columns` reads the rows that are left, naming
-    the first bad one.
+    Only the comment lines and the header are split off one at a time.
+    The rows are read in place by :func:`_body_columns`, one piece of
+    whole rows of about ``_CHUNK`` characters at a time, each by one
+    orjson call, so the reader's memory is bounded by its output and its
+    tables rather than by copies of the text: less than the text's length
+    for a generated document.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     head = _split_head(data)
-    columns = (
-        None if head is None
-        else _body_columns(head.row0, data, head.start, head.stop, head.width)
-    )
-    rows = body = bad = None
-    if columns is not None:
-        tail_spec, body_start = head.tail_spec, head.body_start
-    else:
-        lines = data.splitlines()
-        skipped, tail_spec, header = _preamble(iter(lines))
-        body_start = len(skipped)
-        if header is None:
-            raise ParseError("empty document", line=1)
-        width = _width(header)
-        if width is None:
-            got = ",".join(cell.strip() for cell in header.split(","))
-            raise ParseError(
-                f"expected header 't,P,D' or 't,P,D,q', got {got!r}",
-                line=body_start + 1,
-            )
-        body = lines[body_start + 1 :]
-        rows = list(compress(body, map(str.strip, body, repeat(_BLANK_ROW_CHARS))))
-        columns, bad = _csv_columns(rows, width, data, head)
+    columns, bad = _body_columns(data, head.start, head.stop, head.width)
     prices, dividends, *deflators = columns
     path = None
     if bad is None:
@@ -262,22 +237,19 @@ def parse_path_csv(
             path = DiscretePath(prices=prices, dividends=dividends)
         except ValidationError:
             pass  # its first bad row is named below
-    # NaN fails both comparisons of q
-    if path is None or (
-        deflators and not (deflators[0].min() > 0 and deflators[0].max() < np.inf)
-    ):
-        bad = _broken_rule(columns) or bad
-        if bad is not None:
-            k, message = bad
-            if rows is not None and len(rows) < len(body):
-                kept = compress(count(), map(str.strip, body, repeat(_BLANK_ROW_CHARS)))
-                k = next(islice(kept, k, None))
-            raise ParseError(message, line=body_start + 2 + k)
-        # a row's rule names every other refusal of the path
-        raise ParseError("need at least dates 0 and 1")
-    if tail_spec is not None:
+    if path is None or (deflators and deflators[0].min() <= 0):
+        rule = _broken_rule(columns)
+        if rule is not None:
+            k, message = rule
+            bad = _row_line(data, head.start, k), message
+        if bad is None:
+            # a row's rule names every other refusal of the path
+            raise ParseError("need at least dates 0 and 1")
+        line, message = bad
+        raise ParseError(message, line=head.body_start + 2 + line)
+    if head.tail_spec is not None:
         last = (float(path.prices[-1]), float(path.dividends[-1]))
-        path = path.with_tail(parse_tail_spec(tail_spec, last))
+        path = path.with_tail(parse_tail_spec(head.tail_spec, last))
     if deflators:
         if abs(float(deflators[0][0]) - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
@@ -290,133 +262,61 @@ def parse_path_csv(
     return path
 
 
-def _preamble(lines: Iterator[str]) -> tuple[list[str], str | None, str | None]:
-    """The leading comment and blank lines taken from ``lines``, the spec of
-    a ``# tail:`` one among them, and the line after them, the header (None
-    if there is none)."""
-    skipped = []
-    tail_spec = None
-    for line in lines:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return skipped, tail_spec, line
-        if stripped.lower().startswith("# tail:"):
-            tail_spec = stripped[len("# tail:") :].strip()
-        skipped.append(line)
-    return skipped, tail_spec, None
-
-
-def _width(header: str) -> int | None:
-    """3 or 4, the width of a ``t,P,D`` or ``t,P,D,q`` header line, or None."""
-    cells = tuple(cell.strip() for cell in header.split(","))
-    return len(cells) if cells in (_CSV_HEADER, _CSV_HEADER + ("q",)) else None
-
-
-def _newline_lines(data: str) -> Iterator[str]:
-    """The lines of ``data`` that end in ``"\\n"``, without it, one at a time."""
-    start = 0
-    while (end := data.find("\n", start)) >= 0:
-        yield data[start:end]
-        start = end + 1
-
-
 class _Head(NamedTuple):
-    """A document split after its row 0 (see :func:`_split_head`)."""
+    """A document split after its header (see :func:`_split_head`)."""
 
     tail_spec: str | None
     body_start: int  # the number of comment and blank lines before the header
-    row0: str
-    start: int  # the body, rows 1.. separated by "\n", is data[start:stop]
+    start: int  # the rows, separated by "\n", are data[start:stop]
     stop: int
-    width: int
+    width: int  # 3 or 4, for a t,P,D or t,P,D,q header
 
 
-def _split_head(data: str) -> _Head | None:
-    """``data`` split at ``"\\n"`` into its comment lines, header, row 0 and
-    body, or None.
+def _split_head(data: str) -> _Head:
+    """``data`` split at ``"\\n"`` into its comment lines, header and rows.
 
-    Only the lines up to row 0 are split off; the body is the rest of the
-    text, up to the end of its last row: blank rows after that, and the
-    final ``"\\n"``, are left out.  The body is not copied: its offsets in
-    ``data`` are returned.  None where the text has no header and row 0
-    ended by ``"\\n"``, the line after the header is blank, or a line up
-    to row 0 holds another of ``str.splitlines``' line breaks.
+    Only the lines up to the header are split off; the rows are the rest of
+    the text, up to the end of the last that is not blank.  They are not
+    copied: their offsets in ``data`` are returned.  A document with no
+    header, or a bad one, is a ``ParseError``.
     """
-    lines = _newline_lines(data)
-    skipped, tail_spec, header = _preamble(lines)
-    row0 = next(lines, None)
-    if row0 is None:
-        return None
-    end = sum(map(len, skipped)) + len(skipped) + len(header) + len(row0) + 2
-    width = _width(header)
-    blank = not row0.strip(_BLANK_ROW_CHARS)  # the line route skips it
-    if width is None or blank or _OTHER_LINE_BREAKS.search(data, 0, end):
-        return None
+    start = body_start = 0
+    tail_spec = None
+    while True:
+        end = data.find("\n", start)
+        end = len(data) if end < 0 else end
+        line = data[start:end].strip(_BLANKS)
+        if line and not line.startswith("#"):
+            break
+        if line.lower().startswith("# tail:"):
+            tail_spec = line[len("# tail:") :].strip()
+        if end == len(data):
+            raise ParseError("empty document", line=1)
+        body_start += 1
+        start = end + 1
+    header = tuple(cell.strip(_BLANKS) for cell in data[start:end].split(","))
+    if header not in (_CSV_HEADER, _CSV_HEADER + ("q",)):
+        raise ParseError(
+            f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
+            line=body_start + 1,
+        )
+    start = min(end + 1, len(data))
     stop = len(data)
-    while stop > end and data[stop - 1] in " \t,\n":
+    while stop > start and data[stop - 1] in _BLANKS + ",\n":
         stop -= 1
     stop = data.find("\n", stop)
-    stop = len(data) if stop < 0 else stop
-    return _Head(tail_spec, len(skipped), row0, end, stop, width)
-
-
-# Every byte but "," and "\n": deleting them leaves a text's commas and
-# newlines in order, the field count of every row, with no string per row.
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
-
-
-def _csv_columns(
-    rows: list[str], width: int, data: str, tried: _Head | None
-) -> tuple[list[np.ndarray], tuple[int, str] | None]:
-    """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of non-blank body
-    rows, up to the first that fails a syntax check.
-
-    Returns the columns and None, or ``(k, message)`` naming that row ``k``
-    and the first check it fails.  The rows are read by
-    :func:`_body_columns`, unless it has already declined the same row 0
-    and body (those of ``tried``, split from ``data``).  Otherwise each
-    check runs on whole columns, over the rows before the first failure
-    found so far, in the order the checks apply within a row: quoting,
-    field count, and then those of :func:`_cell_columns`.
-    """
-    if rows:
-        body = "\n".join(rows[1:])
-        if not (
-            tried is not None
-            and rows[0] == tried.row0
-            and len(body) == tried.stop - tried.start
-            and data.startswith(body, tried.start)
-        ):
-            columns = _body_columns(rows[0], body, 0, len(body), width)
-            if columns is not None:
-                return columns, None
-    n = len(rows)
-    bad = None
-    text = "\n".join(rows)
-    if '"' in text:
-        n = next(k for k, row in enumerate(rows) if '"' in row)
-        bad = n, "quoted cells are not supported"
-    separators = text.encode().translate(None, _NOT_SEPARATORS)
-    ends = np.flatnonzero(np.frombuffer(separators, np.uint8) == ord("\n"))
-    fields = np.diff(np.concatenate(([-1], ends, [len(separators)])))[:n]
-    ragged = np.flatnonzero(fields != width)
-    if ragged.size:
-        n = int(ragged[0])
-        bad = n, f"expected {width} fields, got {fields[n]}"
-    columns, failed = _cell_columns(",".join(rows[:n]), n, width)
-    return columns, failed or bad
+    return _Head(tail_spec, body_start, start, len(data) if stop < 0 else stop, len(header))
 
 
 def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
     """``(k, message)`` for the first row ``k`` that breaks a value rule, and
-    the first rule it breaks, or None: finite, nonnegative prices and
-    dividends, no dividend at t = 0, a positive ``P_t + D_t`` for t >= 1, and
-    a positive ``q``."""
+    the first rule it breaks, or None: nonnegative prices and dividends, no
+    dividend at t = 0, a positive ``P_t + D_t`` for t >= 1, and a positive
+    ``q``.  (orjson reads no number past the double range, so every value
+    is finite.)"""
     prices, dividends, *deflators = columns
     dates = np.arange(prices.size)
-    finite = np.isfinite(prices) & np.isfinite(dividends)
     rules = [
-        (~finite, "non-finite price or dividend"),
         (prices < 0, "negative price"),
         (dividends < 0, "negative dividend"),
         (
@@ -429,14 +329,21 @@ def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
         ),
     ]
     if deflators:
-        q = deflators[0]
-        positive = np.isfinite(q) & (q > 0)
-        rules.append((~positive, "supplied deflators must be positive"))
+        rules.append((deflators[0] <= 0, "supplied deflators must be positive"))
     broken = reduce(operator.or_, [mask for mask, _ in rules])
     if not broken.any():
         return None
     k = int(np.argmax(broken))
     return k, next(message for mask, message in rules if mask[k])
+
+
+def _row_line(data: str, start: int, k: int) -> int:
+    """The line of row ``k`` of the rows at ``data[start:]``, counted from
+    their first line: ``k`` and the blank rows before it.  Only a refused
+    document is split into lines."""
+    rows = data[start:].split("\n")
+    kept = compress(count(), map(str.strip, rows, repeat(_BLANKS + ",")))
+    return next(islice(kept, k, None))
 
 
 # characters of text read by one orjson call, or checked by the continuous
@@ -455,141 +362,177 @@ def _pieces(data: str, start: int, stop: int, sep: str) -> Iterator[tuple[int, i
     yield start, stop
 
 
-# The characters of a body orjson may read: those of JSON numbers, commas,
-# the blanks float() strips that JSON allows between values, and "\n".
-_JSON_NUMBER_CHARS = b"0123456789eE+-., \t\n"
-
-# An integer -0: orjson reads it as the int 0, float() as -0.0.  (It also
-# finds the exponent in 1e-0, which only costs the other route.)
-_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
-
-
 def _body_columns(
-    row0: str, data: str, start: int, stop: int, width: int
-) -> list[np.ndarray] | None:
-    """The columns of row 0 and of the ``"\\n"``-separated rows of the body
-    ``data[start:stop]``, or None.
+    data: str, start: int, stop: int, width: int
+) -> tuple[list[np.ndarray], tuple[int, str] | None]:
+    """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of the
+    ``"\\n"``-separated rows ``data[start:stop]``, up to the first bad one,
+    and None or ``(line, message)`` naming that row's line, counted from
+    the first, and the first check of :func:`_row_error` it fails.
 
-    The body is read in place, one piece of whole rows at a time (cut at
-    the first ``"\\n"`` at or after ``_CHUNK`` characters, see
-    :func:`_pieces`), each piece by one ``orjson.loads`` of its rows joined
-    by commas, straight into float64; so no copy of the whole body is made,
-    and the Python numbers of one piece at most exist at once.  ``row0`` is
-    read cell by cell, since its ``D`` cell is empty in every generated
-    document, which JSON cannot spell.  That reads the values ``float()``
-    reads only where every cell of the body is a plain JSON number, so
-    None, for the cell-by-cell route, is returned unless all of these hold:
-
-    - row 0 and every row of the body have ``width`` fields; a piece's
-      rows are counted from its commas and newlines alone;
-    - the body holds nothing but number characters, commas, spaces, tabs
-      and ``"\\n"``, and no cell is the integer ``-0``;
-    - orjson accepts the values, so no row of the body is blank: it has
-      no value between its commas;
-    - row 0 passes the date and number syntax checks;
-    - there are ``width`` values a row;
-    - every date of the body is a JSON integer, the row's index.
-
-    The checks are made in this order on each piece in turn, row 0's once.
-    Every check is local to a row and each cut falls at the end of one, so
-    the body passes exactly when each of its pieces does.
+    The rows are read in place, one piece at a time, each by
+    :func:`_read_piece` (see :func:`_row_pieces`): first the first line
+    alone, row 0, whose empty ``D`` cell in every generated document is
+    filled in a piece of one row, then pieces of whole rows cut at the
+    first ``"\\n"`` at or after ``_CHUNK`` characters.  So no copy of the
+    whole text is made, and the Python numbers of one piece at most exist
+    at once.  Every check is local to a row and each cut falls at the end
+    of one, so the rows pass exactly when each piece does.  Only a refused
+    piece is walked row by row, to find its first bad row.
     """
+    tables = []
+    index = 0  # the rows read so far
+    bad = None
+    for first, cut in _row_pieces(data, start, stop):
+        text = data[first:cut]
+        table = _read_piece(text, width, index)
+        if table is None:
+            good, line, message = _refused_piece(text, width, index)
+            tables += good
+            bad = data.count("\n", start, first) + line, message
+            break
+        tables.append(table)
+        index += len(table)
+    tables = tables or [np.empty((0, width))]
+    return [np.concatenate([table[:, j] for table in tables]) for j in range(1, width)], bad
+
+
+def _row_pieces(data: str, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The ``(first, cut)`` spans of the pieces the rows ``data[start:stop]``
+    are read in: the first line alone, then the pieces :func:`_pieces`
+    cuts at ``"\\n"``."""
+    cut = data.find("\n", start, stop)
+    if cut < 0:
+        return iter([(start, stop)])
+    return chain([(start, cut)], _pieces(data, cut + 1, stop, "\n"))
+
+
+# The characters a piece of rows may hold: those of JSON numbers, commas,
+# blanks and "\n".
+_PIECE_CHARS = b"0123456789eE+-.,\n" + _BLANKS.encode()
+
+# Every byte but "," and "\n": deleting them leaves a text's commas and
+# newlines in order, the field count of every row, with no string per row.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+# An integer -0, which orjson reads as +0 (the search also finds the
+# exponent of 1e-0, which only costs the edit), and one in a cell after a
+# row's first, which the reader makes -0.0.
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
+_CELL_MINUS_ZERO = re.compile(rb"(,[ \t\r]*-0)(?![.eE0-9])")
+
+# A row's empty D cell, its third: the row up to its second comma, then
+# only blanks up to the next comma or the end of the row.
+_EMPTY_D = re.compile(rb"(?m)^([^,\n]*,[^,\n]*,)(?=[ \t\r]*(?:,|$))")
+
+
+def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
+    """The float64 table, one row of ``width`` values a row, of the rows in
+    ``text``, the first of them row ``index``, or None where one of them is
+    bad.
+
+    The piece is checked on its bytes: only ``_PIECE_CHARS``, and
+    ``width - 1`` commas a row.  Then one ``orjson.loads`` reads its rows
+    joined by commas, and the dates must be JSON integers counting up from
+    ``index``.  A cell JSON cannot spell, an empty ``D`` cell or a blank row,
+    makes that read fail; only then, and only where a search of the bytes
+    finds an empty cell, the blank rows are dropped, each empty ``D`` cell
+    is made 0, and the piece is read again.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode()
+    if raw.translate(None, _PIECE_CHARS):
+        return None
+    table = _piece_table(raw, width, index)
+    if table is None:
+        # an empty cell: with blanks deleted, two separators side by side,
+        # or one at either end (a blank row makes one too)
+        cells = raw.translate(None, _BLANKS.encode())
+        if (
+            b",," in cells or b",\n" in cells or b"\n," in cells or b"\n\n" in cells
+            or cells[:1] in b",\n" or cells[-1:] in b",\n"
+        ):
+            rows = [row for row in raw.split(b"\n") if row.strip(b", \t\r")]
+            table = _piece_table(_EMPTY_D.sub(rb"\g<1>0", b"\n".join(rows)), width, index)
+    return table
+
+
+def _piece_table(raw: bytes, width: int, index: int) -> np.ndarray | None:
+    """The table of the rows in ``raw``, as :func:`_read_piece` reads them,
+    with no blank row or empty cell, or None."""
     import orjson
 
-    if row0.count(",") != width - 1:
-        return None
+    if not raw:
+        return np.empty((0, width))
+    separators = raw.translate(None, _NOT_SEPARATORS)
+    rows = (len(separators) + 1) // width
     commas = b"," * (width - 1)
-    cells = None  # row 0's, read once the first piece has passed orjson
-    tables = []
-    done = 0  # the rows of the pieces before this one
-    for first, cut in _pieces(data, start, stop, "\n"):
-        text = data[first:cut]
-        if not text.isascii():
-            return None
-        raw = text.encode()
-        separators = raw.translate(None, _NOT_SEPARATORS)
-        rows = (len(separators) + 1) // width
-        if (
-            separators != (commas + b"\n") * (rows - 1) + commas
-            or raw.translate(None, _JSON_NUMBER_CHARS)
-            or (b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw))
-        ):
-            return None
-        try:
-            values = orjson.loads("[" + text.replace("\n", ",") + "]")
-        except orjson.JSONDecodeError:
-            return None
-        if cells is None:
-            cells, failed = _cell_columns(row0, 1, width)
-            if failed is not None:
-                return None
-        if len(values) != rows * width or set(map(type, values[::width])) - {int}:
-            return None
-        table = np.array(values, dtype=np.float64).reshape(rows, width)
-        if not (table[:, 0] == np.arange(done + 1, done + rows + 1)).all():
-            return None
-        tables.append(table)
-        done += rows
-    return [
-        np.concatenate([cell, *(table[:, j] for table in tables)])
-        for j, cell in enumerate(cells, 1)
-    ]
-
-
-def _cell_columns(
-    text: str, n: int, width: int
-) -> tuple[list[np.ndarray], tuple[int, str] | None]:
-    """The columns of the ``n`` rows joined in ``text``, read cell by cell.
-
-    Dates go through ``int()``, and other cells through ``float()``, an
-    empty or blank ``D`` cell being 0.  Returns the ``P``, ``D`` and, for
-    ``width`` 4, ``q`` columns of the rows before the first that fails the
-    date syntax, date sequence or number syntax, and ``(k, message)`` for
-    that row ``k``, or None.
-    """
-    bad = None
-    cells = text.split(",") if n else []
-
-    def column(j: int) -> list[str]:
-        return cells[j : n * width : width]
-
-    dates, failed = _convert(int, column(0))
-    if failed is not None:
-        n = failed[0]
-        bad = n, f"bad date {cells[n * width]!r}"
-    if dates != list(range(n)):
-        n = next(k for k, t in enumerate(dates) if t != k)
-        bad = n, f"dates must increase by 1 from 0; expected {n}, got {dates[n]}"
-
-    dividend_cells = column(2)
-    for k in compress(count(), map(operator.not_, map(str.strip, dividend_cells))):
-        dividend_cells[k] = "0"
-    numbers = [_convert(float, column(1)), _convert(float, dividend_cells)]
-    if width == 4:
-        numbers.append(_convert(float, column(3)))
-    failures = [failed for _, failed in numbers if failed is not None]
-    if failures:
-        n, exc = min(failures, key=lambda failed: failed[0])
-        bad = n, f"bad number: {exc}"
-    return [np.array(values[:n], dtype=np.float64) for values, _ in numbers], bad
-
-
-def _convert(convert, cells: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
-    """``convert`` mapped over ``cells`` up to the first cell it rejects.
-
-    Returns the values before that cell and ``(index, error)`` for it, or
-    all the values and None.  The cell is searched for only after a failure.
-    """
+    if separators != (commas + b"\n") * (rows - 1) + commas:
+        return None
+    if b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw):
+        raw = _CELL_MINUS_ZERO.sub(rb"\1.0", raw)
     try:
-        return list(map(convert, cells)), None
-    except ValueError:
-        pass
-    for k, cell in enumerate(cells):
-        try:
-            convert(cell)
-        except ValueError as exc:
-            return list(map(convert, cells[:k])), (k, exc)
-    raise AssertionError(f"{convert!r} rejected a cell only in bulk")
+        values = orjson.loads(b"[" + raw.replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(values) != rows * width or set(map(type, values[::width])) - {int}:
+        return None
+    table = np.array(values, dtype=np.float64).reshape(rows, width)
+    if np.count_nonzero(table[:, 0] != np.arange(index, index + rows)):
+        return None
+    return table
+
+
+def _refused_piece(
+    text: str, width: int, index: int
+) -> tuple[list[np.ndarray], int, str]:
+    """The tables of the rows of a piece :func:`_read_piece` refused, read
+    one row at a time up to the first bad one; that row's line in the
+    piece; and the first check it fails."""
+    tables = []
+    for line, row in enumerate(text.split("\n")):
+        table = _read_piece(row, width, index)
+        if table is None:
+            return tables, line, _row_error(row, width, index)
+        tables.append(table)
+        index += len(table)
+    raise AssertionError("a piece was refused but none of its rows")
+
+
+def _row_error(row: str, width: int, index: int) -> str:
+    """The first check that ``row``, which :func:`_read_piece` refused as
+    row ``index``, fails: quoting, field count, date syntax, date sequence
+    and number syntax, in that order."""
+    if '"' in row:
+        return "quoted cells are not supported"
+    cells = [cell.strip(_BLANKS) for cell in row.split(",")]
+    if len(cells) != width:
+        return f"expected {width} fields, got {len(cells)}"
+    date = _number(cells[0])
+    if date is None or not cells[0].lstrip("-").isdigit():
+        return f"bad date {cells[0]!r}"
+    if date != index:
+        return f"dates must increase by 1 from 0; expected {index}, got {cells[0]}"
+    for j, cell in enumerate(cells[1:], 1):
+        if _number(cell) is None and (cell or j != 2):
+            return (
+                f"bad number: could not convert {cell!r}: "
+                "not a JSON number within the double range"
+            )
+    raise AssertionError(f"row {row!r} was refused but passes every check")
+
+
+def _number(cell: str) -> int | float | None:
+    """The number orjson reads from ``cell``, or None where it is no JSON
+    number or lies past the double range."""
+    import orjson
+
+    try:
+        value = orjson.loads(cell)
+    except orjson.JSONDecodeError:
+        return None
+    return value if type(value) in (int, float) else None
 
 
 def serialize_path_csv(path: DiscretePath) -> str:

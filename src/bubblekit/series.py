@@ -57,9 +57,6 @@ __all__ = [
     "no_arbitrage_residuals",
     "check_no_arbitrage",
     "partial_value",
-    "fundamental_value",
-    "bubble_component",
-    "tvc_holds",
     "decompose",
     "ensemble_decompose",
     "reroot",
@@ -374,30 +371,6 @@ def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
     return _Split(
         fundamental, bubble, log_bubble, Classification.BUBBLE, bubble <= threshold
     )
-
-
-def fundamental_value(path: DiscretePath) -> float:
-    """Present value of all dividends: sampled part plus declared tail.
-
-    Divergent-yield tails certify a zero bubble, so the fundamental is
-    P_0 exactly.  Under a convergent tail it is P_0 less the deflated-price
-    limit, plus a declared-convergent tail's present value.
-    """
-    return _split(path, _log_yield_sum(path)).fundamental
-
-
-def bubble_component(path: DiscretePath) -> float:
-    """Bubble B_0 = lim q_T P_T: P_0 exp(-L_T - S) under a convergent tail."""
-    return _split(path, _log_yield_sum(path)).bubble
-
-
-def tvc_holds(path: DiscretePath) -> bool:
-    """Transversality condition: the deflated price limit vanishes.
-
-    True exactly when the verdict is no-bubble.  With strictly positive
-    prices a convergent tail leaves a positive limit, however small.
-    """
-    return _split(path, _log_yield_sum(path)).verdict is Classification.NO_BUBBLE
 
 
 def decompose(path: DiscretePath) -> Decomposition:

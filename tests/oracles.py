@@ -2,19 +2,19 @@
 
 Everything here deliberately avoids the library's own code paths: high
 precision arithmetic via mpmath, brute-force recursion of the deflated
-price, direct partial sums, a row-by-row CSV reader, a continuous-JSON
-reader that builds the whole ``json.loads`` tree, and document writers
-that format one number at a time, with ``float.__repr__`` or with one
-``orjson.dumps`` call a number.  Tests compare bubblekit's answers against
-these, never the other way around.
+price, direct partial sums, a row-by-row CSV reader that checks each
+number with a regex, a continuous-JSON reader that builds the whole
+``json.loads`` tree, and document writers that format one number at a
+time, with ``float.__repr__`` or with one ``orjson.dumps`` call a number.
+Tests compare bubblekit's answers against these, never the other way
+around.
 """
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import math
+import re
 from typing import Any
 
 import mpmath as mp
@@ -196,40 +196,46 @@ def pseries_partial(p: float, terms: int) -> float:
     return total
 
 
+# RFC 8259 section 6: a JSON number, and a JSON integer
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_JSON_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
 def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
-    """``bubblekit.io.parse_path_csv`` as a row-by-row ``csv.reader`` loop.
+    """``bubblekit.io.parse_path_csv`` as a row-by-row loop.
 
-    The reference the column-at-a-time parser is compared with: it makes
-    every check one row at a time, in file order, and converts each cell
-    with the same ``int()`` / ``float()`` call.  It builds its result and
-    errors from the library's types.  Unlike the library it unquotes
-    ``"``-quoted cells, so quotes are left out of the comparison.
+    The reference the piece-wise parser is compared with: it makes every
+    check one row at a time, in file order, and reads each cell on its
+    own, checking its syntax with an RFC 8259 regex and reading its value
+    with ``float()``.  It builds its result and errors from the library's
+    types.
 
-    Rows must carry strictly increasing integer dates starting at 0, with
-    an empty or zero dividend at t = 0.  A leading ``# tail: <spec>``
-    comment declares the tail.  A supplied ``q`` column must be positive,
+    Lines end at ``"\\n"``; spaces, tabs and ``"\\r"`` around a cell are
+    blank.  Rows must carry JSON integer dates counting up from 0, with an
+    empty or zero dividend at t = 0; an empty ``D`` cell is 0, and a row of
+    blanks and commas is skipped.  A leading ``# tail: <spec>`` comment
+    declares the tail.  A supplied ``q`` column must be positive,
     normalized to q_0 = 1, and satisfy the no-arbitrage recursion within
     ``tol`` or the document is rejected.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    blanks = " \t\r"
     tail_spec: str | None = None
-    lines = data.splitlines()
+    lines = data.split("\n")
     body_start = 0
     for line in lines:
-        stripped = line.strip()
+        stripped = line.strip(blanks)
         if not stripped or stripped.startswith("#"):
             if stripped.lower().startswith("# tail:"):
                 tail_spec = stripped[len("# tail:") :].strip()
             body_start += 1
         else:
             break
-    reader = csv.reader(_io.StringIO("\n".join(lines[body_start:])))
-    rows = list(reader)
-    if not rows:
+    if body_start == len(lines):
         raise ParseError("empty document", line=1)
     line0 = body_start + 1
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(h.strip(blanks) for h in lines[body_start].split(","))
     if header != ("t", "P", "D") and header != ("t", "P", "D") + ("q",):
         raise ParseError(
             f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
@@ -237,36 +243,43 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
         )
     has_q = len(header) == 4
 
+    def number(cell: str, line: int) -> float:
+        value = float(cell) if _JSON_NUMBER.fullmatch(cell) else math.nan
+        if not math.isfinite(value):
+            raise ParseError(
+                f"bad number: could not convert {cell!r}: "
+                "not a JSON number within the double range",
+                line=line,
+            )
+        return value
+
     times: list[int] = []
     prices: list[float] = []
     dividends: list[float] = []
     deflator_values: list[float] = []
-    for offset, row in enumerate(rows[1:]):
+    for offset, text in enumerate(lines[body_start + 1 :]):
         line = line0 + 1 + offset
-        if not row or all(not cell.strip() for cell in row):
+        if not text.strip(blanks + ","):
             continue
+        if '"' in text:
+            raise ParseError("quoted cells are not supported", line=line)
+        row = [cell.strip(blanks) for cell in text.split(",")]
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(row)}", line=line
             )
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise ParseError(f"bad date {row[0]!r}", line=line) from None
+        if not _JSON_INTEGER.fullmatch(row[0]):
+            raise ParseError(f"bad date {row[0]!r}", line=line)
+        t = int(row[0])
         expected = times[-1] + 1 if times else 0
         if t != expected:
             raise ParseError(
-                f"dates must increase by 1 from 0; expected {expected}, got {t}",
+                f"dates must increase by 1 from 0; expected {expected}, got {row[0]}",
                 line=line,
             )
-        try:
-            price = float(row[1])
-            dividend = 0.0 if row[2].strip() == "" else float(row[2])
-            deflator = float(row[3]) if has_q else 0.0
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=line) from None
-        if not (math.isfinite(price) and math.isfinite(dividend)):
-            raise ParseError("non-finite price or dividend", line=line)
+        price = number(row[1], line)
+        dividend = 0.0 if row[2] == "" else number(row[2], line)
+        deflator = number(row[3], line) if has_q else 0.0
         if price < 0:
             raise ParseError("negative price", line=line)
         if dividend < 0:
@@ -277,7 +290,7 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
             )
         if t > 0 and price == 0 and dividend == 0:
             raise ParseError("P_t + D_t must be positive for t >= 1", line=line)
-        if has_q and (not math.isfinite(deflator) or deflator <= 0):
+        if has_q and deflator <= 0:
             raise ParseError("supplied deflators must be positive", line=line)
         times.append(t)
         prices.append(price)

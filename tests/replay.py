@@ -62,7 +62,8 @@ def replay(case: dict[str, Any]) -> list[dict[str, Any]]:
         calls.append(call(case["generate"]))
         document = calls[0]["stdout"]
     else:
-        document = (GOLDEN / "inputs" / case["file"]).read_text()
+        # decoded as it is, so a CRLF document reaches the reader with its "\r"
+        document = (GOLDEN / "inputs" / case["file"]).read_bytes().decode("utf-8")
     for argv in [*RUNS, *case.get("runs", [])]:
         calls.append(call(argv, document))
     return calls

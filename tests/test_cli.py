@@ -889,9 +889,22 @@ def test_continuous_json_bad_horizon_is_a_parse_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("row", ["1,nan,5", "1,inf,5", "1,100,nan", "1,100,-inf"])
 def test_parse_csv_non_finite_values_name_line(row):
-    with pytest.raises(ParseError, match="non-finite") as info:
+    # nan and inf are no JSON numbers: a syntax error of their row
+    with pytest.raises(ParseError, match="bad number") as info:
         parse_path_csv(f"t,P,D\n0,100,\n{row}\n")
     assert info.value.line == 3
+
+
+def test_a_spelling_outside_the_json_grammar_exits_2(capsys, monkeypatch):
+    # float() reads 1_0 as 10; the CSV grammar refuses it
+    code, out, err = run(
+        capsys, ["analyze"], stdin="t,P,D\n0,100,\n1,1_0,5\n", monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "bubblekit: -: bad number: could not convert '1_0': "
+        "not a JSON number within the double range (line 3)\n"
+    )
 
 
 def test_overflowing_cum_dividend_price_is_analysed_exactly(capsys, monkeypatch):

@@ -1,7 +1,10 @@
-"""Every name a module exports resolves, so a deleted name cannot linger."""
+"""Every name a module exports resolves, and every operation the README
+names is exported, so a deleted name cannot linger in code or docs."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,22 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [entry for entry in exported if not hasattr(module, entry)] == []
     assert len(set(exported)) == len(exported)
+
+
+def key_operations() -> list[str]:
+    """The names in the first column of the README's "Key operations" table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("Key operations") :]
+    names = []
+    for line in section.splitlines()[1:]:
+        if names and not line.startswith("|"):
+            break
+        operation = line.split("|")[1] if line.startswith("|") else ""
+        names += re.findall(r"`([A-Za-z_]\w*)", operation)
+    return names
+
+
+def test_every_key_operation_in_the_readme_is_exported():
+    names = key_operations()
+    assert len(names) >= 10
+    assert [name for name in names if name not in bubblekit.__all__] == []

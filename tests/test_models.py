@@ -22,7 +22,6 @@ from bubblekit import (
     gen_money,
     implied_deflators,
     montrucchio_continuous,
-    tvc_holds,
 )
 
 from oracles import product_bubble
@@ -54,7 +53,7 @@ def test_money_is_pure_bubble(P0):
 
 def test_money_violates_tvc():
     p = gen_money(2.5, 80)
-    assert not tvc_holds(p)
+    assert decompose(p).verdict is Classification.BUBBLE
 
 
 # ---------- constant ----------

@@ -16,10 +16,8 @@ from bubblekit import (
     DiscretePath,
     GeometricYield,
     ZeroDividends,
-    bubble_component,
     decompose,
     ensemble_decompose,
-    fundamental_value,
     implied_deflators,
     montrucchio_discrete,
     partial_value,
@@ -83,8 +81,8 @@ def test_scale_invariance_exact_for_binary_scales(path, k):
     base_defl = implied_deflators(path)
     scaled_defl = implied_deflators(scaled)
     assert np.array_equal(base_defl.log_q, scaled_defl.log_q)
-    assert fundamental_value(scaled) == lam * fundamental_value(path)
-    assert bubble_component(scaled) == lam * bubble_component(path)
+    assert decompose(scaled).fundamental == lam * decompose(path).fundamental
+    assert decompose(scaled).bubble == lam * decompose(path).bubble
     assert decompose(scaled).verdict is decompose(path).verdict
 
 
@@ -97,8 +95,8 @@ def test_scale_invariance_general(path, lam):
     assert np.allclose(
         implied_deflators(scaled).log_q, implied_deflators(path).log_q, atol=1e-11
     )
-    v = fundamental_value(path)
-    vs = fundamental_value(scaled)
+    v = decompose(path).fundamental
+    vs = decompose(scaled).fundamental
     assert vs == pytest.approx(lam * v, rel=1e-11)
 
 
@@ -108,8 +106,8 @@ def test_pure_bubble_identity_is_exact(path):
     dividendless = DiscretePath(
         path.prices, np.zeros(path.horizon), tail=ZeroDividends()
     )
-    assert fundamental_value(dividendless) == 0.0
-    assert bubble_component(dividendless) == float(
+    assert decompose(dividendless).fundamental == 0.0
+    assert decompose(dividendless).bubble == float(
         dividendless.prices[0]
     )
 
@@ -199,4 +197,4 @@ def test_log_domain_deflators_survive_million_period_horizons():
     deflators = implied_deflators(path)
     assert np.isfinite(deflators.log_q).all()
     assert deflators.log_q[-1] == pytest.approx(-1_000_000 * math.log(2), rel=1e-9)
-    assert fundamental_value(path) == 1.0
+    assert decompose(path).fundamental == 1.0

@@ -22,18 +22,15 @@ from bubblekit import (
     ValidationError,
     ZeroDividends,
     ZeroInitialPriceError,
-    bubble_component,
     check_no_arbitrage,
     decompose,
     ensemble_decompose,
-    fundamental_value,
     gen_convergent_yield,
     gen_money,
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
     reroot,
-    tvc_holds,
 )
 from bubblekit.characterization import _yields
 
@@ -315,27 +312,27 @@ def test_partial_value_out_of_range(T):
 
 def test_fundamental_constant_equals_price():
     p = constant_path()
-    assert fundamental_value(p) == 100.0
+    assert decompose(p).fundamental == 100.0
 
 
 def test_fundamental_zero_dividends_is_exactly_zero():
     p = gen_money(1.0, 300)
-    assert fundamental_value(p) == 0.0
+    assert decompose(p).fundamental == 0.0
 
 
 def test_fundamental_geometric_tail_product_oracle():
     p = geometric_dividend_path()
-    assert fundamental_value(p) == pytest.approx(
+    assert decompose(p).fundamental == pytest.approx(
         1.0 - PRODUCT_BUBBLE_HALF_HALF, rel=1e-12
     )
-    assert bubble_component(p) == pytest.approx(
+    assert decompose(p).bubble == pytest.approx(
         PRODUCT_BUBBLE_HALF_HALF, rel=1e-12
     )
 
 
 def test_bubble_does_not_depend_on_sampled_horizon():
     values = [
-        bubble_component(geometric_dividend_path(T=T))
+        decompose(geometric_dividend_path(T=T)).bubble
         for T in (10, 50, 200)
     ]
     assert values[0] == pytest.approx(values[1], rel=1e-13)
@@ -345,14 +342,14 @@ def test_bubble_does_not_depend_on_sampled_horizon():
 def test_fundamental_requires_declared_tail():
     p = DiscretePath([1.0, 1.0], [0.5])
     with pytest.raises(ValidationError, match="tail"):
-        fundamental_value(p)
+        decompose(p).fundamental
 
 
 def test_declared_convergent_tail_sum_is_added():
     p = constant_path(T=10, tail=DeclaredConvergent(0.0))
-    base = fundamental_value(p)
+    base = decompose(p).fundamental
     p2 = p.with_tail(DeclaredConvergent(1.25))
-    assert fundamental_value(p2) == pytest.approx(base + 1.25, rel=1e-15)
+    assert decompose(p2).fundamental == pytest.approx(base + 1.25, rel=1e-15)
 
 
 # ---------- bubble / tvc ----------
@@ -360,27 +357,27 @@ def test_declared_convergent_tail_sum_is_added():
 
 def test_bubble_constant_is_zero():
     p = constant_path()
-    assert bubble_component(p) == 0.0
+    assert decompose(p).bubble == 0.0
 
 
 def test_bubble_pure_money():
     p = gen_money(1.0, 200)
-    assert bubble_component(p) == 1.0
+    assert decompose(p).bubble == 1.0
 
 
 def test_tvc_examples():
     const = constant_path()
     money = gen_money(1.0, 200)
     geom = geometric_dividend_path()
-    assert tvc_holds(const)
-    assert not tvc_holds(money)
-    assert not tvc_holds(geom)
+    assert decompose(const).verdict is Classification.NO_BUBBLE
+    assert decompose(money).verdict is Classification.BUBBLE
+    assert decompose(geom).verdict is Classification.BUBBLE
 
 
 def test_bubble_matches_direct_recursion_oracle():
     # direct recursion at a long horizon, independent of the tail rules
     p = geometric_dividend_path(T=2000)
-    b = bubble_component(p)
+    b = decompose(p).bubble
     oracle = math.exp(deflated_terminal_log(p.prices, p.dividends))
     assert b == pytest.approx(oracle, rel=1e-10)
 
@@ -490,8 +487,7 @@ def test_convergent_tail_on_positive_path_is_a_bubble(tail):
     for yield_level, negligible in ((1e-3, False), (0.05, True), (2.0, True)):
         p = DiscretePath(np.ones(501), np.full(500, yield_level), tail=tail)
         dec = decompose(p)
-        assert dec.verdict is Classification.BUBBLE
-        assert not tvc_holds(p)
+        assert dec.verdict is Classification.BUBBLE  # the transversality condition fails
         assert dec.diagnostics["boundary"] is negligible
         log_bubble = dec.diagnostics["log_bubble"]
         assert math.isfinite(log_bubble)
@@ -517,7 +513,7 @@ def test_interior_zero_price_keeps_no_bubble_verdict_and_tvc():
     assert (dec.fundamental, dec.bubble) == (1.0, 0.0)
     assert dec.verdict is Classification.NO_BUBBLE
     assert dec.diagnostics["log_bubble"] is None
-    assert tvc_holds(p)
+    assert decompose(p).verdict is Classification.NO_BUBBLE
 
 
 @pytest.mark.parametrize(
