@@ -22,15 +22,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .characterization import Classification, TailFit, suggest_tail
 from .continuous import (
     ContinuousPath,
-    _deflated_log_profile,
+    deflated_price_profile,
     discretize,
     montrucchio_continuous,
 )
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .io import (
     build_report,
     parse_continuous_json,
@@ -41,20 +41,13 @@ from .io import (
     serialize_continuous_json,
     serialize_path_csv,
     tail_fit_to_json,
+    utf8_text,
 )
-from .models import (
-    MiaoWangScenario,
-    gen_constant,
-    gen_convergent_yield,
-    gen_gordon,
-    gen_miao_wang,
-    gen_money,
-)
-from .numerics import compensated_cumsum
+from .models import MiaoWangScenario, gen_miao_wang
+from .numerics import compensated_cumsum, log_ratio
 from .series import (
     DEFAULT_TOL,
     DiscretePath,
-    _log_ratio,
     decompose,
     implied_deflators,
     no_arbitrage_residuals,
@@ -69,6 +62,15 @@ ENV_TOL = "BUBBLEKIT_TOL"
 
 # check-identity writes a relative gap past the double range as this
 _LARGEST_DOUBLE = sys.float_info.max
+
+# generate's discrete models: the ``models`` generator, looked up when
+# called, and the flags it takes before --T, in order
+_DISCRETE_MODELS = {
+    "money": ("gen_money", ("P0",)),
+    "constant": ("gen_constant", ("P", "D")),
+    "gordon": ("gen_gordon", ("D0", "g", "R")),
+    "convergent-yield": ("gen_convergent_yield", ("alpha", "rho")),
+}
 
 
 def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> float:
@@ -89,11 +91,11 @@ def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> flo
 
 
 def _read_input(name: str) -> str:
-    """The UTF-8 text of file ``name`` (``-`` reads stdin), newlines as in
-    text mode; bytes that are not UTF-8 are a ``ParseError``.
+    """The UTF-8 text of file ``name`` (``-`` reads stdin), line ends as
+    they are; bytes that are not UTF-8 are a ``ParseError``.
 
-    The bytes are dropped once decoded, and each newline rewrite replaces
-    the text, so no more than two copies of the document exist at once."""
+    The bytes are dropped once decoded, so the text is the one copy of the
+    document that the parse sees."""
     if name == "-":
         stdin = getattr(sys.stdin, "buffer", None)
         if stdin is None:  # a text stream put in place of stdin
@@ -105,16 +107,9 @@ def _read_input(name: str) -> str:
                 raw = fh.read()
         except OSError as exc:
             raise ValidationError(f"cannot read {name!r}: {exc}") from None
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8: {exc.reason} at byte offset {exc.start}"
-        ) from None
+    # not parse_*(raw): the bytes would be held through the whole parse
+    text = utf8_text(raw)
     del raw
-    if "\r" in text:  # universal newlines
-        text = text.replace("\r\n", "\n")
-        text = text.replace("\r", "\n")
     return text
 
 
@@ -235,7 +230,6 @@ def _analyze_continuous(
     )
     report["input"].update(
         {
-            "kind": "continuous",
             "length": int(cpath.prices.size),
             "horizon": cpath.horizon,
             "grid_step": cpath.grid_step,
@@ -275,56 +269,46 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    def need(*names: str) -> list[float]:
-        missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+    if args.model in _DISCRETE_MODELS:
+        generator, flags = _DISCRETE_MODELS[args.model]
+        missing = [flag for flag in flags if getattr(args, flag) is None]
         if missing:
-            flags = ", ".join(f"--{n}" for n in missing)
-            raise ValidationError(f"generate {args.model} requires {flags}")
-        return [getattr(args, n.replace("-", "_")) for n in names]
-
-    if args.model == "money":
-        (p0,) = need("P0")
-        sys.stdout.write(serialize_path_csv(gen_money(p0, args.T)))
-    elif args.model == "constant":
-        p, d = need("P", "D")
-        sys.stdout.write(serialize_path_csv(gen_constant(p, d, args.T)))
-    elif args.model == "gordon":
-        d0, g, r = need("D0", "g", "R")
-        sys.stdout.write(serialize_path_csv(gen_gordon(d0, g, r, args.T)))
-    elif args.model == "convergent-yield":
-        alpha, rho = need("alpha", "rho")
-        sys.stdout.write(serialize_path_csv(gen_convergent_yield(alpha, rho, args.T)))
-    elif args.model == "miao-wang":
-        params: dict[str, Any] = {}
-        if args.scenario is not None:
-            params.update(parse_scenario_json(_read_input(args.scenario)))
-        flag_fields = {
-            "marginal_q": args.Q,
-            "capital": args.K,
-            "interpreted_component": args.Bmw,
-            "dividend": args.D,
-            "rate": args.rate,
-            "horizon": args.horizon,
-            "grid_step": args.grid_step,
-            "initial_price": args.initial_price,
-            "initial_dividend": args.initial_dividend,
-        }
-        params.update({k: v for k, v in flag_fields.items() if v is not None})
-        missing = [
-            name
-            for name in ("marginal_q", "capital", "interpreted_component", "dividend")
-            if name not in params
-        ]
-        if missing:
-            raise ValidationError(
-                "generate miao-wang requires --Q, --K, --Bmw and --D "
-                f"(or a --scenario document); missing: {missing}"
-            )
+            names = ", ".join(f"--{flag}" for flag in missing)
+            raise ValidationError(f"generate {args.model} requires {names}")
+        values = [getattr(args, flag) for flag in flags]
+        # the path is freed before the text is written
         sys.stdout.write(
-            serialize_continuous_json(gen_miao_wang(MiaoWangScenario(**params)))
+            serialize_path_csv(getattr(models, generator)(*values, args.T))
         )
-    else:  # argparse choices make this unreachable
-        raise ValidationError(f"unknown model {args.model!r}")
+        return EXIT_NO_BUBBLE
+    params: dict[str, Any] = {}
+    if args.scenario is not None:
+        params.update(parse_scenario_json(_read_input(args.scenario)))
+    flag_fields = {
+        "marginal_q": args.Q,
+        "capital": args.K,
+        "interpreted_component": args.Bmw,
+        "dividend": args.D,
+        "rate": args.rate,
+        "horizon": args.horizon,
+        "grid_step": args.grid_step,
+        "initial_price": args.initial_price,
+        "initial_dividend": args.initial_dividend,
+    }
+    params.update({k: v for k, v in flag_fields.items() if v is not None})
+    missing = [
+        field.name
+        for field in dataclasses.fields(MiaoWangScenario)
+        if field.default is dataclasses.MISSING and field.name not in params
+    ]
+    if missing:
+        raise ValidationError(
+            "generate miao-wang requires --Q, --K, --Bmw and --D "
+            f"(or a --scenario document); missing: {missing}"
+        )
+    sys.stdout.write(
+        serialize_continuous_json(gen_miao_wang(MiaoWangScenario(**params)))
+    )
     return EXIT_NO_BUBBLE
 
 
@@ -336,7 +320,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         del data
         # |lhs / rhs - 1| from the logs, which stay finite where qP underflows,
         # formed in the lhs array
-        gap, log_rhs = _deflated_log_profile(cpath, args.jump_side)
+        gap, log_rhs = deflated_price_profile(cpath, args.jump_side)
         with np.errstate(over="ignore"):
             gap -= log_rhs
             del log_rhs
@@ -355,8 +339,8 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         deflators = implied_deflators(path)
         # q_t D_t and q_t P_t as fractions of P_0
         price0 = float(path.prices[0])
-        terms = np.exp(deflators.log_q[1:] + _log_ratio(path.dividends[1:], price0))
-        deflated = np.exp(deflators.log_q + _log_ratio(path.prices, price0))
+        terms = np.exp(deflators.log_q[1:] + log_ratio(path.dividends[1:], price0))
+        deflated = np.exp(deflators.log_q + log_ratio(path.prices, price0))
         partials = compensated_cumsum(terms)
         residuals = np.abs(1.0 - partials - deflated[1:])
         result = {
@@ -420,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="emit a canonical economy's path")
     generate.add_argument(
         "model",
-        choices=("money", "constant", "gordon", "convergent-yield", "miao-wang"),
+        choices=(*_DISCRETE_MODELS, "miao-wang"),
     )
     generate.add_argument("--T", type=int, default=500, help="discrete horizon T_max")
     generate.add_argument("--P0", type=float, help="money: price level")

@@ -244,29 +244,19 @@ def deflated_price_profile(
     cpath: ContinuousPath, jump_price_side: str = "right"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two independent evaluations of the deflated price q P at every
-    grid point, as (lhs, rhs) arrays of length n + 1 (index 0 holds P_0
-    twice).
+    grid point, as (lhs, rhs) arrays of log(q P / P_0) of length n + 1
+    (0.0 at index 0 in both).  The logs stay finite where the deflated
+    prices themselves underflow to zero.
 
     ``lhs`` solves -d(qP) = q dF step by step: dividends accrue
     trapezoidally within each cell and are priced cum/ex around it,
     q_{k+1} = q_k (P_k - h d_k / 2) / (P_{k+1} + h d_{k+1} / 2).
     ``rhs`` is the one-shot exponential form P_0 * exp(-integral of the
-    density yield).  Jumps multiply both by the exact factor (1 - dF/P)
-    from the first grid point at or after the jump.  Both are second-order
-    in the grid step with different coefficients, so their gap is an
-    O(h^2) discretization cross-check that vanishes under grid refinement.
-    """
-    log_lhs, log_rhs = _deflated_log_profile(cpath, jump_price_side)
-    price0 = float(cpath.prices[0])
-    return price0 * np.exp(log_lhs), price0 * np.exp(log_rhs)
-
-
-def _deflated_log_profile(
-    cpath: ContinuousPath, jump_price_side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """log(q P / P_0) by both routes of :func:`deflated_price_profile`.
-
-    Finite where the deflated prices themselves underflow to zero.
+    density yield), whose log is minus that integral.  Jumps multiply both
+    by the exact factor (1 - dF/P) from the first grid point at or after
+    the jump.  Both are second-order in the grid step with different
+    coefficients, so their gap is an O(h^2) discretization cross-check
+    that vanishes under grid refinement.
     """
     h = cpath.grid_step
     half = _density_yields(cpath)

@@ -45,6 +45,7 @@ from . import __version__
 from .characterization import TailFit
 from .continuous import ContinuousPath, CumulativeDividend
 from .errors import ArbitrageError, ParseError, ValidationError
+from .models import MiaoWangScenario
 from .series import (
     DEFAULT_TOL,
     EPS_BUBBLE,
@@ -188,6 +189,19 @@ def parse_tail_spec(spec: str, last: tuple[float, float] | None = None) -> TailM
         raise ParseError(f"bad parameters for tail {kind!r}: {exc}") from None
 
 
+def utf8_text(data: str | bytes) -> str:
+    """``data`` itself, or its bytes decoded as UTF-8; bytes that are not
+    UTF-8 are a ``ParseError`` naming the first bad byte's offset."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8: {exc.reason} at byte offset {exc.start}"
+        ) from None
+
+
 # ---------- discrete CSV ----------
 
 _CSV_HEADER = ("t", "P", "D")
@@ -226,8 +240,7 @@ def parse_path_csv(
     tables rather than by copies of the text: less than the text's length
     for a generated document.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = utf8_text(data)
     head = _split_head(data)
     columns, bad = _body_columns(data, head.start, head.stop, head.width)
     prices, dividends, *deflators = columns
@@ -575,19 +588,6 @@ def serialize_path_csv(path: DiscretePath) -> str:
 # ---------- continuous JSON ----------
 
 
-_SCENARIO_FIELDS = {
-    "marginal_q",
-    "capital",
-    "interpreted_component",
-    "dividend",
-    "rate",
-    "horizon",
-    "grid_step",
-    "initial_price",
-    "initial_dividend",
-}
-
-
 def _reject_constant(name: str) -> NoReturn:
     """``parse_constant`` hook: RFC 8259 has no NaN or Infinity."""
     raise ParseError(f"invalid JSON: non-finite constant {name} is not allowed")
@@ -791,16 +791,15 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
     Returns the raw keyword mapping (callers may still override single
     fields before constructing the scenario).
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = utf8_text(data)
     obj = _json_loads(data)
     if not isinstance(obj, dict):
         raise ParseError("scenario document must be a JSON object")
-    unknown = set(obj) - _SCENARIO_FIELDS
+    known = {f.name for f in dataclass_fields(MiaoWangScenario)}
+    unknown = set(obj) - known
     if unknown:
         raise ParseError(
-            f"unknown scenario fields {sorted(unknown)!r} "
-            f"(known: {sorted(_SCENARIO_FIELDS)!r})"
+            f"unknown scenario fields {sorted(unknown)!r} (known: {sorted(known)!r})"
         )
     try:
         return {k: _json_number(v) for k, v in obj.items()}
@@ -809,8 +808,7 @@ def parse_scenario_json(data: str | bytes) -> dict[str, float]:
 
 
 def parse_continuous_json(data: str | bytes) -> ContinuousPath:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = utf8_text(data)
     obj = _decode_continuous(data)
     if not isinstance(obj, dict):
         raise ParseError("continuous path document must be a JSON object")

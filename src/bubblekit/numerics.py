@@ -1,4 +1,5 @@
-"""Low-level numeric helpers: compensated sums and prefix sums.
+"""Low-level numeric helpers: compensated sums and prefix sums, and the
+log of a ratio.
 
 Deflators and present values come from one cumulative log-yield sum over
 horizons up to 10^6 periods; its prefix sums must stay accurate to about
@@ -6,7 +7,7 @@ one ulp, which plain ``np.cumsum`` does not guarantee.  Continuous paths
 sum up to 10^7 grid cells into one integral or into per-period
 dividends; those cells are nonnegative, and ``compensated_sum`` rounds
 such totals faithfully.
-Both use the error-free TwoSum transformation (Ogita, Rump & Oishi 2005,
+Both sums use the error-free TwoSum transformation (Ogita, Rump & Oishi 2005,
 *Accurate sum and dot product*, SIAM J. Sci. Comput. 26) at numpy speed.
 """
 
@@ -16,11 +17,29 @@ from typing import Iterable
 
 import numpy as np
 
+# the smallest normal double
+_TINY = np.finfo(np.float64).tiny
+
 
 def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Exact rounding errors of ``s = a + b`` (Knuth's TwoSum)."""
     virtual = s - a
     return (a - (s - virtual)) + (b - virtual)
+
+
+def log_ratio(num, den) -> np.ndarray:
+    """``log(num / den)`` elementwise, from the ratio itself where it is a
+    normal double, so that a 2^k scaling of both leaves it bit-exact.  A
+    ratio outside that range, or a zero or -0.0 ``den``, is taken apart in
+    logs instead."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        ratios = num / den
+        logs = np.log(ratios)
+        if not (ratios.min() >= _TINY and ratios.max() < np.inf):  # NaN too
+            num, den = np.broadcast_arrays(num, den)
+            far = ~(ratios >= _TINY) | np.isinf(ratios)
+            logs[far] = np.log(num[far]) - np.log(den[far])
+    return logs
 
 
 def compensated_cumsum(values: Iterable[float]) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroInitialPriceError,
 )
-from .numerics import compensated_cumsum
+from .numerics import _TINY, compensated_cumsum, log_ratio
 from .tails import (
     DeclaredConvergent,
     GeometricYield,
@@ -68,25 +68,6 @@ EPS_BUBBLE = 1e-9
 
 # default relative tolerance for the no-arbitrage recursion check
 DEFAULT_TOL = 1e-9
-
-# the smallest normal double
-_TINY = np.finfo(np.float64).tiny
-
-
-def _log_ratio(num, den) -> np.ndarray:
-    """``log(num / den)`` elementwise, from the ratio itself where it is a
-    normal double, so that a 2^k scaling of both leaves it bit-exact.  A
-    ratio outside that range, or a zero or -0.0 ``den``, is taken apart in
-    logs instead."""
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        ratios = num / den
-        logs = np.log(ratios)
-        if not (ratios.min() >= _TINY and ratios.max() < np.inf):  # NaN too
-            num, den = np.broadcast_arrays(num, den)
-            far = ~(ratios >= _TINY) | np.isinf(ratios)
-            logs[far] = np.log(num[far]) - np.log(den[far])
-    return logs
-
 
 def _frozen_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -251,7 +232,7 @@ def _deflators(path: DiscretePath, log_yield: np.ndarray) -> Deflators:
         zero = prices == 0.0
         prices = np.where(zero, path.dividends, prices)
         cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
-    return Deflators(_log_ratio(prices[0], prices) - ((cum + 1.0) - 1.0))
+    return Deflators(log_ratio(prices[0], prices) - ((cum + 1.0) - 1.0))
 
 
 def implied_deflators(path: DiscretePath) -> Deflators:
@@ -278,19 +259,19 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     log_q = deflators.log_q
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gross = prices[1:] + dividends[1:]
-        log_ratio = _log_ratio(gross, prices[:-1])
+        log_gross = log_ratio(gross, prices[:-1])
         if np.isinf(gross.max()):  # P + D past the double range
             far = np.flatnonzero(np.isinf(gross))
             p, d, base = prices[1:][far], dividends[1:][far], prices[:-1][far]
             # halving is exact for P_t >= 2 * _TINY; the ratio of a smaller
             # P_t is far past the double range, and comes from logs
-            log_ratio[far] = np.where(
+            log_gross[far] = np.where(
                 base >= 2 * _TINY,
-                _log_ratio(0.5 * p + 0.5 * d, 0.5 * base),
+                log_ratio(0.5 * p + 0.5 * d, 0.5 * base),
                 np.logaddexp(np.log(p), np.log(d)) - np.log(base),
             )
         # a gap past the double range is an infinite residual
-        residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_ratio))
+        residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_gross))
     # NaN (-inf + inf, or log 0 - log 0) comes only where q_t P_t and
     # q_{t+1} (P_{t+1}+D_{t+1}) are both exactly zero: no violation
     if np.isnan(residuals.max()):

@@ -128,7 +128,8 @@ def test_criterion_3_telescoping_identity_property():
 
 
 def _identity_gap(cpath, T):
-    lhs, rhs = deflated_price_profile(cpath)
+    log_lhs, log_rhs = deflated_price_profile(cpath)
+    lhs, rhs = cpath.prices[0] * np.exp(log_lhs), cpath.prices[0] * np.exp(log_rhs)
     k = round(T / cpath.grid_step)  # the grid point nearest to T
     return abs(lhs[k] - rhs[k]) / rhs[k]
 

@@ -24,7 +24,9 @@ from bubblekit import (
 )
 from bubblekit.cli import main
 from bubblekit.io import (
+    parse_continuous_json,
     parse_path_csv,
+    parse_scenario_json,
     parse_tail_spec,
     serialize_path_csv,
 )
@@ -62,6 +64,32 @@ def test_parse_csv_crlf_and_bytes():
     raw = CONSTANT_CSV.replace("\n", "\r\n").encode("utf-8")
     path = parse_path_csv(raw)
     assert path.horizon == 2
+
+
+@pytest.mark.parametrize(
+    "parse, document, message",
+    [
+        (
+            parse_path_csv,
+            b"t,P,D\n0,100,\n1,100,\xff5\n",
+            "invalid start byte at byte offset 19",
+        ),
+        (
+            parse_continuous_json,
+            b'{"grid_step": 1, "prices": [1.0, \xff2.0]}',
+            "invalid start byte at byte offset 33",
+        ),
+        (
+            parse_scenario_json,
+            b'{"marginal_q": 1.0, "\xe2\x82": 2.0}',
+            "invalid continuation byte at byte offset 21",
+        ),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_a_parse_error(parse, document, message):
+    with pytest.raises(ParseError) as refused:
+        parse(document)
+    assert str(refused.value) == f"not UTF-8: {message}"
 
 
 def test_parse_csv_negative_price_names_line():
@@ -1145,8 +1173,8 @@ def test_non_utf8_stdin_is_bad_input(capsys, monkeypatch):
 
 
 def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
-    # the bytes, then the decoded text, then the text with its newlines
-    # rewritten: never three of them at once
+    # the bytes, then the decoded text with its line ends as they are:
+    # never more than those two at once
     import tracemalloc
 
     from bubblekit.cli import _read_input
@@ -1161,8 +1189,34 @@ def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text == lf
-    assert peak < 2.5 * len(crlf)
+    assert text == crlf
+    assert peak < 2.1 * len(crlf)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-identity"])
+def test_a_crlf_document_reports_as_its_lf_form(tmp_path, capsys, command):
+    lf = serialize_path_csv(gen_gordon(1.0, 1.01, 1.05, 50))
+    lf = lf.replace("\n1,", "\n \t,,\n1,", 1)  # and a blank row
+    outputs = []
+    for name, text in (("lf.csv", lf), ("crlf.csv", lf.replace("\n", "\r\n"))):
+        doc = tmp_path / name
+        doc.write_bytes(text.encode())
+        outputs.append(run(capsys, [command, str(doc)]))
+    assert outputs[0][0] in (0, 10)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_lone_cr_document_is_refused_as_the_library_refuses_it(tmp_path, capsys):
+    # "\n" alone ends a line; a "\r" is a blank around a cell
+    text = "t,P,D\r0,100,\r1,100,5\r2,100,5\r"
+    with pytest.raises(ParseError) as refused:
+        parse_path_csv(text)
+    assert refused.value.line == 1
+    doc = tmp_path / "cr.csv"
+    doc.write_bytes(text.encode())
+    code, out, err = run(capsys, ["analyze", "--tail", "zero-dividends", str(doc)])
+    assert (code, out) == (2, "")
+    assert err == f"bubblekit: {doc}: {refused.value}\n"
 
 
 @pytest.mark.parametrize("command", ["check-identity", "analyze"])
@@ -1394,9 +1448,11 @@ def test_a_document_of_booleans_is_bad_input(capsys, monkeypatch):
      "horizon", "grid_step", "initial_price", "initial_dividend"],
 )
 def test_scenario_booleans_are_not_numbers(field, tmp_path, capsys):
-    from bubblekit.io import _SCENARIO_FIELDS
+    from dataclasses import fields
 
-    assert field in _SCENARIO_FIELDS
+    from bubblekit import MiaoWangScenario
+
+    assert field in [f.name for f in fields(MiaoWangScenario)]
     fields = {"marginal_q": 1.0, "capital": 2.0, "interpreted_component": 0.5, "dividend": 0.1}
     fields[field] = True
     scenario = tmp_path / "s.json"

@@ -24,7 +24,6 @@ from bubblekit import (
     integrate_dF_over_P,
     montrucchio_continuous,
 )
-from bubblekit.continuous import _deflated_log_profile
 
 
 def grid_path(
@@ -172,7 +171,8 @@ def test_integral_past_the_double_range_is_rejected():
 
 def profile_at(cpath, T):
     """Both deflated-price routes at the grid point nearest to T."""
-    lhs, rhs = deflated_price_profile(cpath)
+    log_lhs, log_rhs = deflated_price_profile(cpath)
+    lhs, rhs = cpath.prices[0] * np.exp(log_lhs), cpath.prices[0] * np.exp(log_rhs)
     k = round(T / cpath.grid_step)
     return lhs[k], rhs[k]
 
@@ -383,7 +383,7 @@ def test_discretize_bias_is_first_order_in_the_step():
         MiaoWangScenario(marginal_q=1.0, capital=10.0, interpreted_component=5.0, dividend=1.0)
     )
     assert cpath.grid_step == 1e-3
-    _, log_rhs = _deflated_log_profile(cpath, "right")
+    _, log_rhs = deflated_price_profile(cpath, "right")
     lam = -log_rhs[-1]
     gaps = []
     for step in (1.0, 0.1, 0.01):

@@ -1,6 +1,7 @@
 """Every name a module exports resolves, and every operation the README
 names is exported, so a deleted name cannot linger in code or docs."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -40,3 +41,16 @@ def test_every_key_operation_in_the_readme_is_exported():
     names = key_operations()
     assert len(names) >= 10
     assert [name for name in names if name not in bubblekit.__all__] == []
+
+
+def test_the_cli_imports_no_private_name_of_the_library():
+    # a command calls the library's public functions, not its internals
+    source = Path(bubblekit.__file__).with_name("cli.py").read_text()
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
