@@ -20,12 +20,11 @@ continuous JSON's ``prices`` and ``density`` a piece of whole numbers at a
 time.  So neither reader copies a whole array's text, and the Python
 numbers of one piece at most exist at once: a generated CSV document is
 read in less memory than its text.  The
-continuous reader finds its flat number arrays in two steps: a regex
-finds the strings and each ``[`` that may open one, and C-level string
-calls (``find``, ``rfind``, ``bytes.translate``) decide whether it does,
-so neither Python code nor the regex engine steps through the numbers of
-a long array.  orjson is imported on first use, so importing the CLI
-does not load it.
+continuous reader walks the one top-level object it expects, reads every
+other value with ``json``'s own decoder, and steps over those two arrays
+with C-level string calls (``find``, ``bytes.translate``), so no Python
+code steps through their numbers.  orjson is imported on first use, so
+importing the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -309,8 +308,10 @@ def _split_head(data: str) -> _Head:
         start = end + 1
     header = tuple(cell.strip(_BLANKS) for cell in data[start:end].split(","))
     if header not in (_CSV_HEADER, _CSV_HEADER + ("q",)):
+        got = ",".join(header)
+        more = "..." if len(got) > 80 else ""  # a line may be the whole document
         raise ParseError(
-            f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
+            f"expected header 't,P,D' or 't,P,D,q', got {got[:80]!r}{more}",
             line=body_start + 1,
         )
     start = min(end + 1, len(data))
@@ -360,7 +361,7 @@ def _row_line(data: str, start: int, k: int) -> int:
 
 
 # characters of text read by one orjson call, or checked by the continuous
-# scan, at a time
+# reader's step over an array, at a time
 _CHUNK = 1 << 16
 
 
@@ -633,57 +634,14 @@ def _json_loads(text: str) -> Any:
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
-# A JSON string, to its closing quote (or to the end of the text if it has
-# none), or a "[" that may open a flat number array: one followed by a
-# number character, a comma, JSON whitespace or "]".
-_STRING_OR_CANDIDATE = re.compile(
-    r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[(?=[0-9eE+\-., \t\n\r\]])', re.DOTALL
-)
-
 # What a flat number array holds between its brackets: number characters,
 # commas and JSON whitespace.
 _NUMBER_ARRAY_CHARS = b"0123456789eE+-., \t\n\r"
 
-
-def _number_array_spans(data: str) -> Iterator[tuple[int, int]]:
-    """The ``(start, stop)`` spans of the flat number arrays of ``data``
-    outside strings, in order: each a ``[``, then nothing but
-    ``_NUMBER_ARRAY_CHARS``, then ``]``.
-
-    The regex finds strings and each ``[`` that may open an array, and
-    steps no further into an array.  For a candidate, the next ``]`` and
-    the next ``"`` are found by ``str.find`` and kept while the scan is
-    below them.  Where a string comes before the ``]``, no ``[`` up to the
-    string can open an array, and the scan goes on at the string.
-    Otherwise only the last ``[`` before the ``]`` can, and it does if
-    every character between them is a number character (checked
-    ``_CHUNK`` characters at a time, so no copy of a whole array is made);
-    the scan goes on after the ``]``.  Each stretch of text is looked at a
-    bounded number of times, so the scan is linear in the text, however
-    many ``[`` it holds.
-    """
-    close = quote = -1  # the first "]" and '"' at or after the scan position
-    pos = 0
-    while match := _STRING_OR_CANDIDATE.search(data, pos):
-        start, stop = match.span()
-        if data[start] == '"':
-            pos = stop
-            continue
-        if close < start:
-            close = data.find("]", start)
-            if close < 0:  # no array closes after this point
-                return
-        if quote < start:
-            quote = data.find('"', start)
-            if quote < 0:
-                quote = len(data)
-        if quote < close:
-            pos = quote
-            continue
-        last = data.rfind("[", start, close)
-        if _number_characters_only(data, last + 1, close):
-            yield last, close + 1
-        pos = close + 1
+# the one reader of every value the continuous reader does not read as float64
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# the JSON whitespace at a position of a text
+_BLANK = json.decoder.WHITESPACE.match
 
 
 def _number_characters_only(data: str, start: int, stop: int) -> bool:
@@ -695,13 +653,6 @@ def _number_characters_only(data: str, start: int, stop: int) -> bool:
         if not window.isascii() or window.encode().translate(None, _NUMBER_ARRAY_CHARS):
             return False
     return True
-
-
-def _placeholder(value: Any) -> int | None:
-    """``k`` if ``value`` is the placeholder ``[k]`` of the k-th flat array."""
-    if type(value) is list and len(value) == 1 and type(value[0]) is int:
-        return value[0]
-    return None
 
 
 def _float_array(data: str, start: int, stop: int) -> np.ndarray:
@@ -726,63 +677,76 @@ def _float_array(data: str, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _walk_object(
+    data: str, pos: int
+) -> tuple[dict[str, Any], dict[str, tuple[int, int]]] | None:
+    """The object that opens at ``data[pos]`` and ends the document: its
+    members, less the flat number arrays (``[``, only
+    ``_NUMBER_ARRAY_CHARS``, the first ``]``) of ``prices`` and
+    ``density``, which are stepped over and given as ``(start, stop)``
+    spans.  None if it names ``prices`` or ``density`` twice.  Text that is
+    no such object is a ``JSONDecodeError``.
+    """
+    members: dict[str, Any] = {}
+    spans: dict[str, tuple[int, int]] = {}
+    pos = _BLANK(data, pos + 1).end()
+    sep, pos = ("}", pos + 1) if data.startswith("}", pos) else (",", pos)
+    while sep == ",":
+        if not data.startswith('"', pos):
+            raise json.JSONDecodeError("Expecting property name", data, pos)
+        key, pos = json.decoder.scanstring(data, pos + 1)
+        pos = _BLANK(data, pos).end()
+        if not data.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", data, pos)
+        pos = _BLANK(data, pos + 1).end()
+        floats = key in ("prices", "density")
+        if floats and (key in members or key in spans):
+            return None
+        close = data.find("]", pos) if floats and data.startswith("[", pos) else -1
+        if close >= 0 and _number_characters_only(data, pos + 1, close):
+            spans[key], pos = (pos, close + 1), close + 1
+        else:
+            members[key], pos = _DECODER.raw_decode(data, pos)
+        pos = _BLANK(data, pos).end()
+        sep = data[pos : pos + 1]
+        if sep not in (",", "}"):
+            raise json.JSONDecodeError("Expecting ',' delimiter", data, pos)
+        pos = _BLANK(data, pos + 1).end()
+    if _BLANK(data, pos).end() < len(data):
+        raise json.JSONDecodeError("Extra data", data, pos)
+    return members, spans
+
+
 def _decode_continuous(data: str) -> Any:
     """``json.loads(data)``, but a top-level ``prices`` or ``density`` array
     comes back as float64, never held as a list of Python floats.
 
-    Each flat number array outside strings is cut out of the text and
-    replaced by a placeholder ``[k]``, and ``json.loads`` parses the small
-    skeleton left.  The arrays are found in two steps
-    (:func:`_number_array_spans`): a regex finds the strings and the
-    ``[`` that may open an array, and ``str.find``, ``str.rfind`` and
-    ``bytes.translate`` decide whether one does, so neither Python nor
-    the regex engine steps through the numbers of a long array.  Then the
-    arrays are read in turn: orjson reads a top-level ``prices`` or
-    ``density`` array straight into float64, and any other array gets its
-    ``json.loads`` list back.  orjson never sees nested text.
+    A document that opens with ``{`` is walked as the one object it must
+    be (:func:`_walk_object`): each member's value is read by one
+    ``raw_decode``, but a flat number array of ``prices`` or ``density`` is
+    stepped over by ``str.find`` and ``bytes.translate``, and orjson then
+    reads it straight into float64.  Any other document, and one that
+    names ``prices`` or ``density`` twice, is read whole by ``json.loads``,
+    which keeps the last of two equal names.
 
     A number past the double range in those two arrays is a ParseError,
     where ``json.loads`` reads it as an infinity.  Every other rejection
     is named by ``json.loads`` on the whole text: the same message and
     line as reading the document with it alone.
     """
-    spans = []
-    pieces = []
-    end = 0
-    for start, stop in _number_array_spans(data):
-        pieces += (data[end:start], f"[{len(spans)}]")
-        spans.append((start, stop))
-        end = stop
-    pieces.append(data[end:])
+    pos = _BLANK(data).end()
     try:
-        obj = _json_loads("".join(pieces))
-    except ParseError:
+        walked = _walk_object(data, pos) if data.startswith("{", pos) else None
+        if walked is not None:
+            obj, spans = walked
+            for key, (start, stop) in spans.items():
+                obj[key] = _float_array(data, start, stop)
+            return obj
+    except (ValueError, RecursionError, ParseError) as exc:
         _json_loads(data)  # the document's first error
-        raise
-    floats = set()
-    if isinstance(obj, dict):
-        floats = {_placeholder(obj.get("prices")), _placeholder(obj.get("density"))}
-    arrays = []
-    for k, (start, stop) in enumerate(spans):
-        try:
-            if k in floats:
-                arrays.append(_float_array(data, start, stop))
-            else:
-                arrays.append(json.loads(data[start:stop]))
-        except ValueError as exc:
-            _json_loads(data)  # the document's first error
-            # else orjson rejected a number past the double range
-            raise _json_error(exc) from None
-    stack = [obj] if isinstance(obj, (dict, list)) else []
-    while stack:
-        node = stack.pop()
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            k = _placeholder(value)
-            if k is not None:
-                node[key] = arrays[k]
-            elif isinstance(value, (dict, list)):
-                stack.append(value)
-    return obj
+        # else orjson rejected a number past the double range
+        raise _json_error(exc) from None
+    return _json_loads(data)
 
 
 def parse_scenario_json(data: str | bytes) -> dict[str, float]:

@@ -237,8 +237,10 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
     line0 = body_start + 1
     header = tuple(h.strip(blanks) for h in lines[body_start].split(","))
     if header != ("t", "P", "D") and header != ("t", "P", "D") + ("q",):
+        got = ",".join(header)
         raise ParseError(
-            f"expected header 't,P,D' or 't,P,D,q', got {','.join(header)!r}",
+            f"expected header 't,P,D' or 't,P,D,q', got {got[:80]!r}"
+            + ("..." if len(got) > 80 else ""),
             line=line0,
         )
     has_q = len(header) == 4
@@ -375,7 +377,7 @@ def serialize_continuous_json_repr(cpath: ContinuousPath) -> str:
 def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
     """``bubblekit.io.parse_continuous_json`` through ``json.loads`` alone.
 
-    The reference the skeleton-and-arrays reader is compared with: the
+    The reference the object-walking reader is compared with: the
     whole document becomes a tree of Python objects, one float per number,
     before numpy copies the arrays out of it.  Like the library it names a
     syntax error's reason, column and char offset, and its line once, and

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -1217,6 +1218,20 @@ def test_a_lone_cr_document_is_refused_as_the_library_refuses_it(tmp_path, capsy
     code, out, err = run(capsys, ["analyze", "--tail", "zero-dividends", str(doc)])
     assert (code, out) == (2, "")
     assert err == f"bubblekit: {doc}: {refused.value}\n"
+
+
+def test_a_header_error_quotes_80_characters_of_its_line(tmp_path, capsys):
+    # with lone "\r" line ends, the header line is the whole document
+    rows = "".join(f"{t},{100 + t % 7},{5 + t % 3}\r" for t in range(1, 100_001))
+    doc = tmp_path / "cr.csv"
+    doc.write_bytes(f"t,P,D\r0,100,\r{rows}".encode())
+    code, out, err = run(capsys, ["analyze", "--tail", "constant-yield", str(doc)])
+    assert (code, out) == (2, "")
+    head, got = err.split(" got ")
+    assert head == f"bubblekit: {doc}: expected header 't,P,D' or 't,P,D,q',"
+    assert got.endswith("... (line 1)\n") and len(got) < 200
+    quoted = ast.literal_eval(got[: -len("... (line 1)\n")])
+    assert len(quoted) == 80 and quoted.startswith("t,P,D\r0,100,1,101,6\r2,102,7")
 
 
 @pytest.mark.parametrize("command", ["check-identity", "analyze"])
