@@ -677,18 +677,16 @@ def _float_array(data: str, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _walk_object(
-    data: str, pos: int
-) -> tuple[dict[str, Any], dict[str, tuple[int, int]]] | None:
-    """The object that opens at ``data[pos]`` and ends the document: its
-    members, less the flat number arrays (``[``, only
-    ``_NUMBER_ARRAY_CHARS``, the first ``]``) of ``prices`` and
-    ``density``, which are stepped over and given as ``(start, stop)``
-    spans.  None if it names ``prices`` or ``density`` twice.  Text that is
-    no such object is a ``JSONDecodeError``.
+def _walk_object(data: str, pos: int) -> dict[str, Any]:
+    """The object that opens at ``data[pos]`` and ends the document.
+
+    A flat number array (``[``, only ``_NUMBER_ARRAY_CHARS``, the first
+    ``]``) of ``prices`` or ``density`` is read into float64 in place; every
+    other value by one ``raw_decode``.  Of two equal names the last is
+    kept, as by ``json.loads``.  Text that is no such object is a
+    ``JSONDecodeError``.
     """
     members: dict[str, Any] = {}
-    spans: dict[str, tuple[int, int]] = {}
     pos = _BLANK(data, pos + 1).end()
     sep, pos = ("}", pos + 1) if data.startswith("}", pos) else (",", pos)
     while sep == ",":
@@ -699,12 +697,10 @@ def _walk_object(
         if not data.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", data, pos)
         pos = _BLANK(data, pos + 1).end()
-        floats = key in ("prices", "density")
-        if floats and (key in members or key in spans):
-            return None
-        close = data.find("]", pos) if floats and data.startswith("[", pos) else -1
+        floats = key in ("prices", "density") and data.startswith("[", pos)
+        close = data.find("]", pos) if floats else -1
         if close >= 0 and _number_characters_only(data, pos + 1, close):
-            spans[key], pos = (pos, close + 1), close + 1
+            members[key], pos = _float_array(data, pos, close + 1), close + 1
         else:
             members[key], pos = _DECODER.raw_decode(data, pos)
         pos = _BLANK(data, pos).end()
@@ -714,7 +710,7 @@ def _walk_object(
         pos = _BLANK(data, pos + 1).end()
     if _BLANK(data, pos).end() < len(data):
         raise json.JSONDecodeError("Extra data", data, pos)
-    return members, spans
+    return members
 
 
 def _decode_continuous(data: str) -> Any:
@@ -724,29 +720,28 @@ def _decode_continuous(data: str) -> Any:
     A document that opens with ``{`` is walked as the one object it must
     be (:func:`_walk_object`): each member's value is read by one
     ``raw_decode``, but a flat number array of ``prices`` or ``density`` is
-    stepped over by ``str.find`` and ``bytes.translate``, and orjson then
-    reads it straight into float64.  Any other document, and one that
-    names ``prices`` or ``density`` twice, is read whole by ``json.loads``,
-    which keeps the last of two equal names.
+    stepped over by ``str.find`` and ``bytes.translate`` and read by orjson
+    straight into float64.  Any other document is read whole by
+    ``json.loads``.
 
     A number past the double range in those two arrays is a ParseError,
-    where ``json.loads`` reads it as an infinity.  Every other rejection
-    is named by ``json.loads`` on the whole text: the same message and
-    line as reading the document with it alone.
+    where ``json.loads`` reads it as an infinity; so is one in an earlier
+    value of a name given twice, which ``json.loads`` discards.  Every
+    other rejection is named by ``json.loads`` on the whole text: the same
+    message and line as reading the document with it alone.  Only the
+    nesting limit differs a little: each value is decoded on its own, a
+    level below the whole text, so a document nested just under
+    ``json.loads``' limit may be read here.
     """
     pos = _BLANK(data).end()
+    if not data.startswith("{", pos):
+        return _json_loads(data)
     try:
-        walked = _walk_object(data, pos) if data.startswith("{", pos) else None
-        if walked is not None:
-            obj, spans = walked
-            for key, (start, stop) in spans.items():
-                obj[key] = _float_array(data, start, stop)
-            return obj
+        return _walk_object(data, pos)
     except (ValueError, RecursionError, ParseError) as exc:
         _json_loads(data)  # the document's first error
         # else orjson rejected a number past the double range
         raise _json_error(exc) from None
-    return _json_loads(data)
 
 
 def parse_scenario_json(data: str | bytes) -> dict[str, float]:

@@ -7,8 +7,9 @@ decoder, and the ``prices`` / ``density`` arrays through orjson.  On
 every document both must accept the same path bit for bit, or raise the
 same error class, message and line.  The one deliberate difference: a
 number past the double range in ``prices`` or ``density``, which
-``json.loads`` reads as an infinity, is a ``ParseError`` of its own
-(unless the key is named twice, when ``json.loads`` reads the document).
+``json.loads`` reads as an infinity, is a ``ParseError`` of its own,
+also in the earlier value of a name given twice, which ``json.loads``
+discards.
 """
 
 import dataclasses
@@ -204,6 +205,7 @@ def test_generated_document_reads_bit_for_bit():
     [
         ('{"prices": [1,\n2,\n1e400], "density": [0, 0, 0], "grid_step": 1}', 3),
         ('{"grid_step": 1, "density": [0, 0],\n"prices": [1, -1e400]}', 2),
+        ('{"grid_step": 1, "density": [0, 0], "prices": [1e400],\n"prices": [1]}', 1),
     ],
 )
 def test_number_past_the_double_range_is_a_parse_error(doc, line):
