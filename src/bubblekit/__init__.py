@@ -58,7 +58,6 @@ from .series import (
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
-    reroot,
 )
 from .tails import (
     ConstantLevels,
@@ -87,7 +86,6 @@ __all__ = [
     "partial_value",
     "decompose",
     "ensemble_decompose",
-    "reroot",
     # characterization
     "Classification",
     "Verdict",

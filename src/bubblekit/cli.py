@@ -180,10 +180,18 @@ def _require_tail(
 def _analyze_discrete(
     path: DiscretePath, args: argparse.Namespace, tol: float
 ) -> dict[str, Any]:
+    horizon = path.horizon
     if args.horizon is not None:
         path = _truncate(path, args.horizon)
     fit, note = _tail_fit(path, args)
     path, tail_source = _require_tail(path, args, fit, note)
+    if path.horizon < horizon and path.tail.present_value is not None:
+        raise ValidationError(
+            f"--horizon {path.horizon} cuts the path short of its horizon "
+            f"{horizon}, but a declared-convergent tail's sum is the present "
+            f"value of the dividends after the file's own horizon {horizon}: "
+            "drop --horizon or declare another tail kind"
+        )
     result = decompose(path)
     return build_report(
         result,

@@ -15,7 +15,7 @@ classification as in discrete time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,7 @@ from .errors import (
 )
 from .numerics import compensated_cumsum, compensated_sum
 from .series import DiscretePath
-from .tails import (
-    ConstantLevels,
-    ConstantYield,
-    GeometricYield,
-    PowerYield,
-    TailClass,
-    TailModel,
-    classify_tail,
-)
+from .tails import TailClass, TailModel, classify_tail
 
 __all__ = [
     "CumulativeDividend",
@@ -309,19 +301,6 @@ def montrucchio_continuous(
     return Verdict(classification, partial, tail_class, rationale)
 
 
-def _rescale_tail(tail: TailModel, step: float) -> TailModel:
-    """Reinterpret a continuous yield tail per sampling period of ``step``."""
-    if isinstance(tail, ConstantLevels):
-        return replace(tail, dividend=tail.dividend * step)
-    if isinstance(tail, ConstantYield):
-        return ConstantYield(tail.level * step)
-    if isinstance(tail, GeometricYield):
-        return GeometricYield(tail.coeff * step, tail.ratio**step)
-    if isinstance(tail, PowerYield):
-        return PowerYield(tail.coeff * step ** (1.0 - tail.exponent), tail.exponent)
-    return tail
-
-
 def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
     """Resample to a discrete path of per-interval dividends.
 
@@ -353,5 +332,5 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
         if 1 <= k <= periods:
             dividends[k - 1] += df
     prices = cpath.prices[:: m][: periods + 1]
-    tail = None if cpath.tail is None else _rescale_tail(cpath.tail, step)
+    tail = None if cpath.tail is None else cpath.tail.per_period(step)
     return DiscretePath(prices=prices, dividends=dividends, tail=tail)

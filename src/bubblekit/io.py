@@ -87,6 +87,7 @@ _TAIL_KINDS: dict[str, type] = {
     "declared-divergent": DeclaredDivergent,
     "declared-convergent": DeclaredConvergent,
 }
+_KIND_OF = {cls: kind for kind, cls in _TAIL_KINDS.items()}
 
 # short parameter aliases accepted in CLI tail specs
 _TAIL_ALIASES = {
@@ -101,10 +102,9 @@ _TAIL_ALIASES = {
 
 
 def _kind_of(tail: TailModel) -> str:
-    for kind, cls in _TAIL_KINDS.items():
-        if type(tail) is cls:
-            return kind
-    raise ValidationError(f"unrecognized tail model: {tail!r}")
+    if type(tail) not in _KIND_OF:
+        raise ValidationError(f"unrecognized tail model: {tail!r}")
+    return _KIND_OF[type(tail)]
 
 
 def tail_to_json(tail: TailModel) -> dict[str, Any]:

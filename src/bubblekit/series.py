@@ -36,16 +36,7 @@ from .errors import (
     ZeroInitialPriceError,
 )
 from .numerics import _TINY, compensated_cumsum, log_ratio
-from .tails import (
-    DeclaredConvergent,
-    GeometricYield,
-    PowerYield,
-    TailClass,
-    TailModel,
-    classify_tail,
-    geometric_tail_log_sum,
-    power_tail_log_sum,
-)
+from .tails import TailModel
 
 __all__ = [
     "EPS_BUBBLE",
@@ -59,7 +50,6 @@ __all__ = [
     "partial_value",
     "decompose",
     "ensemble_decompose",
-    "reroot",
 ]
 
 # bubble threshold, relative to P_0: a bubble at or below it carries the
@@ -312,13 +302,12 @@ class _Split(NamedTuple):
 def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
     """Price split and verdict from L and the declared tail.
 
-    A divergent tail certifies a zero bubble.  A convergent one leaves
-    P_0 exp(-L_T - S), S the analytic log-yield sum of a geometric or
-    power tail (0 when no dividends follow the horizon), less a declared
-    tail present value: a bubble on a strictly positive path, flagged
-    ``boundary`` at or below EPS_BUBBLE * P_0.  An interior zero price
-    (L_T = +inf) exhausts the value: no bubble, with ``boundary`` flagging
-    a declared tail value absorbed within the threshold.
+    The bubble is P_0 exp(-L_T - S), S the tail's log-yield sum from
+    T + 1, less a declared tail present value: a bubble on a strictly
+    positive path, flagged ``boundary`` at or below EPS_BUBBLE * P_0.
+    L_T + S = +inf, from a divergent tail (S = +inf) or an interior zero
+    price, exhausts the value: no bubble, with ``boundary`` flagging a
+    declared tail value absorbed within the threshold.
     """
     tail = path.tail
     if tail is None:
@@ -326,20 +315,15 @@ def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
             "path has no declared tail model; declare one before valuation"
         )
     price0 = float(path.prices[0])
-    if classify_tail(tail) is TailClass.DIVERGENT:
-        return _Split(price0, 0.0, None, Classification.NO_BUBBLE, False)
-    log_sum = float(log_yield[-1])
-    if isinstance(tail, GeometricYield):
-        log_sum += geometric_tail_log_sum(tail.coeff, tail.ratio, path.horizon + 1)
-    elif isinstance(tail, PowerYield):
-        log_sum += power_tail_log_sum(tail.coeff, tail.exponent, path.horizon + 1)
-    tail_sum = tail.tail_sum if isinstance(tail, DeclaredConvergent) else 0.0
+    log_sum = float(log_yield[-1]) + tail.log_sum(path.horizon + 1)
+    declared = tail.present_value
+    tail_sum = 0.0 if declared is None else declared
     fundamental = price0 * -math.expm1(-log_sum) + tail_sum
     bubble = price0 * math.exp(-log_sum) - tail_sum
     threshold = EPS_BUBBLE * price0
-    positive = math.isfinite(log_sum)  # L_T = +inf after an interior zero price
+    positive = math.isfinite(log_sum)  # not after a divergent tail or a zero price
     if bubble < -threshold or (
-        positive and isinstance(tail, DeclaredConvergent) and bubble <= threshold
+        positive and declared is not None and bubble <= threshold
     ):
         raise ValidationError(
             f"declared tail present value leaves a bubble of {bubble!r}: "
@@ -432,18 +416,3 @@ def _member_log_bubble(dec: Decomposition) -> float | None:
         return math.log(dec.bubble)
     return log_bubble
 
-
-def reroot(path: DiscretePath, t: int) -> DiscretePath:
-    """Path re-rooted at date t, for decompositions at later dates.
-
-    Prices and dividends from t onward are kept (the date-t dividend is
-    dropped: it is the new ex-dividend date 0) and deflation restarts at
-    q_t = 1, so decompose(reroot(path, t)) is the date-t decomposition.
-    """
-    if not 0 <= t < path.horizon:
-        raise OutOfRangeError(f"re-root date {t} outside [0, {path.horizon - 1}]")
-    return DiscretePath(
-        prices=path.prices[t:],
-        dividends=path.dividends[t + 1 :],
-        tail=path.tail,
-    )

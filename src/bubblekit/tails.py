@@ -2,24 +2,26 @@
 
 A finite sample can never decide whether the infinite dividend-yield sum
 converges, so every analysis requires an explicit declaration of the
-asymptotic class.  Each variant below states how the yield series behaves
-for t > T_max and, where the class converges, how the remaining
-deflated-price limit is evaluated.
+asymptotic class.  Each kind below states how the yield series behaves
+for t > T_max, the class of its yield sum, its log-yield sum from a date
+on, and its per-period form (the :class:`TailModel` interface).
 
 Convergence semantics (yield y_t = D_t / P_t for t beyond the sample):
 
-========================  =========================  ==============
-variant                   tail yields                classification
-========================  =========================  ==============
-ConstantLevels(P, D>0)    constant D/P > 0           divergent
-ConstantLevels(P, 0)      all zero                   convergent
-ConstantYield(c)          constant c > 0             divergent
-GeometricYield(a, r)      a * r^t, 0 < r < 1         convergent
-PowerYield(a, p)          a * t^-p                   divergent iff p <= 1
-ZeroDividends             all zero                   convergent
-DeclaredDivergent         user-asserted              divergent
-DeclaredConvergent(s)     user-asserted, PV tail s   convergent
-========================  =========================  ==============
+======================  ========================  ====================  ======================
+kind                    tail yields               tail_class            log_sum(start)
+======================  ========================  ====================  ======================
+ConstantLevels(P, D>0)  constant D/P > 0          divergent             +inf
+ConstantLevels(P, 0)    all zero                  convergent            0
+ConstantYield(c)        constant c > 0            divergent             +inf
+GeometricYield(a, r)    a * r^t, 0 < r < 1        convergent            geometric_tail_log_sum
+PowerYield(a, p)        a * t^-p                  divergent iff p <= 1  power_tail_log_sum
+ZeroDividends           all zero                  convergent            0
+DeclaredDivergent       user-asserted             divergent             +inf
+DeclaredConvergent(s)   user-asserted, PV tail s  convergent            0 (s: present_value)
+======================  ========================  ====================  ======================
+
+A divergent power tail's ``log_sum`` is +inf, as every divergent kind's is.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,8 +68,30 @@ class TailClass(enum.Enum):
     DIVERGENT = "divergent"
 
 
+class TailModel:
+    """A declared tail: a frozen dataclass of its parameters, to which this
+    base adds no field.  ``tail_class`` is the convergence class of its
+    yield sum; ``present_value`` is None unless the kind itself declares the
+    date-0 present value of the dividends past the horizon.
+    """
+
+    tail_class: ClassVar[TailClass]
+    present_value: ClassVar[float | None] = None
+
+    def log_sum(self, start: int) -> float:
+        """S = sum_{t >= start} log1p(y_t): +inf for a divergent tail, and 0
+        where no yields follow or a present value is declared instead."""
+        return math.inf if self.tail_class is TailClass.DIVERGENT else 0.0
+
+    def per_period(self, step: float) -> TailModel:
+        """This tail of a continuous yield, read per sampling period of
+        ``step`` time units: period k's yield is ``step`` times the yield
+        at time k * step.  Kinds with no yield to rescale return self."""
+        return self
+
+
 @dataclass(frozen=True)
-class ConstantLevels:
+class ConstantLevels(TailModel):
     """Price and dividend stay at fixed levels beyond the horizon."""
 
     price: float
@@ -80,25 +104,37 @@ class ConstantLevels:
         if self.dividend < 0:
             raise ValidationError("ConstantLevels requires dividend >= 0")
 
+    @property
+    def tail_class(self) -> TailClass:
+        return TailClass.DIVERGENT if self.dividend > 0 else TailClass.CONVERGENT
+
+    def per_period(self, step: float) -> TailModel:
+        return ConstantLevels(self.price, self.dividend * step)
+
 
 @dataclass(frozen=True)
-class ConstantYield:
+class ConstantYield(TailModel):
     """Dividend yield stays at a fixed positive level."""
 
     level: float
+    tail_class = TailClass.DIVERGENT
 
     def __post_init__(self):
         _coerce_float(self, "level")
         if not self.level > 0:
             raise ValidationError("ConstantYield requires level > 0")
 
+    def per_period(self, step: float) -> TailModel:
+        return ConstantYield(self.level * step)
+
 
 @dataclass(frozen=True)
-class GeometricYield:
+class GeometricYield(TailModel):
     """Yield decays geometrically: y_t = coeff * ratio^t."""
 
     coeff: float
     ratio: float
+    tail_class = TailClass.CONVERGENT
 
     def __post_init__(self):
         _coerce_float(self, "coeff", "ratio")
@@ -107,9 +143,15 @@ class GeometricYield:
         if not 0 < self.ratio < 1:
             raise ValidationError("GeometricYield requires ratio in (0, 1)")
 
+    def log_sum(self, start: int) -> float:
+        return geometric_tail_log_sum(self.coeff, self.ratio, start)
+
+    def per_period(self, step: float) -> TailModel:
+        return GeometricYield(self.coeff * step, self.ratio**step)
+
 
 @dataclass(frozen=True)
-class PowerYield:
+class PowerYield(TailModel):
     """Yield decays polynomially: y_t = coeff * t^-exponent."""
 
     coeff: float
@@ -122,19 +164,35 @@ class PowerYield:
         if not self.exponent > 0:
             raise ValidationError("PowerYield requires exponent > 0")
 
+    @property
+    def tail_class(self) -> TailClass:
+        return TailClass.DIVERGENT if self.exponent <= 1 else TailClass.CONVERGENT
+
+    def log_sum(self, start: int) -> float:
+        if self.exponent <= 1:
+            return math.inf
+        return power_tail_log_sum(self.coeff, self.exponent, start)
+
+    def per_period(self, step: float) -> TailModel:
+        return PowerYield(self.coeff * step ** (1.0 - self.exponent), self.exponent)
+
 
 @dataclass(frozen=True)
-class ZeroDividends:
+class ZeroDividends(TailModel):
     """No dividends ever accrue beyond the horizon."""
 
+    tail_class = TailClass.CONVERGENT
+
 
 @dataclass(frozen=True)
-class DeclaredDivergent:
+class DeclaredDivergent(TailModel):
     """User asserts the yield sum diverges; no functional form given."""
 
+    tail_class = TailClass.DIVERGENT
+
 
 @dataclass(frozen=True)
-class DeclaredConvergent:
+class DeclaredConvergent(TailModel):
     """User asserts convergence and supplies the present value of the tail.
 
     ``tail_sum`` is the present value (date-0 goods) of all dividends past
@@ -142,22 +200,16 @@ class DeclaredConvergent:
     """
 
     tail_sum: float
+    tail_class = TailClass.CONVERGENT
 
     def __post_init__(self):
         _coerce_float(self, "tail_sum")
         if self.tail_sum < 0:
             raise ValidationError("DeclaredConvergent requires tail_sum >= 0")
 
-
-TailModel = Union[
-    ConstantLevels,
-    ConstantYield,
-    GeometricYield,
-    PowerYield,
-    ZeroDividends,
-    DeclaredDivergent,
-    DeclaredConvergent,
-]
+    @property
+    def present_value(self) -> float:
+        return self.tail_sum
 
 
 def classify_tail(tail: TailModel) -> TailClass:
@@ -166,21 +218,9 @@ def classify_tail(tail: TailModel) -> TailClass:
     A convergent sum is exactly the condition under which the deflated
     price has a positive limit (a bubble); divergence certifies no bubble.
     """
-    if isinstance(tail, ConstantLevels):
-        return TailClass.DIVERGENT if tail.dividend > 0 else TailClass.CONVERGENT
-    if isinstance(tail, ConstantYield):
-        return TailClass.DIVERGENT
-    if isinstance(tail, GeometricYield):
-        return TailClass.CONVERGENT
-    if isinstance(tail, PowerYield):
-        return TailClass.DIVERGENT if tail.exponent <= 1 else TailClass.CONVERGENT
-    if isinstance(tail, ZeroDividends):
-        return TailClass.CONVERGENT
-    if isinstance(tail, DeclaredDivergent):
-        return TailClass.DIVERGENT
-    if isinstance(tail, DeclaredConvergent):
-        return TailClass.CONVERGENT
-    raise TailUnsupportedError(f"unrecognized tail model: {tail!r}")
+    if not isinstance(tail, TailModel):
+        raise TailUnsupportedError(f"unrecognized tail model: {tail!r}")
+    return tail.tail_class
 
 
 def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:

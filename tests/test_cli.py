@@ -216,7 +216,7 @@ def parses_or_rejects(spec, last):
         tail = parse_tail_spec(spec, last)
     except ValidationError:
         return
-    assert isinstance(tail, TailModel.__args__)
+    assert isinstance(tail, TailModel)
 
 
 @given(st.text(), FINAL_SAMPLES)
@@ -338,6 +338,31 @@ def test_analyze_horizon_truncation(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", "--horizon", "100", str(f)])
     assert code == 0
     assert json.loads(out)["input"]["horizon"] == 100
+
+
+DECLARED_CONVERGENT_CSV = (
+    "# tail: declared-convergent:sum=0.1\n"
+    "t,P,D\n0,1,\n1,0.9,0.01\n2,0.8,0.01\n3,0.7,0.01\n4,0.6,0.01\n"
+)
+
+
+@pytest.mark.parametrize("tail", [[], ["--tail", "declared-convergent:sum=0.1"]])
+def test_analyze_horizon_refuses_a_declared_convergent_tail(tmp_path, capsys, tail):
+    # the declared sum is the present value of the dividends after the
+    # file's own horizon, so a shorter path would drop dates 3..4 from it
+    f = tmp_path / "path.csv"
+    f.write_text(DECLARED_CONVERGENT_CSV)
+    code, out, err = run(capsys, ["analyze", "--horizon", "2", *tail, str(f)])
+    assert (code, out) == (2, "")
+    assert "--horizon 2" in err
+    assert "after the file's own horizon 4" in err
+    # at the file's own horizon: the sampled present value plus the declared one
+    sampled = 1 - 1 / math.prod(1 + 0.01 / p for p in (0.9, 0.8, 0.7, 0.6))
+    for horizon in ([], ["--horizon", "4"], ["--horizon", "9"]):
+        code, out, _ = run(capsys, ["analyze", *horizon, *tail, str(f)])
+        assert code == 10
+        fundamental = json.loads(out)["decomposition"]["fundamental"]
+        assert fundamental == pytest.approx(sampled + 0.1, rel=1e-14)
 
 
 def test_analyze_text_format(tmp_path, capsys):

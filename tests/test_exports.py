@@ -54,3 +54,68 @@ def test_the_cli_imports_no_private_name_of_the_library():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+def tail_type_tests(source: str) -> list[str]:
+    """Each ``isinstance(..., <tail class>)`` and ``type(...) is <tail class>``
+    in ``source``, as ``line: code``."""
+    from bubblekit import tails
+
+    kinds = {
+        name
+        for name, value in vars(tails).items()
+        if isinstance(value, type) and issubclass(value, tails.TailModel)
+    }
+
+    def names_a_kind(node: ast.AST) -> bool:
+        return any(
+            (isinstance(n, ast.Name) and n.id in kinds)
+            or (isinstance(n, ast.Attribute) and n.attr in kinds)
+            for n in ast.walk(node)
+        )
+
+    def is_call_of(node: ast.AST, name: str) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if is_call_of(node, "isinstance") and len(node.args) == 2:
+            hit = names_a_kind(node.args[1])
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            hit = any(is_call_of(side, "type") for side in sides) and any(
+                names_a_kind(side) for side in sides if not is_call_of(side, "type")
+            )
+        else:
+            hit = False
+        if hit:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_tail_type_tests_are_found():
+    source = (
+        "isinstance(t, GeometricYield)\n"
+        "isinstance(t, (ConstantYield, int))\n"
+        "type(t) is tails.PowerYield\n"
+        "DeclaredConvergent is type(t)\n"
+        "isinstance(t, float)\n"
+        "type(t) is int\n"
+    )
+    assert tail_type_tests(source) == [
+        "1: isinstance(t, GeometricYield)",
+        "2: isinstance(t, (ConstantYield, int))",
+        "3: type(t) is tails.PowerYield",
+        "4: DeclaredConvergent is type(t)",
+    ]
+
+
+@pytest.mark.parametrize("module", ["series", "continuous", "characterization"])
+def test_the_core_asks_a_tail_and_never_tests_its_kind(module):
+    # what a tail kind means lives in its methods, in tails.py
+    source = Path(bubblekit.__file__).with_name(f"{module}.py").read_text()
+    assert tail_type_tests(source) == []

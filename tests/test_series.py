@@ -30,7 +30,6 @@ from bubblekit import (
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
-    reroot,
 )
 from bubblekit.characterization import _yields
 
@@ -446,6 +445,18 @@ def test_decompose_sub_threshold_bubble_with_classifier_is_inconsistent():
         decompose(p)
 
 
+def test_declared_zero_tail_value_on_a_sub_threshold_bubble_is_inconsistent():
+    # L_T = 30 leaves a bubble of e^-30 P_0, below EPS_BUBBLE * P_0: a bubble
+    # flagged boundary under zero dividends, but a declared-convergent tail
+    # states a positive bubble above the threshold, even with a zero value
+    p = DiscretePath(np.ones(31), np.full(30, math.e - 1.0), tail=ZeroDividends())
+    dec = decompose(p)
+    assert dec.verdict is Classification.BUBBLE
+    assert dec.diagnostics["boundary"] is True
+    with pytest.raises(ValidationError, match="inconsistent"):
+        decompose(p.with_tail(DeclaredConvergent(0.0)))
+
+
 def test_decompose_raises_on_route_disagreement():
     # a declared-convergent tail that absorbs the entire remaining value
     # leaves a zero bubble although the tail class is convergent (=
@@ -624,26 +635,3 @@ def test_ensemble_of_real_decompositions():
     assert agg.verdict is Classification.NO_BUBBLE
     assert agg.price == pytest.approx(sum(50 + i for i in range(10)), rel=1e-15)
 
-
-# ---------- reroot ----------
-
-
-def test_reroot_constant_path_is_constant():
-    p = constant_path(T=50)
-    r = reroot(p, 20)
-    assert r.horizon == 30
-    dec = decompose(r)
-    assert (dec.price, dec.fundamental, dec.bubble) == (100.0, 100.0, 0.0)
-
-
-def test_reroot_drops_dividend_at_new_origin():
-    p = constant_path(T=5)
-    r = reroot(p, 2)
-    assert r.dividends[0] == 0.0
-    assert np.array_equal(r.prices, p.prices[2:])
-
-
-def test_reroot_out_of_range():
-    p = constant_path(T=5)
-    with pytest.raises(OutOfRangeError):
-        reroot(p, 5)

@@ -12,6 +12,7 @@ from bubblekit import (
     GeometricYield,
     PowerYield,
     TailClass,
+    TailModel,
     TailUnsupportedError,
     ValidationError,
     ZeroDividends,
@@ -23,24 +24,84 @@ from bubblekit.tails import geometric_tail_log_sum, power_tail_log_sum
 from oracles import geometric_head_loop, log_tail_sum, log_tail_sum_power, pseries_partial
 
 
-@pytest.mark.parametrize(
-    "tail, expected",
-    [
-        (ConstantLevels(100, 5), TailClass.DIVERGENT),
-        (ConstantLevels(100, 0), TailClass.CONVERGENT),
-        (ConstantYield(0.05), TailClass.DIVERGENT),
-        (GeometricYield(0.5, 0.5), TailClass.CONVERGENT),
-        (PowerYield(1, 0.5), TailClass.DIVERGENT),
-        (PowerYield(1, 1), TailClass.DIVERGENT),
-        (PowerYield(1, 1.5), TailClass.CONVERGENT),
-        (PowerYield(1, 2), TailClass.CONVERGENT),
-        (ZeroDividends(), TailClass.CONVERGENT),
-        (DeclaredDivergent(), TailClass.DIVERGENT),
-        (DeclaredConvergent(0.25), TailClass.CONVERGENT),
-    ],
-)
+# one instance of every kind, with each branch of its class
+KINDS = [
+    (ConstantLevels(100, 5), TailClass.DIVERGENT),
+    (ConstantLevels(100, 0), TailClass.CONVERGENT),
+    (ConstantYield(0.05), TailClass.DIVERGENT),
+    (GeometricYield(0.5, 0.5), TailClass.CONVERGENT),
+    (PowerYield(1, 0.5), TailClass.DIVERGENT),
+    (PowerYield(1, 1), TailClass.DIVERGENT),
+    (PowerYield(1, 1.5), TailClass.CONVERGENT),
+    (PowerYield(1, 2), TailClass.CONVERGENT),
+    (ZeroDividends(), TailClass.CONVERGENT),
+    (DeclaredDivergent(), TailClass.DIVERGENT),
+    (DeclaredConvergent(0.25), TailClass.CONVERGENT),
+]
+
+
+@pytest.mark.parametrize("tail, expected", KINDS)
 def test_classify_tail(tail, expected):
     assert classify_tail(tail) is expected
+    assert tail.tail_class is expected
+    assert isinstance(tail, TailModel)
+
+
+@pytest.mark.parametrize(
+    "tail, start, expected",
+    [
+        (GeometricYield(0.5, 0.5), 1, lambda: log_tail_sum(0.5, lambda t: 0.5**t, 1)),
+        (GeometricYield(2.0, 0.9), 11, lambda: log_tail_sum(2.0, lambda t: 0.9**t, 11)),
+        (GeometricYield(0.01, 0.3), 5, lambda: log_tail_sum(0.01, lambda t: 0.3**t, 5)),
+        (PowerYield(1, 2), 1, lambda: log_tail_sum_power(1.0, 2.0, 1)),
+        (PowerYield(0.3, 3), 7, lambda: log_tail_sum_power(0.3, 3.0, 7)),
+        (PowerYield(1, 1.1), 4, lambda: log_tail_sum_power(1.0, 1.1, 4)),
+        (ConstantLevels(100, 0), 3, lambda: 0.0),
+        (ZeroDividends(), 3, lambda: 0.0),
+        (DeclaredConvergent(0.25), 3, lambda: 0.0),
+        (ConstantLevels(100, 5), 3, lambda: math.inf),
+        (ConstantYield(0.05), 3, lambda: math.inf),
+        (PowerYield(1, 0.5), 3, lambda: math.inf),
+        (PowerYield(1, 1), 3, lambda: math.inf),
+        (DeclaredDivergent(), 3, lambda: math.inf),
+    ],
+)
+def test_log_sum(tail, start, expected):
+    got = tail.log_sum(start)
+    assert got == pytest.approx(expected(), rel=1e-12)
+    # the analytic sums keep the bits of the module functions
+    if isinstance(tail, GeometricYield):
+        assert got == geometric_tail_log_sum(tail.coeff, tail.ratio, start)
+    if isinstance(tail, PowerYield) and tail.exponent > 1:
+        assert got == power_tail_log_sum(tail.coeff, tail.exponent, start)
+
+
+def continuous_yield(tail, t):
+    """The yield at time t of ``tail`` read as a continuous yield."""
+    return {
+        ConstantLevels: lambda: tail.dividend / tail.price,
+        ConstantYield: lambda: tail.level,
+        GeometricYield: lambda: tail.coeff * tail.ratio**t,
+        PowerYield: lambda: tail.coeff * t**-tail.exponent,
+    }[type(tail)]()
+
+
+@pytest.mark.parametrize("tail", [tail for tail, _ in KINDS], ids=repr)
+@pytest.mark.parametrize("step", [0.25, 1.0, 3.0])
+def test_per_period(tail, step):
+    period = tail.per_period(step)
+    assert type(period) is type(tail)
+    assert period.tail_class is tail.tail_class
+    if step == 1.0:
+        assert period == tail
+    if type(tail) in (ZeroDividends, DeclaredDivergent, DeclaredConvergent):
+        assert period is tail
+        return
+    # period k's yield is step times the continuous yield at time k * step
+    for k in (1, 2, 7, 40):
+        assert continuous_yield(period, k) == pytest.approx(
+            step * continuous_yield(tail, k * step), rel=1e-13
+        )
 
 
 def test_classify_tail_agrees_with_pseries_partial_sums():
