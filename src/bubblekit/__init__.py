@@ -21,13 +21,11 @@ from .continuous import (
     CumulativeDividend,
     deflated_price_profile,
     discretize,
-    integrate_dF_over_P,
     montrucchio_continuous,
 )
 from .errors import (
     ArbitrageError,
     BubblekitError,
-    EmptyEnsembleError,
     HorizonMismatchError,
     NonPositivePriceError,
     OutOfRangeError,
@@ -52,9 +50,7 @@ from .series import (
     Decomposition,
     Deflators,
     DiscretePath,
-    check_no_arbitrage,
     decompose,
-    ensemble_decompose,
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
@@ -82,10 +78,8 @@ __all__ = [
     "Decomposition",
     "implied_deflators",
     "no_arbitrage_residuals",
-    "check_no_arbitrage",
     "partial_value",
     "decompose",
-    "ensemble_decompose",
     # characterization
     "Classification",
     "Verdict",
@@ -106,7 +100,6 @@ __all__ = [
     # continuous
     "CumulativeDividend",
     "ContinuousPath",
-    "integrate_dF_over_P",
     "deflated_price_profile",
     "montrucchio_continuous",
     "discretize",
@@ -124,7 +117,6 @@ __all__ = [
     "HorizonMismatchError",
     "OutOfRangeError",
     "TailUnsupportedError",
-    "EmptyEnsembleError",
     "NonPositivePriceError",
     "ParameterOrderError",
     "StepMismatchError",

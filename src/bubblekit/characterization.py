@@ -117,6 +117,9 @@ class TailFit:
 # constant-yield suggestion even if a sloped fit edges it out on RMSE
 _FLAT_SLOPE = 1e-3
 
+# the tail fit reads this trailing share of the yields (at least 8 of them)
+_WINDOW_FRACTION = 0.2
+
 
 def _line_fit(
     x: np.ndarray, rise: np.ndarray, rise_mean: float, y_mean: float
@@ -146,18 +149,18 @@ def _line_fit(
     return slope, float(y_mean - slope * x_mean)
 
 
-def suggest_tail(path: DiscretePath, window_fraction: float = 0.2) -> TailFit:
+def suggest_tail(path: DiscretePath) -> TailFit:
     """Least-squares tail fit on the trailing window of the yield series.
 
     Fits constant, geometric, and power decay to log y_t over the last
-    ``window_fraction`` of the sample (at least 8 points) and proposes the
+    fifth of the sample (at least 8 points) and proposes the
     best valid candidate.  The fits are closed-form ordinary least squares
     (the mean, and a line in t or in log t).  Zero yields are excluded from
     the fits.
     """
     yields = _yields(path)
     n = yields.size
-    window = min(n, max(8, math.ceil(window_fraction * n)))
+    window = min(n, max(8, math.ceil(_WINDOW_FRACTION * n)))
     t = np.arange(n - window + 1, n + 1, dtype=np.float64)
     y = yields[n - window:]
     pos = y > 0

@@ -206,6 +206,11 @@ def _analyze_discrete(
 def _analyze_continuous(
     cpath: ContinuousPath, args: argparse.Namespace, tol: float
 ) -> dict[str, Any]:
+    if args.horizon is not None:
+        raise ValidationError(
+            "--horizon truncates discrete paths only; a continuous document "
+            "is analyzed over its whole grid"
+        )
     tail_source = "embedded"
     if args.tail is not None:
         last = (float(cpath.prices[-1]), float(cpath.dividends.density[-1]))

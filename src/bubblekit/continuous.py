@@ -33,7 +33,6 @@ from .tails import TailClass, TailModel, classify_tail
 __all__ = [
     "CumulativeDividend",
     "ContinuousPath",
-    "integrate_dF_over_P",
     "deflated_price_profile",
     "montrucchio_continuous",
     "discretize",
@@ -175,46 +174,6 @@ def _cell_increments(cpath: ContinuousPath, values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def integrate_dF_over_P(
-    cpath: ContinuousPath, T: float, jump_price_side: str = "right"
-) -> float:
-    """Stieltjes integral of dF / P over [0, T].
-
-    The density part uses the trapezoidal rule (with a linearly
-    interpolated partial cell when T is off-grid); its whole cells, which
-    are nonnegative, are totalled by one faithfully rounded
-    ``compensated_sum``.  Each jump
-    contributes its size divided by the grid price sample at the jump
-    time.  Raises ``ValidationError`` when the total leaves the double
-    range.
-    """
-    horizon = cpath.horizon
-    if not 0 < T <= horizon * (1 + _GRID_RTOL):
-        raise OutOfRangeError(f"T = {T} outside (0, {horizon}]")
-    h = cpath.grid_step
-    yields = _density_yields(cpath)
-    cells = _cell_increments(cpath, yields)
-    pos = T / h
-    m = min(int(math.floor(pos + _GRID_RTOL)), cells.size)
-    # the cells total at most _MAX_INTEGRAL, so this sum is finite; as a
-    # Python float, a jump term below that passes the double range makes
-    # it inf, which the check below rejects, with no RuntimeWarning
-    total = float(compensated_sum(cells[:m]))
-    frac = pos - m
-    if frac > _GRID_RTOL and m < yields.size - 1:
-        edge = yields[m] + (yields[m + 1] - yields[m]) * frac
-        total += float(0.5 * frac * h * (yields[m] + edge))
-    for t, df in cpath.dividends.jumps:
-        if t <= T * (1 + _GRID_RTOL):
-            total += df / _price_at_jump(cpath, t, jump_price_side)
-    if not total <= _MAX_INTEGRAL:
-        raise ValidationError(
-            "a dividend jump is too large for the price there: the dF / P sum "
-            "leaves the double range"
-        )
-    return total
-
-
 def _jump_log_factors(
     cpath: ContinuousPath, jump_price_side: str
 ) -> list[tuple[float, float]]:
@@ -281,12 +240,28 @@ def montrucchio_continuous(
 ) -> Verdict:
     """Classify bubble existence from the declared continuous yield tail.
 
-    The finite-horizon integral of dF / P is reported as evidence; as in
-    discrete time, only the declared tail decides.
+    The Stieltjes integral of dF / P over the whole horizon is reported as
+    evidence; as in discrete time, only the declared tail decides.  Its
+    density part is the trapezoidal rule, whose cells, which are
+    nonnegative, are totalled by one faithfully rounded
+    ``compensated_sum``; each jump adds its size divided by the grid price
+    sample at the jump time.  Raises ``ValidationError`` when the integral
+    leaves the double range.
     """
     if cpath.tail is None:
         raise ValidationError("classification requires a declared tail model")
-    partial = integrate_dF_over_P(cpath, cpath.horizon, jump_price_side)
+    cells = _cell_increments(cpath, _density_yields(cpath))
+    # the cells total at most _MAX_INTEGRAL, so this sum is finite; as a
+    # Python float, a jump term below that passes the double range makes
+    # it inf, which the check below rejects, with no RuntimeWarning
+    partial = float(compensated_sum(cells))
+    for t, df in cpath.dividends.jumps:
+        partial += df / _price_at_jump(cpath, t, jump_price_side)
+    if not partial <= _MAX_INTEGRAL:
+        raise ValidationError(
+            "a dividend jump is too large for the price there: the dF / P sum "
+            "leaves the double range"
+        )
     tail_class = classify_tail(cpath.tail)
     if tail_class is TailClass.CONVERGENT:
         classification = Classification.BUBBLE

@@ -32,10 +32,6 @@ class TailUnsupportedError(ValidationError):
     """The tail model admits no present-value evaluation rule."""
 
 
-class EmptyEnsembleError(ValidationError):
-    """Aggregation was requested over an empty collection."""
-
-
 class NonPositivePriceError(ValidationError):
     """A strictly positive price path is required but P_t <= 0 somewhere."""
 

@@ -51,7 +51,7 @@ from .series import (
     Decomposition,
     Deflators,
     DiscretePath,
-    check_no_arbitrage,
+    no_arbitrage_residuals,
 )
 from .tails import (
     ConstantLevels,
@@ -266,7 +266,7 @@ def parse_path_csv(
         if abs(float(deflators[0][0]) - 1.0) > 1e-12:
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
         supplied = Deflators(np.concatenate(([0.0], np.log(deflators[0][1:]))))
-        if not check_no_arbitrage(path, supplied, tol):
+        if not no_arbitrage_residuals(path, supplied).max() <= tol:
             raise ArbitrageError(
                 "supplied deflators violate the no-arbitrage recursion "
                 f"at relative tolerance {tol!r}"

@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
 from .characterization import Classification, montrucchio_discrete
 from .errors import (
-    EmptyEnsembleError,
     HorizonMismatchError,
     OutOfRangeError,
     ValidationError,
     ZeroInitialPriceError,
 )
 from .numerics import _TINY, compensated_cumsum, log_ratio
-from .tails import TailModel
+from .tails import TailModel, classify_tail
 
 __all__ = [
     "EPS_BUBBLE",
@@ -46,10 +45,8 @@ __all__ = [
     "Decomposition",
     "implied_deflators",
     "no_arbitrage_residuals",
-    "check_no_arbitrage",
     "partial_value",
     "decompose",
-    "ensemble_decompose",
 ]
 
 # bubble threshold, relative to P_0: a bubble at or below it carries the
@@ -166,11 +163,6 @@ class Deflators:
     def horizon(self) -> int:
         return self.log_q.size - 1
 
-    @property
-    def q(self) -> np.ndarray:
-        """Linear-domain state prices (may underflow to 0 for display)."""
-        return np.exp(self.log_q)
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -269,13 +261,6 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     return residuals
 
 
-def check_no_arbitrage(
-    path: DiscretePath, deflators: Deflators, tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff the recursion holds at every step within relative ``tol``."""
-    return bool(np.all(no_arbitrage_residuals(path, deflators) <= tol))
-
-
 def partial_value(path: DiscretePath, deflators: Deflators, T: int) -> float:
     """Present value of the first T dividends: sum_{t=1..T} q_t D_t.
 
@@ -314,6 +299,7 @@ def _split(path: DiscretePath, log_yield: np.ndarray) -> _Split:
         raise ValidationError(
             "path has no declared tail model; declare one before valuation"
         )
+    classify_tail(tail)  # refuses an object that is no tail model
     price0 = float(path.prices[0])
     log_sum = float(log_yield[-1]) + tail.log_sum(path.horizon + 1)
     declared = tail.present_value
@@ -374,45 +360,3 @@ def decompose(path: DiscretePath) -> Decomposition:
         },
     }
     return Decomposition(price0, split.fundamental, split.bubble, split.verdict, diagnostics)
-
-
-def ensemble_decompose(decompositions: Sequence[Decomposition]) -> Decomposition:
-    """Aggregate decompositions across assets (e.g. firms) by summation.
-
-    A sum of nonnegative bubbles is positive exactly when one member's is
-    (Santos & Woodford 1997), so the verdict is bubble exactly when some
-    member's verdict is.  ``log_bubble`` is the log-sum-exp of those
-    members' log bubbles (their ``log_bubble`` diagnostic, else the log of
-    a positive bubble), finite where the aggregate bubble underflows, and
-    None otherwise.  ``boundary`` flags an aggregate bubble at or below
-    EPS_BUBBLE times the aggregate price, and a nonzero bubble within it
-    under a no-bubble verdict.
-    """
-    if not decompositions:
-        raise EmptyEnsembleError("cannot aggregate an empty ensemble")
-    price = math.fsum(d.price for d in decompositions)
-    fundamental = math.fsum(d.fundamental for d in decompositions)
-    bubble = math.fsum(d.bubble for d in decompositions)
-    members = [d for d in decompositions if d.verdict is Classification.BUBBLE]
-    verdict = Classification.BUBBLE if members else Classification.NO_BUBBLE
-    logs = [v for v in map(_member_log_bubble, members) if v is not None]
-    log_bubble = None
-    if logs:
-        top = max(logs)
-        log_bubble = top + math.log(math.fsum(math.exp(v - top) for v in logs))
-    diagnostics: dict[str, Any] = {
-        "members": len(decompositions),
-        "log_bubble": log_bubble,
-        "boundary": abs(bubble) <= EPS_BUBBLE * price
-        and (bubble != 0.0 or verdict is Classification.BUBBLE),
-        "member_bubble_max": max(d.bubble for d in decompositions),
-    }
-    return Decomposition(price, fundamental, bubble, verdict, diagnostics)
-
-
-def _member_log_bubble(dec: Decomposition) -> float | None:
-    log_bubble = dec.diagnostics.get("log_bubble")
-    if log_bubble is None and dec.bubble > 0.0:
-        return math.log(dec.bubble)
-    return log_bubble
-

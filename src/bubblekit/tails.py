@@ -34,6 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import TailUnsupportedError, ValidationError
+from .numerics import compensated_sum
 
 __all__ = [
     "TailClass",
@@ -253,6 +254,12 @@ def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
     return math.fsum(map(math.log1p, terms))
 
 
+# a power tail's head terms are summed this many to a numpy pass, and no
+# more than _POWER_HEAD_MAX of them in all
+_POWER_HEAD_CHUNK = 1 << 20
+_POWER_HEAD_MAX = 100_000_000
+
+
 def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
     """sum_{t >= start} log1p(coeff * t^-exponent) for exponent > 1.
 
@@ -261,21 +268,27 @@ def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
     remainder uses the expansion log1p(x) = sum_k (-1)^(k+1) x^k / k,
     which turns the tail into an alternating series of Hurwitz zeta
     values: sum_k (-1)^(k+1) (coeff^k / k) * zeta(k*p, t0).
+
+    The head's terms are positive; they are formed by numpy ``log1p`` over
+    an ``arange`` in chunks, and each chunk's total and then the sum of
+    those totals come from ``compensated_sum``.  A head longer than
+    ``_POWER_HEAD_MAX`` terms raises ``TailUnsupportedError``.
     """
     if exponent <= 1:
         raise TailUnsupportedError("power tail sum diverges for exponent <= 1")
-    t0 = max(start, math.ceil((2.0 * coeff) ** (1.0 / exponent)))
-    capped = t0 - start > 2_000_000
-    if capped:
-        # every retained term is >= log(3/2); the partial sum already
-        # exceeds 8e5, so its exp-complement is identically 0.0 in double
-        # precision and the remainder is irrelevant
-        t0 = start + 2_000_000
-    head = math.fsum(
-        math.log1p(coeff * float(t) ** -exponent) for t in range(start, t0)
-    )
-    if capped:
-        return head
+    edge = (2.0 * coeff) ** (1.0 / exponent)  # inf where 2 * coeff overflows
+    if edge - start > _POWER_HEAD_MAX:
+        raise TailUnsupportedError(
+            f"power-yield tail a={coeff!r}, p={exponent!r}: its yield stays at "
+            f"or above 1/2 from t = {start} to t = {edge:.6g}, more than the "
+            f"{_POWER_HEAD_MAX} terms its log-yield sum can add one by one"
+        )
+    t0 = max(start, math.ceil(edge))
+    chunks = []
+    for lo in range(start, t0, _POWER_HEAD_CHUNK):
+        t = np.arange(lo, min(lo + _POWER_HEAD_CHUNK, t0), dtype=np.float64)
+        chunks.append(compensated_sum(np.log1p(coeff * t**-exponent)))
+    head = float(compensated_sum(np.array(chunks)))
     from scipy.special import zeta  # imported on use: ~0.3 s at start-up
 
     log_coeff = math.log(coeff)

@@ -30,7 +30,12 @@ from bubblekit.io import (
     tail_from_json,
     tail_to_json,
 )
-from bubblekit.series import DEFAULT_TOL, Deflators, DiscretePath, check_no_arbitrage
+from bubblekit.series import (
+    DEFAULT_TOL,
+    Deflators,
+    DiscretePath,
+    no_arbitrage_residuals,
+)
 
 
 def product_bubble(alpha: float, rho: float, terms: int = 200, dps: int = 50) -> float:
@@ -312,7 +317,7 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
         supplied = Deflators(
             np.concatenate(([0.0], np.log(np.array(deflator_values[1:]))))
         )
-        if not check_no_arbitrage(path, supplied, tol):
+        if not no_arbitrage_residuals(path, supplied).max() <= tol:
             raise ArbitrageError(
                 "supplied deflators violate the no-arbitrage recursion "
                 f"at relative tolerance {tol!r}"

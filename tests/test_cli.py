@@ -365,6 +365,25 @@ def test_analyze_horizon_refuses_a_declared_convergent_tail(tmp_path, capsys, ta
         assert fundamental == pytest.approx(sampled + 0.1, rel=1e-14)
 
 
+@pytest.mark.parametrize("horizon", ["1", "4", "100"])
+def test_analyze_horizon_refuses_a_continuous_document(capsys, monkeypatch, horizon):
+    # --horizon truncates discrete paths; a continuous document given it
+    # once exited 0 with its whole-grid report
+    _, doc, _ = run(
+        capsys,
+        [
+            "generate", "miao-wang", "--Q", "1", "--K", "10", "--Bmw", "5", "--D", "1",
+            "--horizon", "4", "--grid-step", "0.1",
+        ],
+    )
+    argv = ["analyze", "--horizon", horizon, "-"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "--horizon truncates discrete paths only" in err
+    code, _, _ = run(capsys, ["analyze", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+
+
 def test_analyze_text_format(tmp_path, capsys):
     f = tmp_path / "path.csv"
     f.write_text(serialize_path_csv(gen_constant(100, 5, 40)))
@@ -1109,6 +1128,22 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     in_process = [run(capsys, argv) for argv in calls]
     assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 0, 10]
     assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+def test_power_tail_head_is_summed_whole_or_refused(tmp_path, capsys):
+    f = tmp_path / "g.csv"
+    f.write_text(serialize_path_csv(gen_gordon(1.0, 1.01, 1.05, 50)))
+    # a head of 7.4 million terms from t = 51, which alone sums to 9.86e6;
+    # it was cut after 2 million, for a log_bubble of -5.7e6
+    code, out, _ = run(capsys, ["analyze", "--tail", "power-yield:a=1e10,p=1.5", str(f)])
+    assert code == 10
+    assert json.loads(out)["diagnostics"]["log_bubble"] < -9.86e6
+    # past the bound on the head, or where 2 a overflows: bad input, not a guess
+    for a in ("1e20", "1e308"):
+        argv = ["analyze", "--tail", f"power-yield:a={a},p=1.5", str(f)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"power-yield tail a={float(a)!r}, p=1.5" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -21,7 +22,6 @@ from bubblekit import (
     discretize,
     gen_miao_wang,
     implied_deflators,
-    integrate_dF_over_P,
     montrucchio_continuous,
 )
 
@@ -105,23 +105,43 @@ def test_rejects_density_grid_mismatch():
 # ---------- Stieltjes integral ----------
 
 
+def integral(cpath, jump_price_side="right"):
+    """The dF / P integral over the path's whole horizon, as the continuous
+    classifier reports it (the tail plays no part in it)."""
+    tailed = dataclasses.replace(cpath, tail=ZeroDividends())
+    return montrucchio_continuous(tailed, jump_price_side).partial_sum
+
+
+def truncated(cpath, T):
+    """``cpath`` cut at the grid point nearest to T, with the jumps up to it."""
+    k = round(T / cpath.grid_step)
+    return ContinuousPath(
+        grid_step=cpath.grid_step,
+        prices=cpath.prices[: k + 1],
+        dividends=CumulativeDividend(
+            cpath.dividends.density[: k + 1],
+            tuple(j for j in cpath.dividends.jumps if j[0] <= k * cpath.grid_step),
+        ),
+    )
+
+
 def test_integral_constant_flow_is_linear():
     cpath = constant_flow_path(P=100.0, D=5.0, horizon=50.0, h=1e-2)
     for T in (1.0, 10.0, 50.0):
-        assert integrate_dF_over_P(cpath, T) == pytest.approx(
+        assert integral(truncated(cpath, T)) == pytest.approx(
             5.0 * T / 100.0, rel=1e-12
         )
 
 
 def test_integral_zero_density_no_jumps():
     cpath = grid_path(10.0, 1e-2)
-    assert integrate_dF_over_P(cpath, 10.0) == 0.0
+    assert integral(cpath) == 0.0
 
 
 def test_integral_exponential_density_closed_form():
     cpath = exp_density_path()
-    got = integrate_dF_over_P(cpath, 20.0)
-    assert got == pytest.approx(1.0 - math.exp(-20.0), abs=1e-6)
+    assert cpath.horizon == 20.0
+    assert integral(cpath) == pytest.approx(1.0 - math.exp(-20.0), abs=1e-6)
 
 
 def test_integral_includes_jumps_divided_by_price():
@@ -131,29 +151,22 @@ def test_integral_includes_jumps_divided_by_price():
         price_fn=lambda t: np.full_like(t, 4.0),
         jumps=((2.5, 1.0), (7.0, 2.0)),
     )
-    assert integrate_dF_over_P(cpath, 2.0) == 0.0
-    assert integrate_dF_over_P(cpath, 2.5) == pytest.approx(0.25, rel=1e-15)
-    assert integrate_dF_over_P(cpath, 10.0) == pytest.approx(0.75, rel=1e-15)
+    assert integral(truncated(cpath, 2.0)) == 0.0
+    # a jump at the horizon counts
+    assert integral(truncated(cpath, 2.5)) == pytest.approx(0.25, rel=1e-15)
+    assert integral(cpath) == pytest.approx(0.75, rel=1e-15)
 
 
 def test_integral_monotone_in_horizon():
     cpath = exp_density_path(horizon=5.0, h=1e-2)
-    values = [integrate_dF_over_P(cpath, T) for T in np.linspace(0.05, 5.0, 40)]
+    values = [integral(truncated(cpath, T)) for T in np.linspace(0.05, 5.0, 40)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_integral_out_of_range():
-    cpath = constant_flow_path(horizon=5.0, h=1e-2)
-    with pytest.raises(OutOfRangeError):
-        integrate_dF_over_P(cpath, 5.5)
-    with pytest.raises(OutOfRangeError):
-        integrate_dF_over_P(cpath, 0.0)
 
 
 def test_removing_a_jump_never_increases_the_integral():
     with_jump = grid_path(10.0, 1e-2, jumps=((3.0, 0.5),))
     without = grid_path(10.0, 1e-2)
-    assert integrate_dF_over_P(with_jump, 10.0) >= integrate_dF_over_P(without, 10.0)
+    assert integral(with_jump) >= integral(without)
 
 
 def test_integral_past_the_double_range_is_rejected():
@@ -162,8 +175,8 @@ def test_integral_past_the_double_range_is_rejected():
         10.0, 1.0, price_fn=lambda t: np.full_like(t, 1e-300), jumps=((3.0, 1e300),)
     )
     with pytest.raises(ValidationError, match="dF / P sum leaves the double range"):
-        integrate_dF_over_P(cpath, 10.0)
-    assert integrate_dF_over_P(cpath, 2.5) == 0.0  # the jump comes later
+        integral(cpath)
+    assert integral(truncated(cpath, 2.0)) == 0.0  # the path before the jump
 
 
 # ---------- exponential identity ----------
@@ -206,7 +219,7 @@ def test_identity_single_jump_drops_by_exact_factor():
     lhs_after, rhs_after = profile_at(cpath, 4.0)
     assert rhs_after == pytest.approx(2.0 / math.e, rel=1e-12)
     assert lhs_after == pytest.approx(2.0 / math.e, rel=1e-12)
-    assert integrate_dF_over_P(cpath, 4.0) == pytest.approx(factor, rel=1e-15)
+    assert integral(cpath) == pytest.approx(factor, rel=1e-15)
 
 
 def test_identity_refinement_is_second_order():
@@ -229,12 +242,12 @@ def test_identity_rejects_jump_larger_than_price():
 def test_jump_price_side_flag():
     prices = lambda t: 1.0 + t  # rising price: left/right samples differ off-grid
     cpath = grid_path(2.0, 0.5, price_fn=prices, jumps=((0.75, 0.5),))
-    right = integrate_dF_over_P(cpath, 2.0, jump_price_side="right")
-    left = integrate_dF_over_P(cpath, 2.0, jump_price_side="left")
+    right = integral(cpath, jump_price_side="right")
+    left = integral(cpath, jump_price_side="left")
     assert right == pytest.approx(0.5 / 2.0, rel=1e-12)  # sample at t=1.0
     assert left == pytest.approx(0.5 / 1.5, rel=1e-12)  # sample at t=0.5
     with pytest.raises(ValidationError):
-        integrate_dF_over_P(cpath, 2.0, jump_price_side="middle")
+        integral(cpath, jump_price_side="middle")
 
 
 # ---------- classification ----------
@@ -371,7 +384,7 @@ def test_grid_sums_equal_fsum_bit_for_bit():
             for t, df in cpath.dividends.jumps:
                 if t <= T:
                     expected += df / prices[round(t / h)]
-            assert integrate_dF_over_P(cpath, T) == expected
+            assert integral(truncated(cpath, T)) == expected
 
 
 def test_discretize_bias_is_first_order_in_the_step():

@@ -1,8 +1,10 @@
-"""Every name a module exports resolves, and every operation the README
-names is exported, so a deleted name cannot linger in code or docs."""
+"""Every name a module exports resolves, the README's operations are exactly
+the exported functions, and every span the benchmark wraps exists, so a
+deleted name cannot linger in code, docs or the benchmark."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -38,9 +40,35 @@ def key_operations() -> list[str]:
 
 
 def test_every_key_operation_in_the_readme_is_exported():
+    # and every exported function is a key operation: the table is the surface
+    functions = {
+        name for name in bubblekit.__all__ if inspect.isfunction(getattr(bubblekit, name))
+    }
     names = key_operations()
-    assert len(names) >= 10
-    assert [name for name in names if name not in bubblekit.__all__] == []
+    assert len(set(names)) == len(names)
+    assert set(names) == functions
+
+
+def bench_spans() -> list[tuple[str, str]]:
+    """The ``(module, function)`` pairs of ``SPANS`` in ``bench/tracing.py``,
+    read from its source without importing the benchmark."""
+    source = (Path(__file__).resolve().parent.parent / "bench" / "tracing.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPANS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py assigns no SPANS")
+
+
+def test_every_span_the_benchmark_wraps_resolves():
+    # bench/run.py --trace 1 wraps each one, and raises on a missing name
+    spans = bench_spans()
+    assert spans
+    missing = [
+        f"{module}.{function}"
+        for module, function in spans
+        if not callable(getattr(importlib.import_module(f"bubblekit.{module}"), function, None))
+    ]
+    assert missing == []
 
 
 def test_the_cli_imports_no_private_name_of_the_library():

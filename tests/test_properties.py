@@ -12,12 +12,10 @@ from bubblekit import (
     Classification,
     ConstantYield,
     DeclaredDivergent,
-    Decomposition,
     DiscretePath,
     GeometricYield,
     ZeroDividends,
     decompose,
-    ensemble_decompose,
     implied_deflators,
     montrucchio_discrete,
     partial_value,
@@ -110,31 +108,6 @@ def test_pure_bubble_identity_is_exact(path):
     assert decompose(dividendless).bubble == float(
         dividendless.prices[0]
     )
-
-
-@given(st.lists(st.tuples(st.floats(0.1, 100), st.floats(0, 1)), min_size=1, max_size=20))
-@settings(max_examples=40, deadline=None)
-def test_ensemble_is_additive(members):
-    parts = []
-    for price, bubble_share in members:
-        bubble = price * bubble_share
-        # the verdict rule of a strictly positive path: any positive bubble
-        verdict = Classification.BUBBLE if bubble > 0 else Classification.NO_BUBBLE
-        parts.append(Decomposition(price, price - bubble, bubble, verdict, {}))
-    agg = ensemble_decompose(parts)
-    assert agg.price == pytest.approx(math.fsum(p.price for p in parts), rel=1e-15)
-    assert agg.bubble == pytest.approx(math.fsum(p.bubble for p in parts), rel=1e-15)
-    assert agg.bubble >= 0.0
-    # a sum of nonnegative bubbles is positive exactly when one member's is
-    any_bubble = any(p.bubble > 0.0 for p in parts)
-    assert (agg.verdict is Classification.BUBBLE) is any_bubble
-    if any_bubble:
-        assert agg.diagnostics["log_bubble"] == pytest.approx(
-            math.log(agg.bubble), rel=1e-14, abs=1e-14
-        )
-    else:
-        assert agg.bubble == 0.0
-        assert agg.diagnostics["log_bubble"] is None
 
 
 @pytest.mark.parametrize(

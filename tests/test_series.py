@@ -9,22 +9,20 @@ from hypothesis import strategies as st
 from bubblekit import (
     Classification,
     ConstantLevels,
+    ConstantYield,
     DeclaredConvergent,
     DeclaredDivergent,
-    Decomposition,
     Deflators,
     DiscretePath,
-    EmptyEnsembleError,
     GeometricYield,
     HorizonMismatchError,
     OutOfRangeError,
     PowerYield,
+    TailUnsupportedError,
     ValidationError,
     ZeroDividends,
     ZeroInitialPriceError,
-    check_no_arbitrage,
     decompose,
-    ensemble_decompose,
     gen_convergent_yield,
     gen_money,
     implied_deflators,
@@ -207,28 +205,28 @@ def test_implied_deflators_always_satisfy_recursion():
     prices = 10 ** rng.uniform(-2, 2, 300)
     dividends = rng.uniform(0, 0.5, 299) * prices[1:]
     p = DiscretePath(prices, dividends, tail=DeclaredDivergent())
-    assert check_no_arbitrage(p, implied_deflators(p), tol=1e-12)
+    assert no_arbitrage_residuals(p, implied_deflators(p)).max() <= 1e-12
 
 
 def test_no_arbitrage_rejects_wrong_discount_ratio():
     p = constant_path(T=30)
     wrong = Deflators(np.concatenate(([0.0], np.log(2.0 ** -np.arange(1.0, 31.0)))))
-    assert not check_no_arbitrage(p, wrong, tol=1e-9)
+    assert not no_arbitrage_residuals(p, wrong).max() <= 1e-9
 
 
 def test_no_arbitrage_detects_single_perturbation():
     p = constant_path(T=30)
     log_q = implied_deflators(p).log_q.copy()
     log_q[17] += math.log1p(1e-3)
-    assert not check_no_arbitrage(p, Deflators(log_q), tol=1e-9)
-    assert check_no_arbitrage(p, Deflators(log_q), tol=3e-3)
+    assert not no_arbitrage_residuals(p, Deflators(log_q)).max() <= 1e-9
+    assert no_arbitrage_residuals(p, Deflators(log_q)).max() <= 3e-3
 
 
 def test_no_arbitrage_horizon_mismatch():
     p = constant_path(T=30)
     d = implied_deflators(constant_path(T=29))
     with pytest.raises(HorizonMismatchError):
-        check_no_arbitrage(p, d)
+        no_arbitrage_residuals(p, d)
 
 
 NORMAL_AT_EVERY_SCALE = st.floats(1e-3, 1e3)  # stays normal times 2^k, |k| <= 1000
@@ -342,6 +340,14 @@ def test_fundamental_requires_declared_tail():
     p = DiscretePath([1.0, 1.0], [0.5])
     with pytest.raises(ValidationError, match="tail"):
         decompose(p).fundamental
+
+
+@pytest.mark.parametrize("tail", ["x", 0.1, ConstantYield])
+def test_decompose_refuses_a_tail_that_is_no_tail_model(tail):
+    # once an AttributeError (exit 1) from reading the tail's log-sum
+    p = DiscretePath(np.ones(3), np.zeros(2), tail=tail)
+    with pytest.raises(TailUnsupportedError, match="unrecognized tail model"):
+        decompose(p)
 
 
 def test_declared_convergent_tail_sum_is_added():
@@ -538,100 +544,29 @@ def test_deflators_stay_finite_where_ratios_overflow(prices, dividends):
     p = DiscretePath(prices, dividends, tail=DeclaredDivergent())
     d = implied_deflators(p)
     assert np.isfinite(d.log_q).all()
-    assert check_no_arbitrage(p, d, tol=1e-12)
+    assert no_arbitrage_residuals(p, d).max() <= 1e-12
     _, terminal = deflated_recursion_mp(p.prices, p.dividends, [])
     oracle = math.log(terminal) - math.log(prices[-1])
     assert d.log_q[-1] == pytest.approx(oracle, rel=1e-12)
 
 
-# ---------- ensemble ----------
+# ---------- a bubble across assets ----------
 
 
-def _manual_decomposition(price, fundamental, bubble):
-    # the verdict rule of a strictly positive path: any positive bubble
-    verdict = Classification.BUBBLE if bubble > 0 else Classification.NO_BUBBLE
-    return Decomposition(price, fundamental, bubble, verdict, {})
-
-
-def test_ensemble_sums_of_zeros():
-    parts = [_manual_decomposition(1.0, 1.0, 0.0)] * 3
-    agg = ensemble_decompose(parts)
-    assert (agg.price, agg.fundamental, agg.bubble) == (3.0, 3.0, 0.0)
-    assert agg.verdict is Classification.NO_BUBBLE
-    assert agg.diagnostics["log_bubble"] is None
-    assert agg.diagnostics["boundary"] is False
-
-
-def test_ensemble_additivity():
-    parts = [
-        _manual_decomposition(1.0, 0.9, 0.1),
-        _manual_decomposition(1.0, 1.0, 0.0),
-    ]
-    agg = ensemble_decompose(parts)
-    assert agg.bubble == pytest.approx(0.1, rel=1e-15)
-    assert agg.verdict is Classification.BUBBLE
-    assert agg.diagnostics["log_bubble"] == math.log(0.1)
-
-
-def test_ensemble_empty():
-    with pytest.raises(EmptyEnsembleError):
-        ensemble_decompose([])
-
-
-def test_ensemble_boundary_flag():
-    # a bubble below EPS_BUBBLE * price is still a bubble, flagged boundary
-    parts = [
-        _manual_decomposition(1.0, 1.0 - 1e-12, 1e-12),
-        _manual_decomposition(1.0, 1.0, 0.0),
-    ]
-    agg = ensemble_decompose(parts)
-    assert agg.verdict is Classification.BUBBLE
-    assert agg.diagnostics["boundary"] is True
-    assert agg.diagnostics["log_bubble"] == math.log(1e-12)
-
-
-def test_ensemble_boundary_flag_without_a_bubble_member():
-    # a nonzero residual within the threshold under a no-bubble verdict
-    parts = [Decomposition(1.0, 1.0 - 1e-12, 1e-12, Classification.NO_BUBBLE, {})]
-    agg = ensemble_decompose(parts)
-    assert agg.verdict is Classification.NO_BUBBLE
-    assert agg.diagnostics["boundary"] is True
-    assert agg.diagnostics["log_bubble"] is None
-
-
-def test_one_member_ensemble_keeps_the_member_verdict():
+def test_a_bubble_far_below_the_threshold_keeps_its_verdict():
     # B_0 = 4.1e-36, far below EPS_BUBBLE * P_0, is still a bubble
     dec = decompose(gen_convergent_yield(1.0, 0.99, 500))
     assert dec.verdict is Classification.BUBBLE
-    agg = ensemble_decompose([dec])
-    assert agg.verdict is Classification.BUBBLE
-    assert agg.bubble == dec.bubble
-    assert agg.diagnostics["log_bubble"] == dec.diagnostics["log_bubble"]
-    assert agg.diagnostics["log_bubble"] == pytest.approx(-81.49, abs=0.01)
-    assert agg.diagnostics["boundary"] is dec.diagnostics["boundary"] is True
+    assert dec.diagnostics["log_bubble"] == pytest.approx(-81.49, abs=0.01)
+    assert dec.diagnostics["boundary"] is True
 
 
-def test_ensemble_log_bubble_survives_underflow():
-    # member bubbles e^-800 and e^-801 underflow to 0.0; their sum does not
-    # vanish in logs
-    parts = [
-        Decomposition(1.0, 1.0, 0.0, Classification.BUBBLE, {"log_bubble": -800.0}),
-        Decomposition(1.0, 1.0, 0.0, Classification.BUBBLE, {"log_bubble": -801.0}),
-        _manual_decomposition(1.0, 1.0, 0.0),
-    ]
-    agg = ensemble_decompose(parts)
-    assert agg.bubble == 0.0
-    assert agg.verdict is Classification.BUBBLE
-    assert agg.diagnostics["log_bubble"] == pytest.approx(
-        -800.0 + math.log1p(math.exp(-1.0)), rel=1e-15
-    )
-    assert agg.diagnostics["boundary"] is True
-
-
-def test_ensemble_of_real_decompositions():
+def test_assets_without_a_bubble_sum_to_no_bubble():
+    # a bubble across assets is the sum of the assets' bubbles (Santos &
+    # Woodford 1997): here each one is zero
     parts = [decompose(constant_path(P=50 + i, D=2.0, T=80)) for i in range(10)]
-    agg = ensemble_decompose(parts)
-    assert agg.bubble == 0.0
-    assert agg.verdict is Classification.NO_BUBBLE
-    assert agg.price == pytest.approx(sum(50 + i for i in range(10)), rel=1e-15)
-
+    assert all(d.verdict is Classification.NO_BUBBLE for d in parts)
+    assert math.fsum(d.bubble for d in parts) == 0.0
+    assert math.fsum(d.price for d in parts) == pytest.approx(
+        sum(50 + i for i in range(10)), rel=1e-15
+    )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,46 @@ def test_power_tail_log_sum_against_quadrature(coeff, exponent, start):
     assert power_tail_log_sum(coeff, exponent, start) == pytest.approx(
         expected, rel=1e-12
     )
+
+
+# coeff t^-2 >= 1/2 up to t0 = 2,100,000: a head past the 2,000,000 terms
+# after which the head was once cut, with no remainder
+BIG_COEFF, BIG_T0 = 0.5 * 2_100_000.0**2, 2_100_000
+
+
+@pytest.fixture(scope="module")
+def big_power_oracle():
+    # both cut at 2,500,000, so they share their Euler-Maclaurin remainder
+    return (
+        log_tail_sum_power(BIG_COEFF, 2.0, 1, head=2_500_000),
+        log_tail_sum_power(BIG_COEFF, 2.0, BIG_T0, head=400_000),
+    )
+
+
+def test_power_tail_log_sum_sums_a_head_past_two_million_terms(big_power_oracle):
+    # the sums from 1 and from t0 share their zeta-series remainder, so
+    # their difference is the head alone
+    full, remainder = big_power_oracle
+    head = power_tail_log_sum(BIG_COEFF, 2.0, 1) - power_tail_log_sum(BIG_COEFF, 2.0, BIG_T0)
+    assert head == pytest.approx(full - remainder, rel=1e-14)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the zeta series stops where zeta(2k, t0) underflows (k = 26 here), "
+    "1.7e-11 of the remainder short",
+)
+def test_power_tail_log_sum_of_a_huge_coefficient_against_quadrature(big_power_oracle):
+    full, _ = big_power_oracle
+    assert power_tail_log_sum(BIG_COEFF, 2.0, 1) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("coeff", [1e12, 1e20, 1e308])
+def test_power_tail_log_sum_refuses_a_head_past_its_bound(coeff):
+    # coeff t^-1.5 >= 1/2 up to t = 1.6e8 and 3.4e13; 2 * 1e308 overflows
+    message = re.escape(f"power-yield tail a={coeff!r}, p=1.5")
+    with pytest.raises(TailUnsupportedError, match=message):
+        power_tail_log_sum(coeff, 1.5, 51)
 
 
 def test_power_tail_log_sum_rejects_divergent_exponent():
