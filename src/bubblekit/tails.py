@@ -21,7 +21,9 @@ DeclaredDivergent       user-asserted             divergent             +inf
 DeclaredConvergent(s)   user-asserted, PV tail s  convergent            0 (s: present_value)
 ======================  ========================  ====================  ======================
 
-A divergent power tail's ``log_sum`` is +inf, as every divergent kind's is.
+A divergent power tail's ``log_sum`` is +inf, as every divergent kind's is.  The
+geometric and power sums take one route: a head summed term by term, then a
+series in the moments of the yields (:func:`_log_sum`), with no special function.
 """
 
 from __future__ import annotations
@@ -225,82 +227,79 @@ def classify_tail(tail: TailModel) -> TailClass:
 
 
 def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
-    """sum_{t >= start} log1p(coeff * ratio^t), to near machine precision.
-
-    Terms are summed directly until the geometric remainder bound drops
-    below 1e-25 absolute; ``np.multiply.accumulate`` forms them with the
-    roundings of a loop of ``u *= ratio``.  For ratios very close to 1
-    (where millions of terms would be needed) the sum is evaluated by
-    Euler-Maclaurin with a dilogarithm antiderivative instead.
-    """
-    decay = -math.log(ratio)
-    u = coeff * math.exp(-decay * start)
-    if ratio > 0.999:
-        from scipy.special import spence  # imported on use: ~0.3 s at start-up
-
-        # integral of log1p(u(t)) dt is -Li2(-u)/decay; two correction
-        # terms leave an error O(decay^3), ~1e-9 relative at ratio 0.999
-        # and shrinking rapidly as ratio -> 1.
-        dilog = float(spence(1.0 + u))  # Li2(-u)
-        return -dilog / decay + 0.5 * math.log1p(u) + (decay / 12.0) * u / (1.0 + u)
-    terms = []
-    cutoff = 1e-25 * (1.0 - ratio)
-    # in runs of one term more than stay above the cutoff; the terms never grow
-    while u > cutoff:
-        count = 1 + int((math.log(u) - math.log(cutoff)) / decay)
-        run = np.multiply.accumulate(np.concatenate(([u], np.full(count, ratio))))
-        terms += run[run > cutoff].tolist()
-        u = run[-1] * ratio
-    return math.fsum(map(math.log1p, terms))
-
-
-# a power tail's head terms are summed this many to a numpy pass, and no
-# more than _POWER_HEAD_MAX of them in all
-_POWER_HEAD_CHUNK = 1 << 20
-_POWER_HEAD_MAX = 100_000_000
+    """sum_{t >= start} log1p(coeff * ratio^t) by the route of :func:`_log_sum`, with
+    the moments m_k = sum_n ratio^(k n) = 1 / -expm1(k log ratio): within 6 ulps, and
+    m_1 2^-1074 more where the yields from t0 on are subnormal."""
+    return _log_sum(
+        f"geometric-yield tail a={coeff!r}, rho={ratio!r}",
+        (math.log(2.0) + math.log(coeff)) / -math.log(ratio),
+        start, coeff, lambda t: ratio ** (t / 2),
+        lambda t0, k: 1.0 / -np.expm1(k * math.log(ratio)),
+    )
 
 
 def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
-    """sum_{t >= start} log1p(coeff * t^-exponent) for exponent > 1.
-
-    Direct summation converges far too slowly (the remainder decays like
-    t^(1-p)), so after summing the head where coeff * t^-p >= 1/2 the
-    remainder uses the expansion log1p(x) = sum_k (-1)^(k+1) x^k / k,
-    which turns the tail into an alternating series of Hurwitz zeta
-    values: sum_k (-1)^(k+1) (coeff^k / k) * zeta(k*p, t0).
-
-    The head's terms are positive; they are formed by numpy ``log1p`` over
-    an ``arange`` in chunks, and each chunk's total and then the sum of
-    those totals come from ``compensated_sum``.  A head longer than
-    ``_POWER_HEAD_MAX`` terms raises ``TailUnsupportedError``.
-    """
+    """sum_{t >= start} log1p(coeff * t^-exponent), exponent > 1, by the route of
+    :func:`_log_sum`, with the moments of :func:`_power_moments`: within 6 ulps, and
+    m_1 2^-1074 more (m_1 <= 1 + t0 / (exponent - 1)) where yields from t0 on are subnormal."""
     if exponent <= 1:
         raise TailUnsupportedError("power tail sum diverges for exponent <= 1")
-    edge = (2.0 * coeff) ** (1.0 / exponent)  # inf where 2 * coeff overflows
-    if edge - start > _POWER_HEAD_MAX:
-        raise TailUnsupportedError(
-            f"power-yield tail a={coeff!r}, p={exponent!r}: its yield stays at "
-            f"or above 1/2 from t = {start} to t = {edge:.6g}, more than the "
-            f"{_POWER_HEAD_MAX} terms its log-yield sum can add one by one"
-        )
-    t0 = max(start, math.ceil(edge))
-    chunks = []
-    for lo in range(start, t0, _POWER_HEAD_CHUNK):
-        t = np.arange(lo, min(lo + _POWER_HEAD_CHUNK, t0), dtype=np.float64)
-        chunks.append(compensated_sum(np.log1p(coeff * t**-exponent)))
-    head = float(compensated_sum(np.array(chunks)))
-    from scipy.special import zeta  # imported on use: ~0.3 s at start-up
+    return _log_sum(
+        f"power-yield tail a={coeff!r}, p={exponent!r}",
+        2.0 ** (1.0 / exponent) * coeff ** (1.0 / exponent),  # inf past the doubles
+        start, coeff, lambda t: t ** (-exponent / 2),
+        lambda t0, k: _power_moments(exponent, t0, k),
+    )
 
-    log_coeff = math.log(coeff)
-    series = 0.0
-    sign = 1.0
-    for k in range(1, 400):
-        zk = float(zeta(k * exponent, t0))
-        if zk <= 0.0:
-            break
-        term = sign * math.exp(k * log_coeff - math.log(k) + math.log(zk))
-        series += term
-        if abs(term) <= 1e-18 * max(1.0, abs(series)):
-            break
-        sign = -sign
-    return head + series
+
+# a head's terms per numpy pass, and at most; x0 <= 1/2 puts term 60 below 2^-60 of term 1
+_HEAD_CHUNK, _HEAD_MAX = 1 << 20, 100_000_000
+_K = np.arange(1, 61)
+
+
+def _log_sum(tail: str, edge: float, start: int, coeff: float, root, moments) -> float:
+    """sum_{t >= start} log1p(y_t) for yields y_t = coeff * root(t)^2 that fall
+    with t and reach 1/2 at t = ``edge``.  Each is formed as ``coeff * r * r``:
+    no factor underflows before the yield does, and no exp of a log costs
+    hundreds of ulps.  The head, t < t0 = max(start, ceil(edge)), is numpy
+    ``log1p`` summed by ``compensated_sum`` in chunks.  The rest, yields x0 r_n
+    with r_0 = 1, is sum_k (-1)^(k+1) x0^k m_k / k, m_k = sum_n r_n^k coming
+    from ``moments(t0, k)``.  ``math.fsum`` adds the chunks and the series."""
+    if edge - start > _HEAD_MAX:
+        raise TailUnsupportedError(
+            f"{tail}: its yield stays at or above 1/2 from t = {start} to t = {edge:.6g}, "
+            f"more than the {_HEAD_MAX} terms its log-yield sum can add one by one"
+        )
+
+    def yields(t):
+        r = root(t)
+        return coeff * r * r
+
+    t0 = max(start, math.ceil(edge))
+    t0 += yields(float(t0)) > 0.5  # edge was rounded down past an integer
+    parts = [
+        compensated_sum(np.log1p(yields(np.arange(lo, min(lo + _HEAD_CHUNK, t0), 1.0))))
+        for lo in range(start, t0, _HEAD_CHUNK)
+    ]
+    series = np.where(_K % 2, 1.0, -1.0) * yields(float(t0)) ** _K * moments(t0, _K) / _K
+    return math.fsum([*parts, *series])
+
+
+_BERNOULLI = np.array([1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510])
+_BERNOULLI /= [math.factorial(2 * j) for j in range(1, 9)]
+
+
+def _power_moments(exponent: float, t0: int, k: np.ndarray) -> np.ndarray:
+    """m_k = t0^s zeta(s, t0) = sum_{n >= 0} f(n) for f(n) = (1 + n/t0)^-s, s = k p:
+    16 terms, then f(16) (a/(s-1) + 1/2 + sum_{j=1..8} B_2j/(2j)! (s)_(2j-1) a^(1-2j)),
+    a = t0 + 16 (Euler-Maclaurin, DLMF 2.10.1, 25.11.5; the rest is below 1e-20 of
+    m_k), taken where f(16) > 0, so that s < 745 a / 16 keeps (s)_15 a^-15 finite."""
+    with np.errstate(over="ignore"):  # s log1p(n/t0) may pass the doubles
+        powers = np.exp(-np.multiply.outer(k, exponent * np.log1p(np.arange(17) / t0)))
+    moments = powers[:, :16].sum(axis=1)
+    live = powers[:, 16] > 0
+    s, a = k[live] * exponent, t0 + 16.0
+    rising = np.cumprod(s[:, None] + np.arange(15), axis=1)[:, ::2]  # (s)_1, (s)_3, ..., (s)_15
+    corrections = rising * a ** -np.arange(1.0, 16.0, 2.0) @ _BERNOULLI
+    moments[live] += powers[live, 16] * (a / (s - 1.0) + 0.5 + corrections)
+    return moments

@@ -57,8 +57,10 @@ def product_bubble(alpha: float, rho: float, terms: int = 200, dps: int = 50) ->
 def log_tail_sum(coeff: float, decay, start: int, dps: int = 40) -> float:
     """High-precision sum_{t >= start} log1p(coeff * decay(t)).
 
-    Suitable for geometrically decaying terms, which mpmath's nsum
-    handles robustly.
+    Suitable for fast geometric decay only: mpmath's ``nsum`` extrapolates
+    from the first terms and is unreliable when the decay is slow.  At
+    ``coeff = 3.0``, ratio 0.999, ``start = 1`` it is 2.5 times off the
+    exact sum, which :func:`geometric_log_sum` gives.
     """
     with mp.workdps(dps):
         c = mp.mpf(repr(coeff))
@@ -66,20 +68,104 @@ def log_tail_sum(coeff: float, decay, start: int, dps: int = 40) -> float:
         return float(total)
 
 
-def geometric_head_loop(coeff: float, ratio: float, start: int) -> tuple[float, int]:
-    """sum_{t >= start} log1p(coeff * ratio^t) for ratio <= 0.999, one term
-    per pass of a Python loop: u = coeff ratio^start, then ``u *= ratio``
-    while u exceeds the cutoff 1e-25 (1 - ratio).  Returns the ``fsum`` of
-    the log1p terms and their count.
+# a head of at least this many terms is summed in doubles
+_LONG_HEAD = 100_000
+
+
+def _log_sum(exact, double, start: int, t0: int, moment) -> float:
+    """sum_{t >= start} log1p(y_t) at mpmath's working precision, for
+    yields y_t = ``exact(t)`` that fall to x0 <= 1/2 at t0 and to x0 r_n
+    at t0 + n.
+
+    The head t = start..t0-1 is summed term by term in mpmath, or, where
+    it has 10^5 terms or more, as the ``math.fsum`` of ``math.log1p`` of
+    the double yields ``double(t)``.  The rest is the series
+    sum_k (-1)^(k+1) x0^k m_k / k, m_k = ``moment(k)`` = sum_n r_n^k,
+    taken until a term is below 10^-dps of the total.
     """
-    decay = -math.log(ratio)
-    u = coeff * math.exp(-decay * start)
-    terms = []
-    cutoff = 1e-25 * (1.0 - ratio)
-    while u > cutoff:
-        terms.append(math.log1p(u))
-        u *= ratio
-    return math.fsum(terms), len(terms)
+    if t0 - start >= _LONG_HEAD:
+        total = mp.mpf(math.fsum(math.log1p(double(t)) for t in range(start, t0)))
+    else:
+        total = mp.fsum(mp.log1p(exact(t)) for t in range(start, t0))
+    x0 = exact(t0)
+    for k in range(1, 1000):
+        term = (-1) ** (k + 1) * x0**k * moment(k) / k
+        total += term
+        if abs(term) <= mp.eps * abs(total):
+            return float(total)
+    raise AssertionError("the series did not converge")
+
+
+def geometric_log_sum(coeff: float, ratio: float, start: int, dps: int = 40) -> float:
+    """sum_{t >= start} log1p(coeff * ratio^t) at ``dps`` digits, for the
+    doubles ``coeff`` and ``ratio`` as given.
+
+    The head, the dates whose yield is at least 1/2, is summed term by
+    term; a head of 10^5 terms or more is the ``math.fsum`` of
+    ``math.log1p(coeff * math.pow(ratio, t))``.  From the first yield x0
+    below 1/2 on, the sum is the series of :func:`_log_sum` with the
+    closed-form moments m_k = 1 / (1 - ratio^k).
+    """
+    with mp.workdps(dps):
+        c, r = mp.mpf(coeff), mp.mpf(ratio)
+        t0 = max(start, int(mp.floor(mp.log(2 * c) / -mp.log(r))) + 1)
+        return _log_sum(
+            lambda t: c * r**t,
+            lambda t: coeff * math.pow(ratio, t),
+            start,
+            t0,
+            lambda k: 1 / (1 - r**k),
+        )
+
+
+def power_moment(s, t0: int):
+    """sum_{n >= 0} (1 + n/t0)^-s for s > 1 at mpmath's working precision.
+
+    Terms are summed directly until the rest, at most f(n) (t0 + n)/(s - 1),
+    is below 10^-dps of the sum, or until t0 + n reaches 2 (s + 40).  From
+    a = t0 + n the rest is f(n) (a/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_(2j-1)
+    a^(1-2j)) (Euler-Maclaurin, DLMF 2.10.1), whose terms then fall by a
+    factor of about 40 each; they are added until one is below 10^-dps.
+    ``mpmath.zeta(s, t0)`` cannot stand in: its error bound is absolute,
+    so it loses the relative digits of a value far below 1.
+    """
+    total, n = mp.mpf(0), 0
+    while t0 + n < 2 * (s + 40):
+        f = (1 + mp.mpf(n) / t0) ** -s
+        total += f
+        if f * (t0 + n) / (s - 1) <= mp.eps * total:
+            return total
+        n += 1
+    a = mp.mpf(t0 + n)
+    rest = a / (s - 1) + mp.mpf(1) / 2
+    for j in range(1, 1000):
+        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1) * a ** (1 - 2 * j)
+        rest += term
+        if abs(term) <= mp.eps * rest:
+            return total + (a / t0) ** -s * rest
+    raise AssertionError("the Euler-Maclaurin series did not converge")
+
+
+def power_log_sum(coeff: float, exponent: float, start: int, dps: int = 40) -> float:
+    """sum_{t >= start} log1p(coeff * t^-exponent) for exponent > 1 at
+    ``dps`` digits, for the doubles ``coeff`` and ``exponent`` as given.
+
+    The head, the dates whose yield is at least 1/2, is summed term by
+    term; a head of 10^5 terms or more is the ``math.fsum`` of
+    ``math.log1p(coeff * t ** -exponent)``.  From t0, the first date whose
+    yield x0 is below 1/2, the sum is the series of :func:`_log_sum` with
+    the moments m_k = t0^(k p) zeta(k p, t0) of :func:`power_moment`.
+    """
+    with mp.workdps(dps):
+        c, p = mp.mpf(coeff), mp.mpf(exponent)
+        t0 = max(start, int(mp.floor((2 * c) ** (1 / p))) + 1)
+        return _log_sum(
+            lambda t: c * mp.mpf(t) ** -p,
+            lambda t: coeff * float(t) ** -exponent,
+            start,
+            t0,
+            lambda k: power_moment(k * p, t0),
+        )
 
 
 def log_tail_sum_power(

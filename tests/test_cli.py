@@ -1029,7 +1029,7 @@ def test_convergent_yield_pipe_with_negligible_bubble_exits_10(capsys, monkeypat
         (1.0, 0.95, 300),  # ~16
         (1.5, 0.99, 500),  # ~114
         (1.0, 0.998, 1000),  # ~410; the bubble underflows past ~745
-        (0.6, 0.9995, 1000),  # ~1056, with the dilogarithm tail sum
+        (0.6, 0.9995, 1000),  # ~1056, with a ratio near 1
     ],
 )
 def test_convergent_yield_round_trip_always_exits_10(alpha, rho, T, capsys, monkeypatch):
@@ -1110,6 +1110,14 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         + f"run('analyze', {str(continuous)!r})\n"
     )
     assert out == "0 True\n0 True\n"
+    # the analytic tail sums need no special-function library
+    out = probe(
+        run
+        + f"run('analyze', '--tail', 'power-yield:a=0.5,p=1.5', {str(doc)!r})\n"
+        + f"run('analyze', '--tail', 'geometric-yield:a=0.5,rho=0.9995', {str(doc)!r})\n"
+        + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert out == "10 True\n10 True\n[]\n"
     out = probe(run + "run('generate', 'money', '--P0', '1', '--T', '2')\n")
     assert out == "0 True\n"
 
@@ -1130,7 +1138,10 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert in_process == [_fresh_process(argv) for argv in calls]
 
 
-def test_power_tail_head_is_summed_whole_or_refused(tmp_path, capsys):
+GORDON_50 = ["gordon", "--D0", "1", "--g", "1.01", "--R", "1.05", "--T", "50"]
+
+
+def test_power_tail_head_is_summed_whole(tmp_path, capsys):
     f = tmp_path / "g.csv"
     f.write_text(serialize_path_csv(gen_gordon(1.0, 1.01, 1.05, 50)))
     # a head of 7.4 million terms from t = 51, which alone sums to 9.86e6;
@@ -1138,12 +1149,30 @@ def test_power_tail_head_is_summed_whole_or_refused(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", "--tail", "power-yield:a=1e10,p=1.5", str(f)])
     assert code == 10
     assert json.loads(out)["diagnostics"]["log_bubble"] < -9.86e6
-    # past the bound on the head, or where 2 a overflows: bad input, not a guess
-    for a in ("1e20", "1e308"):
-        argv = ["analyze", "--tail", f"power-yield:a={a},p=1.5", str(f)]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert f"power-yield tail a={float(a)!r}, p=1.5" in err
+
+
+@pytest.mark.parametrize(
+    "generate, tail, named",
+    [
+        # a head of 1.39e9 terms, which a dilogarithm once summed (exit 10)
+        (
+            ["convergent-yield", "--alpha", "2", "--rho", "0.999999999", "--T", "10"],
+            [],
+            "geometric-yield tail a=2.0, rho=0.999999999",
+        ),
+        # heads of 3.4e13 and 3.4e205 terms
+        (GORDON_50, ["--tail", "power-yield:a=1e20,p=1.5"], "power-yield tail a=1e+20, p=1.5"),
+        (GORDON_50, ["--tail", "power-yield:a=1e308,p=1.5"], "power-yield tail a=1e+308, p=1.5"),
+    ],
+)
+def test_a_tail_whose_head_passes_its_bound_is_refused(
+    generate, tail, named, capsys, monkeypatch
+):
+    code, document, _ = run(capsys, ["generate", *generate])
+    assert code == 0
+    code, out, err = run(capsys, ["analyze", *tail, "-"], document, monkeypatch)
+    assert (code, out) == (2, "")
+    assert named in err and "more than the 100000000 terms" in err
 
 
 @pytest.mark.parametrize(

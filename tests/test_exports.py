@@ -1,12 +1,14 @@
 """Every name a module exports resolves, the README's operations are exactly
-the exported functions, and every span the benchmark wraps exists, so a
-deleted name cannot linger in code, docs or the benchmark."""
+the exported functions, every span the benchmark wraps exists, and the
+declared runtime dependencies are exactly the imported ones, so a deleted
+name or module cannot linger in code, docs, packaging or the benchmark."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +149,26 @@ def test_the_core_asks_a_tail_and_never_tests_its_kind(module):
     # what a tail kind means lives in its methods, in tails.py
     source = Path(bubblekit.__file__).with_name(f"{module}.py").read_text()
     assert tail_type_tests(source) == []
+
+
+def third_party_imports() -> set[str]:
+    """The top-level modules outside the standard library and bubblekit
+    that some module of ``src/bubblekit`` imports, at any depth."""
+    found = set()
+    for path in Path(bubblekit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"bubblekit"}
+
+
+def test_the_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    declared = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", entry).group() for entry in declared}
+    assert names == third_party_imports() == {"numpy", "orjson"}
+    line = re.search(r"^Runtime dependencies:(.*?)\(", (root / "README.md").read_text(), re.M | re.S)
+    assert set(re.findall(r"`([^`]+)`", line.group(1))) == names
