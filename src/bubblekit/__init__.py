@@ -5,121 +5,23 @@ bubble under the no-arbitrage recursion, checks the transversality
 condition, and classifies bubble existence by the dividend-yield
 criterion, in both discrete and continuous time.  Ships generators for
 canonical economies and a CLI (``bubblekit``) for CSV/JSON batch analysis.
+
+The package exports each module's ``__all__``: that list is where a public
+name is declared, and the only place.
 """
 
 __version__ = "0.1.0"
 
-from .characterization import (
-    Classification,
-    TailFit,
-    Verdict,
-    montrucchio_discrete,
-    suggest_tail,
-)
-from .continuous import (
-    ContinuousPath,
-    CumulativeDividend,
-    deflated_price_profile,
-    discretize,
-    montrucchio_continuous,
-)
-from .errors import (
-    ArbitrageError,
-    BubblekitError,
-    HorizonMismatchError,
-    NonPositivePriceError,
-    OutOfRangeError,
-    ParameterOrderError,
-    ParseError,
-    StepMismatchError,
-    TailUnsupportedError,
-    ValidationError,
-    ZeroInitialPriceError,
-)
-from .models import (
-    MiaoWangScenario,
-    gen_constant,
-    gen_convergent_yield,
-    gen_gordon,
-    gen_miao_wang,
-    gen_money,
-)
-from .series import (
-    DEFAULT_TOL,
-    EPS_BUBBLE,
-    Decomposition,
-    Deflators,
-    DiscretePath,
-    decompose,
-    implied_deflators,
-    no_arbitrage_residuals,
-    partial_value,
-)
-from .tails import (
-    ConstantLevels,
-    ConstantYield,
-    DeclaredConvergent,
-    DeclaredDivergent,
-    GeometricYield,
-    PowerYield,
-    TailClass,
-    TailModel,
-    ZeroDividends,
-    classify_tail,
-)
+from . import characterization, continuous, errors, models, series, tails
+from .characterization import *
+from .continuous import *
+from .errors import *
+from .models import *
+from .series import *
+from .tails import *
 
-__all__ = [
-    "__version__",
-    # series
-    "DEFAULT_TOL",
-    "EPS_BUBBLE",
-    "DiscretePath",
-    "Deflators",
-    "Decomposition",
-    "implied_deflators",
-    "no_arbitrage_residuals",
-    "partial_value",
-    "decompose",
-    # characterization
-    "Classification",
-    "Verdict",
-    "TailFit",
-    "montrucchio_discrete",
-    "suggest_tail",
-    # tails
-    "TailClass",
-    "TailModel",
-    "ConstantLevels",
-    "ConstantYield",
-    "GeometricYield",
-    "PowerYield",
-    "ZeroDividends",
-    "DeclaredDivergent",
-    "DeclaredConvergent",
-    "classify_tail",
-    # continuous
-    "CumulativeDividend",
-    "ContinuousPath",
-    "deflated_price_profile",
-    "montrucchio_continuous",
-    "discretize",
-    # models
-    "MiaoWangScenario",
-    "gen_money",
-    "gen_constant",
-    "gen_gordon",
-    "gen_convergent_yield",
-    "gen_miao_wang",
-    # errors
-    "BubblekitError",
-    "ValidationError",
-    "ZeroInitialPriceError",
-    "HorizonMismatchError",
-    "OutOfRangeError",
-    "TailUnsupportedError",
-    "NonPositivePriceError",
-    "ParameterOrderError",
-    "StepMismatchError",
-    "ParseError",
-    "ArbitrageError",
+__all__ = ["__version__"] + [
+    name
+    for module in (series, characterization, tails, continuous, models, errors)
+    for name in module.__all__
 ]

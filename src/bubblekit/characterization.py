@@ -34,7 +34,6 @@ __all__ = [
     "Classification",
     "Verdict",
     "TailFit",
-    "classify_tail",
     "montrucchio_discrete",
     "suggest_tail",
 ]

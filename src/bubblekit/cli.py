@@ -5,8 +5,9 @@ bubble was found, 2 marks an input/validation problem, 1 an internal
 error.  ``analyze`` reads discrete CSV or continuous JSON documents
 (``-`` or no file reads stdin) and emits one machine-readable report per
 input, in input order.  The environment variable ``BUBBLEKIT_TOL``
-overrides the default relative tolerance; explicit ``--tol`` flags take
-precedence over it.
+overrides the default no-arbitrage tolerance (1e-9); an explicit ``--tol``
+takes precedence over it.  It leaves ``check-identity``'s pass thresholds
+alone: those come from ``--tol`` or the document kind's default.
 """
 
 from __future__ import annotations
@@ -73,14 +74,14 @@ _DISCRETE_MODELS = {
 }
 
 
-def _resolve_tol(flag_value: float | None, fallback: float = DEFAULT_TOL) -> float:
-    """The tolerance of ``--tol``, else of ``BUBBLEKIT_TOL``, else
-    ``fallback``; one that is not finite and >= 0 is a ValidationError."""
+def _resolve_tol(flag_value: float | None) -> float:
+    """The no-arbitrage tolerance of ``--tol``, else of ``BUBBLEKIT_TOL``,
+    else ``DEFAULT_TOL``; one that is not finite and >= 0 is a ValidationError."""
     source, tol = "--tol", flag_value
     if tol is None:
         source, env = ENV_TOL, os.environ.get(ENV_TOL)
         if env is None:
-            return fallback
+            return DEFAULT_TOL
         try:
             tol = float(env)
         except ValueError:
@@ -183,6 +184,11 @@ def _analyze_discrete(
     horizon = path.horizon
     if args.horizon is not None:
         path = _truncate(path, args.horizon)
+    if args.step is not None:
+        raise ValidationError(
+            "--step discretizes continuous documents only; a CSV is analyzed "
+            "period by period"
+        )
     fit, note = _tail_fit(path, args)
     path, tail_source = _require_tail(path, args, fit, note)
     if path.horizon < horizon and path.tail.present_value is not None:
@@ -326,9 +332,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_identity(args: argparse.Namespace) -> int:
+    # the pass threshold is --tol or the document kind's default, never BUBBLEKIT_TOL
     data = _read_input(args.file)
     if data.lstrip().startswith("{"):
-        tol = _resolve_tol(args.tol, fallback=1e-6)
+        tol = 1e-6 if args.tol is None else _resolve_tol(args.tol)
         cpath = parse_continuous_json(data)
         del data
         # |lhs / rhs - 1| from the logs, which stay finite where qP underflows,
@@ -346,7 +353,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
             "tol": tol,
         }
     else:
-        tol = _resolve_tol(args.tol, fallback=1e-12)
+        tol = 1e-12 if args.tol is None else _resolve_tol(args.tol)
         path = parse_path_csv(data, _resolve_tol(None))
         del data
         deflators = implied_deflators(path)

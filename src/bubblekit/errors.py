@@ -7,6 +7,20 @@ them to exit code 2).
 
 from __future__ import annotations
 
+__all__ = [
+    "BubblekitError",
+    "ValidationError",
+    "ZeroInitialPriceError",
+    "HorizonMismatchError",
+    "OutOfRangeError",
+    "TailUnsupportedError",
+    "NonPositivePriceError",
+    "ParameterOrderError",
+    "StepMismatchError",
+    "ParseError",
+    "ArbitrageError",
+]
+
 
 class BubblekitError(Exception):
     """Base class for all bubblekit errors."""

@@ -14,8 +14,8 @@ kind                    tail yields               tail_class            log_sum(
 ConstantLevels(P, D>0)  constant D/P > 0          divergent             +inf
 ConstantLevels(P, 0)    all zero                  convergent            0
 ConstantYield(c)        constant c > 0            divergent             +inf
-GeometricYield(a, r)    a * r^t, 0 < r < 1        convergent            geometric_tail_log_sum
-PowerYield(a, p)        a * t^-p                  divergent iff p <= 1  power_tail_log_sum
+GeometricYield(a, r)    a * r^t, 0 < r < 1        convergent            _log_sum, 6 ulps
+PowerYield(a, p)        a * t^-p                  divergent iff p <= 1  _log_sum, 6 ulps
 ZeroDividends           all zero                  convergent            0
 DeclaredDivergent       user-asserted             divergent             +inf
 DeclaredConvergent(s)   user-asserted, PV tail s  convergent            0 (s: present_value)
@@ -49,8 +49,6 @@ __all__ = [
     "DeclaredDivergent",
     "DeclaredConvergent",
     "classify_tail",
-    "geometric_tail_log_sum",
-    "power_tail_log_sum",
 ]
 
 
@@ -147,7 +145,15 @@ class GeometricYield(TailModel):
             raise ValidationError("GeometricYield requires ratio in (0, 1)")
 
     def log_sum(self, start: int) -> float:
-        return geometric_tail_log_sum(self.coeff, self.ratio, start)
+        """sum_{t >= start} log1p(coeff * ratio^t) by the route of :func:`_log_sum`, with
+        the moments m_k = sum_n ratio^(k n) = 1 / -expm1(k log ratio): within 6 ulps, and
+        m_1 2^-1074 more where the yields from t0 on are subnormal."""
+        return _log_sum(
+            f"geometric-yield tail a={self.coeff!r}, rho={self.ratio!r}",
+            (math.log(2.0) + math.log(self.coeff)) / -math.log(self.ratio),
+            start, self.coeff, lambda t: self.ratio ** (t / 2),
+            lambda t0, k: 1.0 / -np.expm1(k * math.log(self.ratio)),
+        )
 
     def per_period(self, step: float) -> TailModel:
         return GeometricYield(self.coeff * step, self.ratio**step)
@@ -172,9 +178,19 @@ class PowerYield(TailModel):
         return TailClass.DIVERGENT if self.exponent <= 1 else TailClass.CONVERGENT
 
     def log_sum(self, start: int) -> float:
-        if self.exponent <= 1:
+        """sum_{t >= start} log1p(coeff * t^-exponent), +inf for exponent <= 1, by the
+        route of :func:`_log_sum`, with the moments of :func:`_power_moments`: within 6
+        ulps, and m_1 2^-1074 more (m_1 <= 1 + t0 / (exponent - 1)) where yields from
+        t0 on are subnormal."""
+        p = self.exponent
+        if p <= 1:
             return math.inf
-        return power_tail_log_sum(self.coeff, self.exponent, start)
+        return _log_sum(
+            f"power-yield tail a={self.coeff!r}, p={p!r}",
+            2.0 ** (1.0 / p) * self.coeff ** (1.0 / p),  # inf past the doubles
+            start, self.coeff, lambda t: t ** (-p / 2),
+            lambda t0, k: _power_moments(p, t0, k),
+        )
 
     def per_period(self, step: float) -> TailModel:
         return PowerYield(self.coeff * step ** (1.0 - self.exponent), self.exponent)
@@ -224,32 +240,6 @@ def classify_tail(tail: TailModel) -> TailClass:
     if not isinstance(tail, TailModel):
         raise TailUnsupportedError(f"unrecognized tail model: {tail!r}")
     return tail.tail_class
-
-
-def geometric_tail_log_sum(coeff: float, ratio: float, start: int) -> float:
-    """sum_{t >= start} log1p(coeff * ratio^t) by the route of :func:`_log_sum`, with
-    the moments m_k = sum_n ratio^(k n) = 1 / -expm1(k log ratio): within 6 ulps, and
-    m_1 2^-1074 more where the yields from t0 on are subnormal."""
-    return _log_sum(
-        f"geometric-yield tail a={coeff!r}, rho={ratio!r}",
-        (math.log(2.0) + math.log(coeff)) / -math.log(ratio),
-        start, coeff, lambda t: ratio ** (t / 2),
-        lambda t0, k: 1.0 / -np.expm1(k * math.log(ratio)),
-    )
-
-
-def power_tail_log_sum(coeff: float, exponent: float, start: int) -> float:
-    """sum_{t >= start} log1p(coeff * t^-exponent), exponent > 1, by the route of
-    :func:`_log_sum`, with the moments of :func:`_power_moments`: within 6 ulps, and
-    m_1 2^-1074 more (m_1 <= 1 + t0 / (exponent - 1)) where yields from t0 on are subnormal."""
-    if exponent <= 1:
-        raise TailUnsupportedError("power tail sum diverges for exponent <= 1")
-    return _log_sum(
-        f"power-yield tail a={coeff!r}, p={exponent!r}",
-        2.0 ** (1.0 / exponent) * coeff ** (1.0 / exponent),  # inf past the doubles
-        start, coeff, lambda t: t ** (-exponent / 2),
-        lambda t0, k: _power_moments(exponent, t0, k),
-    )
 
 
 # a head's terms per numpy pass, and at most; x0 <= 1/2 puts term 60 below 2^-60 of term 1

@@ -384,6 +384,27 @@ def test_analyze_horizon_refuses_a_continuous_document(capsys, monkeypatch, hori
     assert code == 0
 
 
+GORDON_DOC = ["generate", "gordon", "--D0", "1", "--g", "1.01", "--R", "1.05"]
+MIAO_WANG_GAP = [
+    "generate", "miao-wang", "--Q", "1", "--K", "10", "--Bmw", "5", "--D", "1",
+    "--horizon", "4", "--grid-step", "0.1",
+]
+
+
+@pytest.mark.parametrize("step", ["0.5", "1", "7"])
+@pytest.mark.parametrize("tail", [[], ["--tail", "constant-yield"]])
+def test_analyze_step_refuses_a_csv(capsys, monkeypatch, step, tail):
+    # --step discretizes continuous documents; a CSV given it once exited 0
+    # with the same bytes as without it
+    _, doc, _ = run(capsys, GORDON_DOC)
+    argv = ["analyze", "--accept-suggested-tail", *tail, "-"]
+    code, out, err = run(capsys, [*argv, "--step", step], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "--step discretizes continuous documents only" in err
+    code, _, _ = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+
+
 def test_analyze_text_format(tmp_path, capsys):
     f = tmp_path / "path.csv"
     f.write_text(serialize_path_csv(gen_constant(100, 5, 40)))
@@ -492,6 +513,29 @@ def test_flag_tolerance_beats_env_var(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "generate, env, default",
+    [
+        (MIAO_WANG_GAP, "1e-9", 1e-6),  # a gap of 9.9e-7 once failed under 1e-9
+        (GORDON_DOC, "0.5", 1e-12),
+        (GORDON_DOC, "1e-30", 1e-12),
+    ],
+)
+def test_env_var_tolerance_leaves_check_identity_thresholds(
+    capsys, monkeypatch, generate, env, default
+):
+    # BUBBLEKIT_TOL is the no-arbitrage tolerance; check-identity's pass
+    # threshold is --tol, else the document kind's default
+    _, doc, _ = run(capsys, generate)
+    monkeypatch.setenv("BUBBLEKIT_TOL", env)
+    code, out, err = run(capsys, ["check-identity"], stdin=doc, monkeypatch=monkeypatch)
+    result = json.loads(out)
+    assert (code, result["tol"], result["pass"]) == (0, default, True), err
+    argv = ["check-identity", "--tol", env]
+    _, out, _ = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert json.loads(out)["tol"] == float(env)
 
 
 # ---------- check-identity ----------

@@ -47,7 +47,8 @@ GENERATE = [
      "--horizon", "2", "--grid-step", "0.25"],
 ]
 
-# analyze flags that write nothing to stderr for a good document
+# analyze flags that write nothing to stderr for a good document they
+# apply to (--step: a continuous one)
 FLAGS = [
     [],
     ["--tail", "constant-yield"],
@@ -381,6 +382,8 @@ def test_analyze_of_any_flag_values(k, tol, horizon, step, flags):
         assert code == 2 and "--tol must be finite and >= 0" in err, err
     elif horizon is not None and horizon < 1 and k < len(GENERATE) - 1:
         assert code == 2 and "--horizon must be at least 1" in err, err
+    elif step is not None and k < len(GENERATE) - 1:
+        assert code == 2 and "--step discretizes continuous documents only" in err, err
 
 
 @fuzz

@@ -1,7 +1,8 @@
-"""Every name a module exports resolves, the README's operations are exactly
-the exported functions, every span the benchmark wraps exists, and the
-declared runtime dependencies are exactly the imported ones, so a deleted
-name or module cannot linger in code, docs, packaging or the benchmark."""
+"""Every name a module exports resolves, each module exports exactly the
+public names it defines, the README's operations are exactly the exported
+functions, every span the benchmark wraps exists, and the declared runtime
+dependencies and version are the imported ones, so a deleted name or module
+cannot linger in code, docs, packaging or the benchmark."""
 
 import ast
 import importlib
@@ -26,6 +27,52 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [entry for entry in exported if not hasattr(module, entry)] == []
     assert len(set(exported)) == len(exported)
+
+
+# the modules whose __all__ the package joins into its own
+LIBRARY = ["series", "characterization", "tails", "continuous", "models", "errors"]
+
+
+def top_level_names(source: str) -> set[str]:
+    """The public names ``source`` binds at its top level by ``def``,
+    ``class`` or assignment: not the names it imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_top_level_names_are_found():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import math\n"
+        "LIMIT: int = 3\n"
+        "A = B = 1.0\n"
+        "_PRIVATE = 2\n"
+        "__all__ = []\n"
+        "def f(): x = 1\n"
+        "class C: y = 2\n"
+        "if TYPE_CHECKING:\n"
+        "    from .series import DiscretePath\n"
+    )
+    assert top_level_names(source) == {"LIMIT", "A", "B", "f", "C"}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_a_module_exports_the_public_names_it_defines(name):
+    # a new public function cannot be left out of the package's surface,
+    # and no name can be listed twice in it
+    module = importlib.import_module(f"bubblekit.{name}")
+    assert sorted(module.__all__) == sorted(top_level_names(inspect.getsource(module)))
+
+
+def test_the_package_exports_its_modules_lists():
+    modules = [importlib.import_module(f"bubblekit.{name}") for name in LIBRARY]
+    assert bubblekit.__all__ == ["__version__", *(e for m in modules for e in m.__all__)]
 
 
 def key_operations() -> list[str]:
@@ -172,3 +219,11 @@ def test_the_declared_dependencies_are_the_imported_ones():
     assert names == third_party_imports() == {"numpy", "orjson"}
     line = re.search(r"^Runtime dependencies:(.*?)\(", (root / "README.md").read_text(), re.M | re.S)
     assert set(re.findall(r"`([^`]+)`", line.group(1))) == names
+
+
+def test_the_declared_version_is_the_imported_one():
+    # every report echoes bubblekit.__version__ as its "version"
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["version"] == bubblekit.__version__
