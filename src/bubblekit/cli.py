@@ -8,6 +8,11 @@ input, in input order.  The environment variable ``BUBBLEKIT_TOL``
 overrides the default no-arbitrage tolerance (1e-9); an explicit ``--tol``
 takes precedence over it.  It leaves ``check-identity``'s pass thresholds
 alone: those come from ``--tol`` or the document kind's default.
+``check-identity`` computes no identity itself: a CSV's gaps come from
+``telescoping_gaps`` and a continuous document's from
+``deflated_price_profile``.  ``--jump-side`` (default ``right``) picks the
+price at a continuous document's dividend jumps; for a CSV, which has no
+jumps, it is refused (exit 2).
 """
 
 from __future__ import annotations
@@ -45,14 +50,7 @@ from .io import (
     utf8_text,
 )
 from .models import MiaoWangScenario, gen_miao_wang
-from .numerics import compensated_cumsum, log_ratio
-from .series import (
-    DEFAULT_TOL,
-    DiscretePath,
-    decompose,
-    implied_deflators,
-    no_arbitrage_residuals,
-)
+from .series import DEFAULT_TOL, DiscretePath, decompose, telescoping_gaps
 
 EXIT_NO_BUBBLE = 0
 EXIT_INTERNAL = 1
@@ -189,6 +187,7 @@ def _analyze_discrete(
             "--step discretizes continuous documents only; a CSV is analyzed "
             "period by period"
         )
+    _refuse_jump_side(args)
     fit, note = _tail_fit(path, args)
     path, tail_source = _require_tail(path, args, fit, note)
     if path.horizon < horizon and path.tail.present_value is not None:
@@ -207,6 +206,14 @@ def _analyze_discrete(
         source_kind="discrete",
         tail_source=tail_source,
     )
+
+
+def _refuse_jump_side(args: argparse.Namespace) -> None:
+    if args.jump_side is not None:
+        raise ValidationError(
+            "--jump-side picks the price at the dividend jumps of continuous "
+            "documents only; a CSV has no jumps"
+        )
 
 
 def _analyze_continuous(
@@ -228,7 +235,8 @@ def _analyze_continuous(
             "embed one in the document"
         )
     step = args.step if args.step is not None else _default_continuous_step(cpath)
-    verdict = montrucchio_continuous(cpath, args.jump_side)
+    jump_side = args.jump_side or "right"
+    verdict = montrucchio_continuous(cpath, jump_side)
     path = discretize(cpath, step)
     fit, _ = _tail_fit(path, args)
     result = decompose(path)
@@ -245,7 +253,7 @@ def _analyze_continuous(
             "classification": verdict.classification.value,
             "discretize_step": step,
         },
-        config_extra={"step": step, "jump_side": args.jump_side},
+        config_extra={"step": step, "jump_side": jump_side},
     )
     report["input"].update(
         {
@@ -340,7 +348,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         del data
         # |lhs / rhs - 1| from the logs, which stay finite where qP underflows,
         # formed in the lhs array
-        gap, log_rhs = deflated_price_profile(cpath, args.jump_side)
+        gap, log_rhs = deflated_price_profile(cpath, args.jump_side or "right")
         with np.errstate(over="ignore"):
             gap -= log_rhs
             del log_rhs
@@ -354,21 +362,14 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         }
     else:
         tol = 1e-12 if args.tol is None else _resolve_tol(args.tol)
+        _refuse_jump_side(args)
         path = parse_path_csv(data, _resolve_tol(None))
         del data
-        deflators = implied_deflators(path)
-        # q_t D_t and q_t P_t as fractions of P_0
-        price0 = float(path.prices[0])
-        terms = np.exp(deflators.log_q[1:] + log_ratio(path.dividends[1:], price0))
-        deflated = np.exp(deflators.log_q + log_ratio(path.prices, price0))
-        partials = compensated_cumsum(terms)
-        residuals = np.abs(1.0 - partials - deflated[1:])
+        gap, residual = telescoping_gaps(path)
         result = {
             "identity": "telescoping present-value",
-            "max_relative_gap": float(np.max(residuals)),
-            "max_no_arbitrage_residual": float(
-                np.max(no_arbitrage_residuals(path, deflators))
-            ),
+            "max_relative_gap": gap,
+            "max_no_arbitrage_residual": residual,
             "tol": tol,
         }
     passed = result["max_relative_gap"] <= tol
@@ -415,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--jump-side",
         choices=("right", "left"),
-        default="right",
-        help="price sample used at dividend jump times",
+        help="price sample used at the dividend jumps of a continuous document "
+        "(default right); refused for a CSV",
     )
     analyze.add_argument("--format", choices=("json", "text"), default="json")
     analyze.set_defaults(func=_cmd_analyze)
@@ -458,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file", nargs="?", default="-")
     check.add_argument("--tol", type=float, help="pass/fail threshold")
     check.add_argument(
-        "--jump-side", choices=("right", "left"), default="right"
+        "--jump-side",
+        choices=("right", "left"),
+        help="as for analyze: continuous documents only (default right)",
     )
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.set_defaults(func=_cmd_check_identity)

@@ -451,14 +451,17 @@ def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
     ``index``.  A cell JSON cannot spell, an empty ``D`` cell or a blank row,
     makes that read fail; only then, and only where a search of the bytes
     finds an empty cell, the blank rows are dropped, each empty ``D`` cell
-    is made 0, and the piece is read again.
+    is made 0, and the piece is read again.  Row 0's ``D`` cell, empty in
+    every generated document, is made 0 before the first read: a read that
+    the fill lets pass is the one the second read would make.
     """
     if not text.isascii():
         return None
     raw = text.encode()
     if raw.translate(None, _PIECE_CHARS):
         return None
-    table = _piece_table(raw, width, index)
+    first = _EMPTY_D.sub(rb"\g<1>0", raw, 1) if index == 0 else raw
+    table = _piece_table(first, width, index)
     if table is None:
         # an empty cell: with blanks deleted, two separators side by side,
         # or one at either end (a blank row makes one too)

@@ -13,6 +13,7 @@ Both sums use the error-free TwoSum transformation (Ogita, Rump & Oishi 2005,
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -33,12 +34,19 @@ def log_ratio(num, den) -> np.ndarray:
     ratio outside that range, or a zero or -0.0 ``den``, is taken apart in
     logs instead."""
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        ratios = num / den
-        logs = np.log(ratios)
-        if not (ratios.min() >= _TINY and ratios.max() < np.inf):  # NaN too
-            num, den = np.broadcast_arrays(num, den)
-            far = ~(ratios >= _TINY) | np.isinf(ratios)
-            logs[far] = np.log(num[far]) - np.log(den[far])
+        return _log_ratio(num, den)
+
+
+def _log_ratio(num, den, normal: bool = False) -> np.ndarray:
+    """:func:`log_ratio`, called with floating-point errors ignored.  A
+    caller that has bounded every ratio within the normal double range says
+    so by ``normal``, which spares the two reductions that would look."""
+    ratios = num / den
+    logs = np.log(ratios)
+    if not (normal or (ratios.min() >= _TINY and ratios.max() < np.inf)):  # NaN too
+        num, den = np.broadcast_arrays(num, den)
+        far = ~(ratios >= _TINY) | np.isinf(ratios)
+        logs[far] = np.log(num[far]) - np.log(den[far])
     return logs
 
 
@@ -53,13 +61,21 @@ def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
     inputs (a +-inf log) propagate without producing NaN.
     """
     x = np.asarray(values, dtype=np.float64)
-    sums = x.cumsum()
-    errors = np.zeros_like(sums)
     with np.errstate(invalid="ignore", over="ignore"):
-        errors[1:] = _two_sum_error(sums[:-1], x[1:], sums[1:])
-    if not np.isfinite(sums[-1:]).all():  # a non-finite sum stays non-finite
+        return _prefix_sums(x)
+
+
+def _prefix_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`compensated_cumsum` of the float64 array ``x``, written to
+    ``out`` if given, called with floating-point errors ignored."""
+    sums = x.cumsum(out=out)
+    errors = np.empty_like(sums)
+    errors[:1] = 0.0
+    errors[1:] = _two_sum_error(sums[:-1], x[1:], sums[1:])
+    if sums.size and not math.isfinite(sums[-1]):  # a non-finite sum stays non-finite
         errors[~np.isfinite(sums)] = 0.0
-    return sums + errors.cumsum()
+    sums += errors.cumsum(out=errors)
+    return sums
 
 
 def compensated_sum(values: np.ndarray) -> np.ndarray | np.float64:

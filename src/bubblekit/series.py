@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroInitialPriceError,
 )
-from .numerics import _TINY, compensated_cumsum, log_ratio
+from .numerics import _TINY, _log_ratio, _prefix_sums
 from .tails import TailModel, classify_tail
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "Decomposition",
     "implied_deflators",
     "no_arbitrage_residuals",
+    "telescoping_gaps",
     "partial_value",
     "decompose",
 ]
@@ -187,34 +188,109 @@ def _log_yield_sum(path: DiscretePath) -> np.ndarray:
 
     From an interior zero price on, L is +inf: that date's dividend takes
     all remaining value, so every later deflated price is exactly zero.
+    Called, as every step of the pass, with floating-point errors ignored.
     """
     if path.prices[0] == 0.0:
         raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
     # a price of -0.0 makes D / P = -inf, whose log1p is NaN until replaced
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log1p(path._yields)
-        # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
-        if not steps.max() < np.inf:
-            far = np.isinf(path._yields)
-            steps[far] = np.log(path.dividends[1:][far]) - np.log(path.prices[1:][far])
-    return np.concatenate(([0.0], compensated_cumsum(steps)))
+    steps = np.log1p(path._yields)
+    # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
+    if not steps.max() < np.inf:
+        far = np.isinf(path._yields)
+        steps[far] = np.log(path.dividends[1:][far]) - np.log(path.prices[1:][far])
+    log_yield = np.empty(steps.size + 1)
+    log_yield[0] = 0.0
+    _prefix_sums(steps, out=log_yield[1:])
+    return log_yield
 
 
-def _deflators(path: DiscretePath, log_yield: np.ndarray) -> Deflators:
+def _log_deflators(
+    path: DiscretePath, log_yield: np.ndarray, low: float, high: float
+) -> np.ndarray:
     """log q_t = log(P_0 / P_t) - L_t, or log(P_0 / D_t) - L_{t-1} where
     P_t = 0 (that date's dividend is then worth q_{t-1} P_{t-1}).
 
     Price ratios keep 2^k scaling of the path bit-exact.  A ratio outside
     the normal double range is taken apart in logs instead, and L below a
     log deflator's resolution (eps), which moves no q_t, is rounded away:
-    a scaled subnormal dividend is inexact.
+    a scaled subnormal dividend is inexact.  ``low`` and ``high`` are the
+    least and the largest price.
     """
     prices, cum = path.prices, log_yield
-    if prices.min() == 0.0:
+    price0 = prices[0]
+    if low == 0.0:
         zero = prices == 0.0
         prices = np.where(zero, path.dividends, prices)
         cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
-    return Deflators(log_ratio(prices[0], prices) - ((cum + 1.0) - 1.0))
+    # rounding is monotone: P_0 / P_t runs from P_0 / high to P_0 / low
+    log_q = _log_ratio(
+        price0, prices, low > 0.0 and price0 / high >= _TINY and price0 / low < np.inf
+    )
+    cum = cum + 1.0
+    cum -= 1.0
+    log_q -= cum
+    return log_q
+
+
+def _residuals(
+    path: DiscretePath, log_q: np.ndarray, low: float, high: float
+) -> np.ndarray:
+    """The no-arbitrage residuals of :func:`no_arbitrage_residuals`, NaN
+    where both sides are zero (see :func:`_without_nan`)."""
+    prices, dividends = path.prices, path.dividends
+    gross = prices[1:] + dividends[1:]
+    top = gross.max()
+    # P_{t+1} <= P_{t+1} + D_{t+1} <= top and low <= P_t <= high, and
+    # rounding is monotone: the ratio runs between low / high and top / low
+    log_gross = _log_ratio(gross, prices[:-1], low / high >= _TINY and top / low < np.inf)
+    if not top < np.inf:  # P + D past the double range
+        far = np.flatnonzero(np.isinf(gross))
+        p, d, base = prices[1:][far], dividends[1:][far], prices[:-1][far]
+        # halving is exact for P_t >= 2 * _TINY; the ratio of a smaller
+        # P_t is far past the double range, and comes from logs
+        log_gross[far] = np.where(
+            base >= 2 * _TINY,
+            _log_ratio(0.5 * p + 0.5 * d, 0.5 * base),
+            np.logaddexp(np.log(p), np.log(d)) - np.log(base),
+        )
+    # a gap past the double range is an infinite residual
+    residuals = log_q[1:] - log_q[:-1]
+    residuals += log_gross
+    np.expm1(residuals, out=residuals)
+    return np.abs(residuals, out=residuals)
+
+
+def _without_nan(residuals: np.ndarray) -> np.ndarray:
+    # NaN (-inf + inf, or log 0 - log 0) comes only where q_t P_t and
+    # q_{t+1} (P_{t+1}+D_{t+1}) are both exactly zero: no violation
+    residuals[np.isnan(residuals)] = 0.0
+    return residuals
+
+
+class _Pass(NamedTuple):
+    log_yield: np.ndarray  # L_0..L_T
+    log_q: np.ndarray  # log q_0..log q_T
+    residual: float  # the largest no-arbitrage residual of those deflators
+    low: float  # the least price
+    high: float  # the largest price
+
+
+def _discrete_pass(path: DiscretePath) -> _Pass:
+    """L, the implied log deflators and their largest no-arbitrage residual:
+    the one pass over a path that :func:`decompose` and
+    :func:`telescoping_gaps` read, called with floating-point errors
+    ignored.  Each repair (an interior zero price, a yield or ``P + D``
+    past the double range, a NaN residual) runs only where one reduction
+    finds its case; the least and the largest price bound every price
+    ratio, so the ratios need no reduction of their own."""
+    log_yield = _log_yield_sum(path)
+    low, high = path.prices.min(), path.prices.max()
+    log_q = _log_deflators(path, log_yield, low, high)
+    residuals = _residuals(path, log_q, low, high)
+    residual = residuals.max()
+    if math.isnan(residual):
+        residual = _without_nan(residuals).max()
+    return _Pass(log_yield, log_q, float(residual), low, high)
 
 
 def implied_deflators(path: DiscretePath) -> Deflators:
@@ -223,7 +299,10 @@ def implied_deflators(path: DiscretePath) -> Deflators:
     An interior zero price sends every later log q to -inf (those dates
     are worth nothing at date 0): exact zero contributions downstream.
     """
-    return _deflators(path, _log_yield_sum(path))
+    with np.errstate(all="ignore"):
+        log_yield = _log_yield_sum(path)
+        low, high = path.prices.min(), path.prices.max()
+        return Deflators(_log_deflators(path, log_yield, low, high))
 
 
 def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarray:
@@ -232,33 +311,45 @@ def no_arbitrage_residuals(path: DiscretePath, deflators: Deflators) -> np.ndarr
     residual[t] = |q_{t+1}(P_{t+1}+D_{t+1}) - q_t P_t| / (q_t P_t),
     computed in the log domain so it stays meaningful where linear-domain
     deflators underflow: log(q_{t+1} / q_t) plus the log of the price
-    ratio (P_{t+1}+D_{t+1}) / P_t, taken as in :func:`_deflators`, so that
-    a 2^k scaling of the path leaves it bit-exact.  Where P + D is past
-    the double range, the ratio is that of the halves.
+    ratio (P_{t+1}+D_{t+1}) / P_t, taken as in :func:`_log_deflators`, so
+    that a 2^k scaling of the path leaves it bit-exact.  Where P + D is
+    past the double range, the ratio is that of the halves.
     """
     _check_same_horizon(path, deflators)
-    prices, dividends = path.prices, path.dividends
-    log_q = deflators.log_q
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gross = prices[1:] + dividends[1:]
-        log_gross = log_ratio(gross, prices[:-1])
-        if np.isinf(gross.max()):  # P + D past the double range
-            far = np.flatnonzero(np.isinf(gross))
-            p, d, base = prices[1:][far], dividends[1:][far], prices[:-1][far]
-            # halving is exact for P_t >= 2 * _TINY; the ratio of a smaller
-            # P_t is far past the double range, and comes from logs
-            log_gross[far] = np.where(
-                base >= 2 * _TINY,
-                log_ratio(0.5 * p + 0.5 * d, 0.5 * base),
-                np.logaddexp(np.log(p), np.log(d)) - np.log(base),
-            )
-        # a gap past the double range is an infinite residual
-        residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_gross))
-    # NaN (-inf + inf, or log 0 - log 0) comes only where q_t P_t and
-    # q_{t+1} (P_{t+1}+D_{t+1}) are both exactly zero: no violation
-    if np.isnan(residuals.max()):
-        residuals[np.isnan(residuals)] = 0.0
-    return residuals
+    prices = path.prices
+    with np.errstate(all="ignore"):
+        residuals = _residuals(path, deflators.log_q, prices.min(), prices.max())
+        return _without_nan(residuals) if math.isnan(residuals.max()) else residuals
+
+
+def telescoping_gaps(path: DiscretePath) -> tuple[float, float]:
+    """The telescoping present-value identity of a path, checked: the
+    largest ``|1 - sum_{s<=t} q_s D_s / P_0 - q_t P_t / P_0|`` over
+    t = 1..T_max, and the largest no-arbitrage residual of the implied
+    deflators.  Both are 0 in exact arithmetic.
+
+    ``q_t D_t / P_0`` and ``q_t P_t / P_0`` come from the ratios
+    ``D_t / P_0`` and ``P_t / P_0``, so a path scaled by a power of two
+    (subnormal values included) gives bit-identical gaps.  The deflators
+    and residuals are those of :func:`decompose`'s pass.
+    """
+    price0 = path.prices[0]
+    with np.errstate(all="ignore"):
+        pass_ = _discrete_pass(path)
+        log_q = pass_.log_q[1:]
+        terms = _log_ratio(path.dividends[1:], price0)
+        terms += log_q
+        # P_t / P_0 runs from low / P_0 to high / P_0
+        deflated = _log_ratio(
+            path.prices[1:],
+            price0,
+            pass_.low / price0 >= _TINY and pass_.high / price0 < np.inf,
+        )
+        deflated += log_q
+        gaps = _prefix_sums(np.exp(terms, out=terms))
+        np.subtract(1.0, gaps, out=gaps)
+        gaps -= np.exp(deflated, out=deflated)
+        return float(np.abs(gaps, out=gaps).max()), pass_.residual
 
 
 def partial_value(path: DiscretePath, deflators: Deflators, T: int) -> float:
@@ -333,7 +424,9 @@ def decompose(path: DiscretePath) -> Decomposition:
     The verdict rule and the rejected declarations are those of the split
     (see the module docstring); ``classifier`` reports the yield criterion.
     """
-    log_yield = _log_yield_sum(path)
+    with np.errstate(all="ignore"):
+        pass_ = _discrete_pass(path)
+    log_yield = pass_.log_yield
     split = _split(path, log_yield)
     price0 = float(path.prices[0])
     h = path.horizon
@@ -341,14 +434,13 @@ def decompose(path: DiscretePath) -> Decomposition:
         (T, price0 * -math.expm1(-float(log_yield[T])))
         for T in sorted({max(1, h // 4), max(1, h // 2), h})
     )
-    classifier = montrucchio_discrete(path) if path.prices.min() > 0 else None
-    residuals = no_arbitrage_residuals(path, _deflators(path, log_yield))
+    classifier = montrucchio_discrete(path) if pass_.low > 0 else None
     diagnostics: dict[str, Any] = {
         "partial_values": partials,
         "tail_contribution": split.fundamental - partials[-1][1],
         "deflated_terminal_price": price0 * math.exp(-float(log_yield[-1])),
         "log_bubble": split.log_bubble,
-        "no_arbitrage_residual_max": float(residuals.max()),
+        "no_arbitrage_residual_max": pass_.residual,
         "boundary": split.boundary,
         "classifier": None
         if classifier is None

@@ -532,3 +532,102 @@ def parse_continuous_json_stdlib(data: str | bytes) -> ContinuousPath:
             f"({cpath.horizon})"
         )
     return cpath
+
+
+# ---------- the discrete pass, as it was computed before it was fused ----------
+#
+# The CSV identity arithmetic and decompose's residual route as separate
+# functions, each holding its own np.errstate: log_ratio, the Sum2 prefix
+# sum, L, the log deflators and the no-arbitrage residuals.  The library's
+# one fused pass must give the same bits.
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def _two_sum_error_ref(a, b, s):
+    virtual = s - a
+    return (a - (s - virtual)) + (b - virtual)
+
+
+def log_ratio_ref(num, den) -> np.ndarray:
+    """log(num / den) from the ratio where it is a normal double, else in logs."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        ratios = num / den
+        logs = np.log(ratios)
+        if not (ratios.min() >= _TINY and ratios.max() < np.inf):
+            num, den = np.broadcast_arrays(num, den)
+            far = ~(ratios >= _TINY) | np.isinf(ratios)
+            logs[far] = np.log(num[far]) - np.log(den[far])
+    return logs
+
+
+def compensated_cumsum_ref(values) -> np.ndarray:
+    """Sum2 prefix sums: running sums plus the running sum of TwoSum errors."""
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = x.cumsum()
+        errors = np.zeros_like(sums)
+        errors[1:] = _two_sum_error_ref(sums[:-1], x[1:], sums[1:])
+    if not np.isfinite(sums[-1:]).all():
+        errors[~np.isfinite(sums)] = 0.0
+    return sums + errors.cumsum()
+
+
+def log_yield_sum_ref(prices, dividends) -> np.ndarray:
+    """L_0..L_T; ``dividends`` holds D_0..D_T."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yields = dividends[1:] / prices[1:]
+        steps = np.log1p(yields)
+        if not steps.max() < np.inf:
+            far = np.isinf(yields)
+            steps[far] = np.log(dividends[1:][far]) - np.log(prices[1:][far])
+    return np.concatenate(([0.0], compensated_cumsum_ref(steps)))
+
+
+def log_deflators_ref(prices, dividends, log_yield) -> np.ndarray:
+    cum = log_yield
+    if prices.min() == 0.0:
+        zero = prices == 0.0
+        prices = np.where(zero, dividends, prices)
+        cum = np.where(zero, np.concatenate(([0.0], log_yield[:-1])), log_yield)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log_ratio_ref(prices[0], prices) - ((cum + 1.0) - 1.0)
+
+
+def residuals_ref(prices, dividends, log_q) -> np.ndarray:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gross = prices[1:] + dividends[1:]
+        log_gross = log_ratio_ref(gross, prices[:-1])
+        if np.isinf(gross.max()):
+            far = np.flatnonzero(np.isinf(gross))
+            p, d, base = prices[1:][far], dividends[1:][far], prices[:-1][far]
+            log_gross[far] = np.where(
+                base >= 2 * _TINY,
+                log_ratio_ref(0.5 * p + 0.5 * d, 0.5 * base),
+                np.logaddexp(np.log(p), np.log(d)) - np.log(base),
+            )
+        residuals = np.abs(np.expm1((log_q[1:] - log_q[:-1]) + log_gross))
+    if np.isnan(residuals.max()):
+        residuals[np.isnan(residuals)] = 0.0
+    return residuals
+
+
+def discrete_pass_ref(path: DiscretePath):
+    """(L, log q, residuals) of ``path``, each by its own route."""
+    prices, dividends = path.prices, path.dividends
+    log_yield = log_yield_sum_ref(prices, dividends)
+    log_q = log_deflators_ref(prices, dividends, log_yield)
+    return log_yield, log_q, residuals_ref(prices, dividends, log_q)
+
+
+def telescoping_gaps_ref(path: DiscretePath) -> tuple[float, float]:
+    """``check-identity``'s CSV result: the largest telescoping gap and the
+    largest no-arbitrage residual."""
+    _, log_q, residuals = discrete_pass_ref(path)
+    price0 = float(path.prices[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(log_q[1:] + log_ratio_ref(path.dividends[1:], price0))
+        deflated = np.exp(log_q + log_ratio_ref(path.prices, price0))
+        partials = compensated_cumsum_ref(terms)
+        gaps = np.abs(1.0 - partials - deflated[1:])
+    return float(np.max(gaps)), float(np.max(residuals))

@@ -405,6 +405,64 @@ def test_analyze_step_refuses_a_csv(capsys, monkeypatch, step, tail):
     assert code == 0
 
 
+JUMP_SIDE_REFUSAL = "--jump-side picks the price at the dividend jumps of continuous documents only"
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("command", [["analyze", "--tail", "constant-yield"], ["check-identity"]])
+def test_jump_side_refuses_a_csv(capsys, monkeypatch, side, command):
+    # a CSV has no jumps: given the flag, both commands once exited 0 with
+    # the same bytes as without it
+    _, doc, _ = run(capsys, GORDON_DOC)
+    argv = [*command, "--jump-side", side, "-"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert JUMP_SIDE_REFUSAL in err and len(err.splitlines()) == 1
+    code, _, err = run(capsys, [*command, "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "--tol must be finite and >= 0"),
+        (["--horizon", "0"], "--horizon must be at least 1"),
+        (["--step", "1"], "--step discretizes continuous documents only"),
+        ([], JUMP_SIDE_REFUSAL),
+    ],
+)
+def test_jump_side_refusal_comes_after_the_other_flag_checks(capsys, monkeypatch, flags, message):
+    _, doc, _ = run(capsys, GORDON_DOC)
+    argv = ["analyze", "--tail", "constant-yield", "--jump-side", "left", *flags, "-"]
+    code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert message in err
+    if flags[:1] == ["--tol"]:
+        argv = ["check-identity", "--jump-side", "left", *flags, "-"]
+        code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+def test_jump_side_refusal_is_per_file(tmp_path, capsys):
+    # in a batch, the CSV is refused and the continuous document still runs
+    # with the flag; without it, a continuous report says "right"
+    _, csv, _ = run(capsys, GORDON_DOC)
+    _, mw, _ = run(capsys, MIAO_WANG_GAP)
+    (tmp_path / "g.csv").write_text(csv)
+    (tmp_path / "mw.json").write_text(mw)
+    names = [str(tmp_path / "g.csv"), str(tmp_path / "mw.json")]
+    code, out, err = run(
+        capsys, ["analyze", "--tail", "constant-yield", "--jump-side", "left", *names]
+    )
+    assert code == 2
+    assert err.splitlines() == [f"bubblekit: {names[0]}: {JUMP_SIDE_REFUSAL}; a CSV has no jumps"]
+    assert json.loads(out)["config"]["jump_side"] == "left"
+    code, out, _ = run(capsys, ["analyze", names[1]])
+    assert code == 0
+    assert json.loads(out)["config"]["jump_side"] == "right"
+
+
 def test_analyze_text_format(tmp_path, capsys):
     f = tmp_path / "path.csv"
     f.write_text(serialize_path_csv(gen_constant(100, 5, 40)))
@@ -1791,9 +1849,7 @@ def test_non_finite_identity_result_is_an_internal_error(tmp_path, capsys, monke
 
     doc = tmp_path / "c.csv"
     doc.write_text(CONSTANT_CSV)
-    monkeypatch.setattr(
-        cli, "no_arbitrage_residuals", lambda path, deflators: np.array([math.inf])
-    )
+    monkeypatch.setattr(cli, "telescoping_gaps", lambda path: (0.0, math.inf))
     code, out, err = run(capsys, ["check-identity", str(doc)])
     assert (code, out) == (1, "")
     assert err.startswith("bubblekit: internal: ValueError(")

@@ -393,6 +393,7 @@ def test_analyze_of_any_flag_values(k, tol, horizon, step, flags):
     st.sampled_from(["right", "left"]),
 )
 @example(0, -0.0, "right")
+@example(1, 1e-12, "left")
 @example(4, math.inf, "right")
 def test_check_identity_of_any_tol(k, tol, side):
     argv = ["check-identity", f"--tol={tol!r}", "--jump-side", side]
@@ -401,6 +402,8 @@ def test_check_identity_of_any_tol(k, tol, side):
     code, _, err, _ = result
     if not (math.isfinite(tol) and tol >= 0):
         assert code == 2 and "--tol must be finite and >= 0" in err, err
+    elif k < len(GENERATE) - 1:  # a CSV has no jumps to pick a side at
+        assert code == 2 and "--jump-side picks the price" in err, err
     else:
         assert code in (0, 1), err
 

@@ -388,6 +388,25 @@ def test_a_generated_document_is_read_without_splitlines():
     assert blank_result == result and blank_calls == []
 
 
+@pytest.mark.parametrize("T", [1, 300, 20_000])
+def test_a_generated_document_is_read_once_a_piece(T):
+    # row 0's empty D cell is filled before its read, so row 0 is read once,
+    # not refused and read again: one orjson call for it and one a piece
+    import orjson
+
+    from bubblekit.io import serialize_path_csv
+    from bubblekit.models import gen_gordon
+
+    doc = serialize_path_csv(gen_gordon(1.0, 1.0001, 1.001, T))
+    head = bubblekit.io._split_head(doc)
+    pieces = len(list(bubblekit.io._row_pieces(doc, head.start, head.stop)))
+    with mock.patch.object(orjson, "loads", wraps=orjson.loads) as loads:
+        result = outcome(parse_path_csv, doc)
+    assert loads.call_count == pieces
+    assert (pieces == 2) == (len(doc) < bubblekit.io._CHUNK)
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
 def test_a_generated_document_is_read_without_copies_of_its_text():
     import tracemalloc
 

@@ -133,6 +133,20 @@ def test_the_cli_imports_no_private_name_of_the_library():
     assert private == []
 
 
+def test_the_cli_computes_no_identity_of_its_own():
+    # a CSV's telescoping gaps come from the library (telescoping_gaps), as
+    # a continuous document's come from deflated_price_profile
+    source = Path(bubblekit.__file__).with_name("cli.py").read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    arithmetic = {"compensated_cumsum", "log_ratio", "implied_deflators", "no_arbitrage_residuals"}
+    assert imported & arithmetic == set()
+
+
 def tail_type_tests(source: str) -> list[str]:
     """Each ``isinstance(..., <tail class>)`` and ``type(...) is <tail class>``
     in ``source``, as ``line: code``."""

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit import (
@@ -28,10 +28,17 @@ from bubblekit import (
     implied_deflators,
     no_arbitrage_residuals,
     partial_value,
+    telescoping_gaps,
 )
 from bubblekit.characterization import _yields
+from bubblekit.series import _discrete_pass
 
-from oracles import deflated_recursion_mp, deflated_terminal_log
+from oracles import (
+    deflated_recursion_mp,
+    deflated_terminal_log,
+    discrete_pass_ref,
+    telescoping_gaps_ref,
+)
 
 # frozen from the high-precision product oracle (prod over s=1..200 of
 # 1/(1 + 0.5 * 0.5^s), dps=60): 0.6291336626926613965649342...
@@ -548,6 +555,64 @@ def test_deflators_stay_finite_where_ratios_overflow(prices, dividends):
     _, terminal = deflated_recursion_mp(p.prices, p.dividends, [])
     oracle = math.log(terminal) - math.log(prices[-1])
     assert d.log_q[-1] == pytest.approx(oracle, rel=1e-12)
+
+
+# ---------- the one discrete pass against the separate routes ----------
+
+# zeros (interior zero prices, zero dividends), subnormals, the edges of
+# the normal range, and values whose yield or P + D is past the double range
+EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0,
+     1e300, 8.98846567431158e307, 1.7976931348623157e308]
+)
+PASS_VALUES = st.one_of(EDGE_VALUES, st.floats(0.0, 1.7976931348623157e308), st.floats(0.5, 2.0))
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(PASS_VALUES, min_size=2, max_size=12),
+    st.one_of(st.none(), st.lists(PASS_VALUES, min_size=11, max_size=11)),
+    st.sampled_from([0, 0, 0, 1, -1, 60, -60, 600, -600, 1000, -1074]),
+)
+@example([1.0, 0.0, 2.0, 0.0, 5.0], [0.0, 1.0, 1.0, 3.0] + [0.0] * 7, 0)  # zero prices
+@example([2.0, 2.0, 2.0], None, 0)  # money: every D / P_0 takes log_ratio's repair
+@example([1.0, 1e-300, 1.0], [1e300, 1.0] + [0.0] * 9, 0)  # D / P past the double range
+@example([1.0, 1.7e308, 1.0], [1.7e308, 1.0] + [0.0] * 9, 0)  # P + D past it
+@example([0.5, 1.0], [1.7e308] + [0.0] * 10, 0)  # (P_1 + D_1) / P_0 past it
+@example([1.0, 1.7e308, 1.0], [1.7e308, 1.0] + [0.0] * 9, -1074)  # scaled to subnormals
+@example([1e300, 1e-10, 1e-10], [0.0, 1e-12] + [0.0] * 9, 0)  # P_0 / P_t past it
+@example([5e-324, 1e-310, 5e-324], [5e-324, 0.0] + [0.0] * 9, 0)  # subnormal path
+def test_the_discrete_pass_equals_the_separate_routes_bit_for_bit(prices, dividends, k):
+    # the fused pass against the routes the CSV identity and decompose's
+    # residual took before it (oracles.discrete_pass_ref): L, log q, the
+    # residuals and the telescoping gaps, bit for bit; dividends=None is a
+    # money path, and k scales the path by 2^k
+    T = len(prices) - 1
+    dividends = [0.0] * T if dividends is None else dividends[:T]
+    with np.errstate(over="ignore"):  # a path scaled past the double range is refused
+        scaled = [np.ldexp(np.array(values, dtype=np.float64), k) for values in (prices, dividends)]
+    assume(scaled[0][0] != 0.0)
+    try:
+        path = DiscretePath(*scaled, tail=ZeroDividends())
+    except ValidationError:
+        assume(False)
+    log_yield, log_q, residuals = discrete_pass_ref(path)
+    with np.errstate(all="ignore"):
+        got = _discrete_pass(path)
+    assert same_bits(got.log_yield, log_yield)
+    assert same_bits(got.log_q, log_q)
+    assert same_bits(got.residual, residuals.max())
+    deflators = implied_deflators(path)
+    assert same_bits(deflators.log_q, log_q)
+    assert same_bits(no_arbitrage_residuals(path, deflators), residuals)
+    assert same_bits(telescoping_gaps(path), telescoping_gaps_ref(path))
+    residual = decompose(path).diagnostics["no_arbitrage_residual_max"]
+    assert same_bits(residual, residuals.max())
 
 
 # ---------- a bubble across assets ----------
