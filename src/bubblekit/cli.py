@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from .io import (
     parse_path_csv,
     parse_scenario_json,
     parse_tail_spec,
+    path_csv_pieces,
     render_report,
     serialize_continuous_json,
-    serialize_path_csv,
     tail_fit_to_json,
     utf8_text,
 )
@@ -303,11 +303,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             names = ", ".join(f"--{flag}" for flag in missing)
             raise ValidationError(f"generate {args.model} requires {names}")
         values = [getattr(args, flag) for flag in flags]
-        # the path is freed before the text is written
-        sys.stdout.write(
-            serialize_path_csv(getattr(models, generator)(*values, args.T))
-        )
-        return EXIT_NO_BUBBLE
+        path = getattr(models, generator)(*values, args.T)
+        return _write_document(path_csv_pieces(path))
     params: dict[str, Any] = {}
     if args.scenario is not None:
         params.update(parse_scenario_json(_read_input(args.scenario)))
@@ -333,9 +330,24 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "generate miao-wang requires --Q, --K, --Bmw and --D "
             f"(or a --scenario document); missing: {missing}"
         )
-    sys.stdout.write(
-        serialize_continuous_json(gen_miao_wang(MiaoWangScenario(**params)))
+    return _write_document(
+        [serialize_continuous_json(gen_miao_wang(MiaoWangScenario(**params)))]
     )
+
+
+def _write_document(pieces: Iterable[str]) -> int:
+    """Write a generated document to stdout.  A reader that closes the pipe
+    early, as ``head`` does, has taken all it wants: the rest is dropped and
+    the exit is 0, with nothing on stderr."""
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's buffer is flushed again at exit: let it go to devnull
+        # (the "Note on SIGPIPE" of Python's signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_NO_BUBBLE
 
 

@@ -10,9 +10,11 @@ Reports are plain dicts with stable keys; JSON rendering uses sorted keys
 and shortest round-trip float representation, so identical inputs produce
 byte-identical documents and serialize/parse/serialize is the identity.
 Generated path documents are written the same way, but through orjson,
-which formats a whole numpy array in one call; a CSV document's rows go
-out as one flat array whose bytes are then turned into lines in place, so
-no string is made per row or number.  The readers parse number
+which formats a whole numpy array in one call.  A CSV document is written
+a piece of ``_ROWS`` rows at a time (:func:`path_csv_pieces`): each
+piece's rows go out as one flat array whose bytes are then turned into
+lines in place, so no string is made per row or number, and ``generate``
+holds no more than a piece's text at once.  The readers parse number
 arrays through orjson too, in place and one piece of about ``_CHUNK``
 characters at a time (:func:`_pieces`): a CSV document's rows, whose
 cells are JSON numbers, a piece of whole rows at a time by one route,
@@ -556,37 +558,55 @@ def serialize_path_csv(path: DiscretePath) -> str:
     """The ``t,P,D`` document of ``path``, its tail in a ``# tail:`` line.
 
     Each number is the shortest decimal that reads back to the same double,
-    spelled as orjson writes it (``1e-7``, ``0.00001``, ``1e16``).
+    spelled as orjson writes it (``1e-7``, ``0.00001``, ``1e16``).  The
+    document is the pieces of :func:`path_csv_pieces` joined.
+    """
+    return "".join(path_csv_pieces(path))
 
-    The rows ``(t, P_t, D_t)`` go through one orjson call as one flat
-    float64 array, ``[0.0,P_0,D_0,1.0,P_1,D_1,...]``, and the text is then
-    edited in place as bytes: every third comma and the closing ``]`` become
-    line ends, and a NUL goes over the opening ``[``, over the ``.0`` of each
-    date and over row 0's dividend, which one ``translate`` then deletes.  No
-    object is made per row or cell.  This relies on three facts: orjson
-    spells each integer-valued double below 1e16 as ``t.0`` (``MAX_PERIODS``
-    is far below that), no number contains a comma or a NUL, and a path holds
-    only finite values.
+
+_ROWS = 1 << 14  # rows per piece of a written CSV document: about 0.7 MB
+
+
+def path_csv_pieces(path: DiscretePath) -> Iterator[str]:
+    """The text of :func:`serialize_path_csv`, ``_ROWS`` rows at a time; the
+    head lines go out with the first piece.
+
+    The rows ``(t, P_t, D_t)`` of a piece go through one orjson call as one
+    flat float64 array, ``[0.0,P_0,D_0,1.0,P_1,D_1,...]``, and the text is
+    then edited in place as bytes: every third comma and the closing ``]``
+    become line ends, and a NUL goes over the opening ``[``, over the ``.0``
+    of each date and, in the first piece, over row 0's dividend, which one
+    ``translate`` then deletes.  No object is made per row or cell, and no
+    more than a piece's text is held at once.  This relies on three facts:
+    orjson spells each integer-valued double below 1e16 as ``t.0``
+    (``MAX_PERIODS`` is far below that), no number contains a comma or a
+    NUL, and a path holds only finite values.
     """
     import orjson
 
-    rows = np.empty((path.horizon + 1, 3))
-    rows[:, 0] = np.arange(path.horizon + 1)
-    rows[:, 1] = path.prices
-    rows[:, 2] = path.dividends
     head = b"t,P,D\n"
     if path.tail is not None:
         head = f"# tail: {format_tail_spec(path.tail)}\n".encode() + head
-    document = bytearray(head)
-    document += orjson.dumps(rows.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
-    chars = np.frombuffer(document, dtype=np.uint8, offset=len(head))
-    commas = np.flatnonzero(chars == ord(","))
-    chars[commas[2::3]] = ord("\n")
-    chars[-1] = ord("\n")  # the closing ]
-    dates = commas[0::3]
-    for filled in (0, dates - 1, dates - 2, slice(commas[1] + 1, commas[2])):
-        chars[filled] = 0
-    return document.translate(None, b"\x00").decode()
+    n = path.horizon + 1
+    for start in range(0, n, _ROWS):
+        stop = min(start + _ROWS, n)
+        rows = np.empty((stop - start, 3))
+        rows[:, 0] = np.arange(start, stop)
+        rows[:, 1] = path.prices[start:stop]
+        rows[:, 2] = path.dividends[start:stop]
+        piece = bytearray(head)
+        piece += orjson.dumps(rows.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
+        chars = np.frombuffer(piece, dtype=np.uint8, offset=len(head))
+        commas = np.flatnonzero(chars == ord(","))
+        chars[commas[2::3]] = ord("\n")
+        chars[-1] = ord("\n")  # the closing ]
+        dates = commas[0::3]
+        for filled in (0, dates - 1, dates - 2):
+            chars[filled] = 0
+        if start == 0:  # row 0's dividend, up to its line end
+            chars[commas[1] + 1 : commas[2] if stop > 1 else -1] = 0
+        yield piece.translate(None, b"\x00").decode()
+        head = b""
 
 
 # ---------- continuous JSON ----------

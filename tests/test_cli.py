@@ -748,6 +748,31 @@ def test_generate_gordon_overflow_is_bad_input(capsys, argv, message):
     assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("wanted", [0, 100])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gordon", "--D0", "1", "--g", "1.00001", "--R", "1.05", "--T", "200000"],
+        [*MIAO_WANG, "--grid-step", "0.001"],
+    ],
+    ids=["csv", "json"],
+)
+def test_generate_into_a_pipe_closed_early_exits_0_quietly(argv, wanted):
+    # as `generate ... | head -c 100`: the reader has all it wants, and
+    # with 0 it closes before the first write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bubblekit.cli", "generate", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(wanted)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert len(head) == wanted and err == b""
+
+
 @pytest.mark.parametrize(
     "argv, last_log_price",
     [
@@ -1383,6 +1408,36 @@ def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
         tracemalloc.stop()
     assert text == crlf
     assert peak < 2.1 * len(crlf)
+
+
+class Discard(io.TextIOBase):
+    """A text stream that keeps only the count of what it is given."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+def test_a_long_csv_is_generated_in_under_two_documents():
+    # the rows are formatted and written a piece at a time, so what is
+    # held at once is the path and a piece, not the whole text
+    import contextlib
+    import tracemalloc
+
+    sink = Discard()
+    argv = ["generate", "gordon", "--D0", "1", "--g", "1.00001", "--R", "1.05", "--T", "150000"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.length == len(serialize_path_csv(gen_gordon(1.0, 1.00001, 1.05, 150_000)))
+    assert peak < 2 * sink.length
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-identity"])

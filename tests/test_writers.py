@@ -7,8 +7,8 @@ number.  Both must write the same lines or keys and the same doubles, and
 the documents must parse back to the same arrays bit for bit.  Only the
 spelling of a number may differ (``1e-7`` for ``1e-07``).  The CSV writer
 must also match ``oracles.serialize_path_csv_cells``, one ``orjson.dumps``
-call a number, byte for byte, and the facts its byte edits rely on are
-pinned here.
+call a number, byte for byte, wherever its pieces of rows are cut, and the
+facts its byte edits rely on are pinned here.
 """
 
 import json
@@ -20,10 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bubblekit import io as bio
 from bubblekit.continuous import ContinuousPath, CumulativeDividend
 from bubblekit.io import (
     parse_continuous_json,
     parse_path_csv,
+    path_csv_pieces,
     serialize_continuous_json,
     serialize_path_csv,
 )
@@ -31,6 +33,7 @@ from bubblekit.models import MAX_PERIODS
 from bubblekit.series import DiscretePath
 from bubblekit.tails import ConstantYield, GeometricYield, ZeroDividends
 
+from chunks import ROWS, pieces_of
 from oracles import (
     serialize_continuous_json_repr,
     serialize_path_csv_cells,
@@ -165,19 +168,34 @@ def varied_path(T: int, tail=None) -> DiscretePath:
 
 
 @settings(max_examples=200, deadline=None)
-@given(discrete_paths())
-@example(DiscretePath(prices=[1.0, 2.0], dividends=[-0.0, 1.0]))
-@example(DiscretePath(prices=[5e-324, MAX, TINY], dividends=[MAX, 5e-324]))
-@example(DiscretePath(prices=[MAX, 5e-324], dividends=[-0.0, TINY], tail=ZeroDividends()))
-@example(varied_path(9))
-@example(varied_path(10, tail=ConstantYield(0.05)))
-@example(varied_path(99))
-@example(varied_path(100, tail=GeometricYield(1e-5, 0.9)))
-@example(varied_path(999))
-@example(varied_path(1000, tail=ZeroDividends()))
-@example(varied_path(10**4))
-def test_csv_writer_matches_cell_writer_byte_for_byte(path):
-    assert serialize_path_csv(path) == serialize_path_csv_cells(path)
+@given(discrete_paths(), ROWS)
+@example(DiscretePath(prices=[1.0, 2.0], dividends=[-0.0, 1.0]), 1)
+@example(DiscretePath(prices=[5e-324, MAX, TINY], dividends=[MAX, 5e-324]), 2)
+@example(DiscretePath(prices=[MAX, 5e-324], dividends=[-0.0, TINY], tail=ZeroDividends()), 1)
+@example(varied_path(9), 3)
+@example(varied_path(10, tail=ConstantYield(0.05)), 2)
+@example(varied_path(99), 1)
+@example(varied_path(100, tail=GeometricYield(1e-5, 0.9)), 3)
+@example(varied_path(999), bio._ROWS)
+@example(varied_path(1000, tail=ZeroDividends()), 2)
+@example(varied_path(10**4), bio._ROWS)
+def test_csv_writer_matches_cell_writer_byte_for_byte(path, rows):
+    with pieces_of(rows):
+        assert serialize_path_csv(path) == serialize_path_csv_cells(path)
+
+
+@pytest.mark.parametrize("tail", [None, GeometricYield(1e-5, 0.9)])
+@pytest.mark.parametrize("rows", [1, 2, 3, bio._ROWS])
+def test_csv_pieces_cut_before_at_and_after_each_boundary(rows, tail):
+    # T + 1 rows at k pieces less one row, k pieces and k pieces and a row
+    lengths = {2} | {k * rows + d for k in (1, 2) for d in (-1, 0, 1)}
+    for n in sorted(length for length in lengths if length >= 2):
+        path = varied_path(n - 1, tail=tail)
+        with pieces_of(rows):
+            pieces = list(path_csv_pieces(path))
+            assert serialize_path_csv(path) == serialize_path_csv_cells(path)
+        assert len(pieces) == -(-n // rows)
+        assert all(piece.endswith("\n") for piece in pieces)
 
 
 # 10^power for every power of ten up to MAX_PERIODS
