@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import NonPositivePriceError, ValidationError
+from .errors import ValidationError
 from .tails import (
     ConstantYield,
     GeometricYield,
@@ -56,14 +56,36 @@ class Verdict:
     rationale: str
 
 
+def _require_positive(prices: np.ndarray) -> None:
+    """Refuse finite ``prices`` with a P_i <= 0, naming the first such i."""
+    if not prices.min() > 0:
+        index = int(np.flatnonzero(prices <= 0)[0])
+        raise ValidationError(f"price must be strictly positive (P_{index} <= 0)")
+
+
 def _yields(path: DiscretePath) -> np.ndarray:
     """The path's yields D_t / P_t for t = 1..T_max, +inf where they overflow.
 
-    Raises NonPositivePriceError naming the first index with P_t <= 0.
+    Refuses a path with a price P_t <= 0 (see :func:`_require_positive`).
     """
-    if not path.prices.min() > 0:
-        raise NonPositivePriceError(int(np.flatnonzero(path.prices <= 0)[0]))
+    _require_positive(path.prices)
     return path._yields
+
+
+def _declared_verdict(
+    tail: TailModel, measure: str, partial: float | None, evidence: str
+) -> Verdict:
+    """The verdict that ``tail`` decides: Bubble exactly when its class is
+    convergent.  ``measure`` names what totals the yields ("sum" in
+    discrete time, "integral" in continuous time), and ``evidence``, which
+    describes the sampled ``partial`` total, ends the rationale."""
+    tail_class = classify_tail(tail)
+    if tail_class is TailClass.CONVERGENT:
+        classification, outcome = Classification.BUBBLE, "converge"
+    else:
+        classification, outcome = Classification.NO_BUBBLE, "diverge"
+    rationale = f"declared tail makes the yield {measure} {outcome} (tail={tail!r}); {evidence}"
+    return Verdict(classification, partial, tail_class, rationale)
 
 
 def montrucchio_discrete(path: DiscretePath) -> Verdict:
@@ -84,18 +106,9 @@ def montrucchio_discrete(path: DiscretePath) -> Verdict:
         evidence = f"= {partial!r}"
     else:
         partial, evidence = None, "leaves the double range"
-    tail_class = classify_tail(path.tail)
-    if tail_class is TailClass.CONVERGENT:
-        classification = Classification.BUBBLE
-        reason = "declared tail makes the yield sum converge"
-    else:
-        classification = Classification.NO_BUBBLE
-        reason = "declared tail makes the yield sum diverge"
-    rationale = (
-        f"{reason} (tail={path.tail!r}); "
-        f"sampled partial sum over {yields.size} periods {evidence}"
+    return _declared_verdict(
+        path.tail, "sum", partial, f"sampled partial sum over {yields.size} periods {evidence}"
     )
-    return Verdict(classification, partial, tail_class, rationale)
 
 
 @dataclass(frozen=True)

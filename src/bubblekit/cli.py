@@ -10,9 +10,10 @@ takes precedence over it.  It leaves ``check-identity``'s pass thresholds
 alone: those come from ``--tol`` or the document kind's default.
 ``check-identity`` computes no identity itself: a CSV's gaps come from
 ``telescoping_gaps`` and a continuous document's from
-``deflated_price_profile``.  ``--jump-side`` (default ``right``) picks the
-price at a continuous document's dividend jumps; for a CSV, which has no
-jumps, it is refused (exit 2).
+``deflated_price_profile``.  ``--jump-side`` picks the price at a
+continuous document's dividend jumps; it has no default, a continuous
+document resolves its absence to ``right``, and a CSV, which has no
+jumps, refuses it (exit 2).
 """
 
 from __future__ import annotations

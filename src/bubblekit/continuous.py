@@ -19,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characterization import Classification, Verdict
-from .errors import (
-    NonPositivePriceError,
-    OutOfRangeError,
-    StepMismatchError,
-    ValidationError,
-)
+from .characterization import Verdict, _declared_verdict, _require_positive
+from .errors import ValidationError
 from .numerics import compensated_cumsum, compensated_sum
 from .series import DiscretePath
-from .tails import TailClass, TailModel, classify_tail
+from .tails import TailModel
 
 __all__ = [
     "CumulativeDividend",
@@ -106,8 +101,7 @@ class ContinuousPath:
             raise ValidationError("need at least two price samples")
         if not np.all(np.isfinite(prices)):
             raise ValidationError("prices must be finite")
-        if np.any(prices <= 0):
-            raise NonPositivePriceError(int(np.nonzero(prices <= 0)[0][0]))
+        _require_positive(prices)
         if self.dividends.density.size != prices.size:
             raise ValidationError(
                 f"density has {self.dividends.density.size} samples but the "
@@ -262,18 +256,9 @@ def montrucchio_continuous(
             "a dividend jump is too large for the price there: the dF / P sum "
             "leaves the double range"
         )
-    tail_class = classify_tail(cpath.tail)
-    if tail_class is TailClass.CONVERGENT:
-        classification = Classification.BUBBLE
-        reason = "declared tail makes the yield integral converge"
-    else:
-        classification = Classification.NO_BUBBLE
-        reason = "declared tail makes the yield integral diverge"
-    rationale = (
-        f"{reason} (tail={cpath.tail!r}); integral over [0, {cpath.horizon}]"
-        f" = {partial!r}"
+    return _declared_verdict(
+        cpath.tail, "integral", partial, f"integral over [0, {cpath.horizon}] = {partial!r}"
     )
-    return Verdict(classification, partial, tail_class, rationale)
 
 
 def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
@@ -291,14 +276,14 @@ def discretize(cpath: ContinuousPath, step: float) -> DiscretePath:
     ratio = step / cpath.grid_step
     m = round(ratio) if math.isfinite(ratio) else 0  # inf and NaN are no multiple
     if m < 1 or abs(ratio - m) > _GRID_RTOL * max(1.0, ratio):
-        raise StepMismatchError(
+        raise ValidationError(
             f"step {step} is not a positive integer multiple of the grid "
             f"step {cpath.grid_step}"
         )
     n_cells = cpath.prices.size - 1
     periods = n_cells // m
     if periods < 1:
-        raise OutOfRangeError("step exceeds the sampled horizon")
+        raise ValidationError("step exceeds the sampled horizon")
 
     cells = _cell_increments(cpath, cpath.dividends.density)
     dividends = compensated_sum(cells[: periods * m].reshape(periods, m))

@@ -1,65 +1,19 @@
-"""Exception hierarchy for bubblekit.
+"""The library's two exception types, one per exit code of the CLI.
 
-Everything raised by the library derives from :class:`BubblekitError`.
-:class:`ValidationError` and its subclasses signal bad inputs (the CLI maps
-them to exit code 2).
+Every refusal of bad input raises :class:`ValidationError`, which the CLI
+maps to exit code 2; its message is what tells one refusal from another.
+:class:`ParseError` is the ``ValidationError`` of a malformed document: it
+carries the document's 1-based ``line`` when one is to blame, and names it
+in its message.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "BubblekitError",
-    "ValidationError",
-    "ZeroInitialPriceError",
-    "HorizonMismatchError",
-    "OutOfRangeError",
-    "TailUnsupportedError",
-    "NonPositivePriceError",
-    "ParameterOrderError",
-    "StepMismatchError",
-    "ParseError",
-    "ArbitrageError",
-]
+__all__ = ["ValidationError", "ParseError"]
 
 
-class BubblekitError(Exception):
-    """Base class for all bubblekit errors."""
-
-
-class ValidationError(BubblekitError):
+class ValidationError(Exception):
     """An input violates a documented invariant or precondition."""
-
-
-class ZeroInitialPriceError(ValidationError):
-    """P_0 = 0: deflator construction is degenerate (log undefined)."""
-
-
-class HorizonMismatchError(ValidationError):
-    """A path and a deflator sequence do not share the same horizon."""
-
-
-class OutOfRangeError(ValidationError):
-    """A requested horizon or time lies outside the sampled range."""
-
-
-class TailUnsupportedError(ValidationError):
-    """The tail model admits no present-value evaluation rule."""
-
-
-class NonPositivePriceError(ValidationError):
-    """A strictly positive price path is required but P_t <= 0 somewhere."""
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"price must be strictly positive (P_{index} <= 0)")
-
-
-class ParameterOrderError(ValidationError):
-    """Model parameters violate a required ordering (e.g. growth >= discount)."""
-
-
-class StepMismatchError(ValidationError):
-    """A resampling step is not an integer multiple of the grid step."""
 
 
 class ParseError(ValidationError):
@@ -70,7 +24,3 @@ class ParseError(ValidationError):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
-
-
-class ArbitrageError(ValidationError):
-    """Externally supplied deflators fail the no-arbitrage recursion check."""

@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .characterization import TailFit
 from .continuous import ContinuousPath, CumulativeDividend
-from .errors import ArbitrageError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .models import MiaoWangScenario
 from .series import (
     DEFAULT_TOL,
@@ -269,7 +269,7 @@ def parse_path_csv(
             raise ValidationError("supplied deflators must be normalized to q_0 = 1")
         supplied = Deflators(np.concatenate(([0.0], np.log(deflators[0][1:]))))
         if not no_arbitrage_residuals(path, supplied).max() <= tol:
-            raise ArbitrageError(
+            raise ValidationError(
                 "supplied deflators violate the no-arbitrage recursion "
                 f"at relative tolerance {tol!r}"
             )

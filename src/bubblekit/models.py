@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .continuous import ContinuousPath, CumulativeDividend
-from .errors import ParameterOrderError, ValidationError
+from .errors import ValidationError
 from .series import DiscretePath
 from .tails import ConstantLevels, ConstantYield, GeometricYield, ZeroDividends
 
@@ -94,9 +94,9 @@ def gen_gordon(D0: float, g: float, R: float, T_max: int) -> DiscretePath:
     if not 0 < D0 < math.inf:
         raise ValidationError("gordon needs a finite D0 > 0")
     if not 1 < R < math.inf:
-        raise ParameterOrderError("gordon needs a finite gross discount rate R > 1")
+        raise ValidationError("gordon needs a finite gross discount rate R > 1")
     if not 0 < g < R:
-        raise ParameterOrderError("gordon needs growth 0 < g < R")
+        raise ValidationError("gordon needs growth 0 < g < R")
     _check_periods(T_max)
     # the largest price and dividend: at T_max when dividends grow, else
     # at t = 0 (price) and t = 1 (dividend)

@@ -28,19 +28,13 @@ def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (a - (s - virtual)) + (b - virtual)
 
 
-def log_ratio(num, den) -> np.ndarray:
+def _log_ratio(num, den, normal: bool = False) -> np.ndarray:
     """``log(num / den)`` elementwise, from the ratio itself where it is a
     normal double, so that a 2^k scaling of both leaves it bit-exact.  A
     ratio outside that range, or a zero or -0.0 ``den``, is taken apart in
-    logs instead."""
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        return _log_ratio(num, den)
-
-
-def _log_ratio(num, den, normal: bool = False) -> np.ndarray:
-    """:func:`log_ratio`, called with floating-point errors ignored.  A
-    caller that has bounded every ratio within the normal double range says
-    so by ``normal``, which spares the two reductions that would look."""
+    logs instead.  Called with floating-point errors ignored.  A caller that
+    has bounded every ratio within the normal double range says so by
+    ``normal``, which spares the two reductions that would look."""
     ratios = num / den
     logs = np.log(ratios)
     if not (normal or (ratios.min() >= _TINY and ratios.max() < np.inf)):  # NaN too

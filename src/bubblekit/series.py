@@ -28,12 +28,7 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from .characterization import Classification, montrucchio_discrete
-from .errors import (
-    HorizonMismatchError,
-    OutOfRangeError,
-    ValidationError,
-    ZeroInitialPriceError,
-)
+from .errors import ValidationError
 from .numerics import _TINY, _log_ratio, _prefix_sums
 from .tails import TailModel, classify_tail
 
@@ -178,7 +173,7 @@ class Decomposition:
 
 def _check_same_horizon(path: DiscretePath, deflators: Deflators) -> None:
     if path.horizon != deflators.horizon:
-        raise HorizonMismatchError(
+        raise ValidationError(
             f"path horizon {path.horizon} != deflator horizon {deflators.horizon}"
         )
 
@@ -191,7 +186,7 @@ def _log_yield_sum(path: DiscretePath) -> np.ndarray:
     Called, as every step of the pass, with floating-point errors ignored.
     """
     if path.prices[0] == 0.0:
-        raise ZeroInitialPriceError("P_0 = 0: log deflators are undefined")
+        raise ValidationError("P_0 = 0: log deflators are undefined")
     # a price of -0.0 makes D / P = -inf, whose log1p is NaN until replaced
     steps = np.log1p(path._yields)
     # D / P past the double range, or P = 0: log1p(D / P) = log D - log P
@@ -361,7 +356,7 @@ def partial_value(path: DiscretePath, deflators: Deflators, T: int) -> float:
     """
     _check_same_horizon(path, deflators)
     if not 1 <= T <= path.horizon:
-        raise OutOfRangeError(f"T = {T} outside [1, {path.horizon}]")
+        raise ValidationError(f"T = {T} outside [1, {path.horizon}]")
     with np.errstate(divide="ignore"):
         log_terms = deflators.log_q[1 : T + 1] + np.log(path.dividends[1 : T + 1])
     return math.fsum(np.exp(log_terms))

@@ -35,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import TailUnsupportedError, ValidationError
+from .errors import ValidationError
 from .numerics import compensated_sum
 
 __all__ = [
@@ -238,7 +238,7 @@ def classify_tail(tail: TailModel) -> TailClass:
     price has a positive limit (a bubble); divergence certifies no bubble.
     """
     if not isinstance(tail, TailModel):
-        raise TailUnsupportedError(f"unrecognized tail model: {tail!r}")
+        raise ValidationError(f"unrecognized tail model: {tail!r}")
     return tail.tail_class
 
 
@@ -256,7 +256,7 @@ def _log_sum(tail: str, edge: float, start: int, coeff: float, root, moments) ->
     with r_0 = 1, is sum_k (-1)^(k+1) x0^k m_k / k, m_k = sum_n r_n^k coming
     from ``moments(t0, k)``.  ``math.fsum`` adds the chunks and the series."""
     if edge - start > _HEAD_MAX:
-        raise TailUnsupportedError(
+        raise ValidationError(
             f"{tail}: its yield stays at or above 1/2 from t = {start} to t = {edge:.6g}, "
             f"more than the {_HEAD_MAX} terms its log-yield sum can add one by one"
         )

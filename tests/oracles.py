@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 import orjson
 
-from bubblekit.errors import ArbitrageError, ParseError, ValidationError
+from bubblekit.errors import ParseError, ValidationError
 from bubblekit.continuous import ContinuousPath, CumulativeDividend
 from bubblekit.io import (
     _reject_constant,
@@ -404,7 +404,7 @@ def parse_path_csv_rows(data, tol: float = DEFAULT_TOL):
             np.concatenate(([0.0], np.log(np.array(deflator_values[1:]))))
         )
         if not no_arbitrage_residuals(path, supplied).max() <= tol:
-            raise ArbitrageError(
+            raise ValidationError(
                 "supplied deflators violate the no-arbitrage recursion "
                 f"at relative tolerance {tol!r}"
             )

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bubblekit import (
-    ArbitrageError,
     ConstantLevels,
     DiscretePath,
     ParseError,
@@ -33,6 +32,9 @@ from bubblekit.io import (
 )
 
 CONSTANT_CSV = "t,P,D\n0,100,\n1,100,5\n2,100,5\n"
+NO_ARBITRAGE_REFUSAL = (
+    "supplied deflators violate the no-arbitrage recursion at relative tolerance 1e-09"
+)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -130,7 +132,7 @@ def test_parse_csv_inconsistent_supplied_deflators():
     q[2] *= 1.001
     lines = ["t,P,D,q", f"0,100,,{float(q[0])!r}"]
     lines += [f"{t},100,5,{float(q[t])!r}" for t in (1, 2)]
-    with pytest.raises(ArbitrageError):
+    with pytest.raises(ValidationError, match=f"^{NO_ARBITRAGE_REFUSAL}$"):
         parse_path_csv("\n".join(lines))
 
 
@@ -746,6 +748,58 @@ def test_generate_gordon_overflow_is_bad_input(capsys, argv, message):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+
+
+ZERO_P0_CSV = "t,P,D\n0,0,\n1,1,1\n"
+# a Miao-Wang document of four grid steps of 0.5
+SHORT_MIAO_WANG = [*MIAO_WANG, "--horizon", "2", "--grid-step", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "document, argv, line",
+    [
+        (
+            ZERO_P0_CSV,
+            ["analyze", "--tail", "constant-yield:c=1", "-"],
+            "-: P_0 = 0: log deflators are undefined",
+        ),
+        (ZERO_P0_CSV, ["check-identity", "-"], "P_0 = 0: log deflators are undefined"),
+        (
+            None,
+            ["generate", "gordon", "--D0", "1", "--g", "2", "--R", "1.5"],
+            "gordon needs growth 0 < g < R",
+        ),
+        (SHORT_MIAO_WANG, ["analyze", "--step", "3", "-"], "-: step exceeds the sampled horizon"),
+        (
+            SHORT_MIAO_WANG,
+            ["analyze", "--step", "0.3", "-"],
+            "-: step 0.3 is not a positive integer multiple of the grid step 0.5",
+        ),
+        (
+            _csv_with_bad_deflators(),
+            ["analyze", "--tail", "constant-levels", "-"],
+            f"-: {NO_ARBITRAGE_REFUSAL}",
+        ),
+        (_csv_with_bad_deflators(), ["check-identity", "-"], NO_ARBITRAGE_REFUSAL),
+    ],
+    ids=[
+        "zero-P0-analyze",
+        "zero-P0-check-identity",
+        "gordon-growth",
+        "step-past-horizon",
+        "step-off-grid",
+        "no-arbitrage-analyze",
+        "no-arbitrage-check-identity",
+    ],
+)
+def test_each_refusal_is_told_apart_by_its_message(capsys, monkeypatch, document, argv, line):
+    # one exception type stands for every refusal: its message is what
+    # tells them apart, so each is pinned byte for byte
+    if isinstance(document, list):  # the arguments that generate it
+        code, document, _ = run(capsys, ["generate", *document])
+        assert code == 0
+    code, out, err = run(capsys, argv, stdin=document, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"bubblekit: {line}\n")
 
 
 @pytest.mark.parametrize("wanted", [0, 100])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -11,8 +12,6 @@ from bubblekit import (
     ContinuousPath,
     CumulativeDividend,
     GeometricYield,
-    OutOfRangeError,
-    StepMismatchError,
     TailClass,
     ValidationError,
     ZeroDividends,
@@ -67,7 +66,9 @@ def exp_density_path(horizon=20.0, h=1e-3):
 
 
 def test_rejects_nonpositive_prices():
-    with pytest.raises(ValidationError):
+    # the same words as a discrete path's: one helper forms them
+    message = re.escape("price must be strictly positive (P_10 <= 0)")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         grid_path(1.0, 0.1, price_fn=lambda t: 1.0 - t)
 
 
@@ -327,13 +328,14 @@ def test_discretize_rescales_tails_per_period():
 
 def test_discretize_step_mismatch():
     cpath = constant_flow_path(horizon=10.0, h=1e-2)
-    with pytest.raises(StepMismatchError):
+    message = "step 0.015 is not a positive integer multiple of the grid step 0.01"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         discretize(cpath, 0.015)
 
 
 def test_discretize_step_beyond_horizon():
     cpath = constant_flow_path(horizon=2.0, h=1e-2)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValidationError, match="^step exceeds the sampled horizon$"):
         discretize(cpath, 5.0)
 
 

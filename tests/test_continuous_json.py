@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from bubblekit import io as bio
 from bubblekit.continuous import CumulativeDividend
-from bubblekit.errors import BubblekitError, ParseError
+from bubblekit.errors import ParseError, ValidationError
 from bubblekit.io import parse_continuous_json, serialize_continuous_json
 from bubblekit.models import MiaoWangScenario, gen_miao_wang
 
@@ -37,7 +37,7 @@ OVERFLOW = "number is infinity when parsed as double"
 def outcome(parse, doc):
     try:
         cpath = parse(doc)
-    except BubblekitError as exc:
+    except ValidationError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     fields = (cpath.grid_step, cpath.dividends.jumps, cpath.tail, cpath.interpreted_component)
     return cpath.prices.tobytes(), cpath.dividends.density.tobytes(), repr(fields)
@@ -58,7 +58,7 @@ def assert_same(doc, chunk=bio._CHUNK):
         new = outcome(parse_continuous_json, doc)
     old = outcome(parse_continuous_json_stdlib, doc)
     if new[0] is ParseError and OVERFLOW in new[1]:
-        assert issubclass(old[0], BubblekitError) and holds_overflow(doc)
+        assert issubclass(old[0], ValidationError) and holds_overflow(doc)
     else:
         assert new == old
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblekit.io
-from bubblekit.errors import BubblekitError, ParseError, ValidationError
+from bubblekit.errors import ParseError, ValidationError
 from bubblekit.io import parse_path_csv
 from bubblekit.series import DiscretePath
 
@@ -31,7 +31,7 @@ from oracles import parse_path_csv_rows
 def outcome(parse, doc):
     try:
         path = parse(doc)
-    except BubblekitError as exc:
+    except ValidationError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return path.prices.tobytes(), path.dividends.tobytes(), path.tail
 

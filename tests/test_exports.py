@@ -2,9 +2,11 @@
 public names it defines, the README's operations are exactly the exported
 functions, every span the benchmark wraps exists, and the declared runtime
 dependencies and version are the imported ones, so a deleted name or module
-cannot linger in code, docs, packaging or the benchmark."""
+cannot linger in code, docs, packaging or the benchmark.  Only ``errors``
+defines exception classes, and the library raises each one it exports."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -73,6 +75,67 @@ def test_a_module_exports_the_public_names_it_defines(name):
 def test_the_package_exports_its_modules_lists():
     modules = [importlib.import_module(f"bubblekit.{name}") for name in LIBRARY]
     assert bubblekit.__all__ == ["__version__", *(e for m in modules for e in m.__all__)]
+
+
+def library_trees() -> dict[str, ast.Module]:
+    """The parsed source of each module of ``src/bubblekit``, by module name."""
+    package = Path(bubblekit.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def exception_classes(tree: ast.Module) -> list[str]:
+    """The classes ``tree`` defines, at any depth, on a base that is a
+    builtin exception, a class of ``bubblekit.errors`` or a class found
+    before."""
+    found: list[str] = []
+
+    def is_exception(base: ast.expr) -> bool:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        known = getattr(builtins, name, None) or getattr(bubblekit.errors, name, None)
+        return name in found or isinstance(known, type) and issubclass(known, BaseException)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(is_exception, node.bases)):
+            found.append(node.name)
+    return found
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """The names ``tree`` raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_exception_classes_and_raises_are_found():
+    tree = ast.parse(
+        "class A(ValueError): pass\n"
+        "class B(A): pass\n"
+        "class C(errors.ParseError): pass\n"
+        "class D(dict): pass\n"
+        "def f():\n"
+        "    class E(Exception): pass\n"
+        "    raise E('x')\n"
+        "raise ValidationError\n"
+        "raise\n"
+    )
+    assert exception_classes(tree) == ["A", "B", "C", "E"]
+    assert raised_names(tree) == {"E", "ValidationError"}
+
+
+def test_one_exception_type_per_exit_code():
+    # a refusal is told apart by its message; a class made for one raise
+    # site, or one that nothing raises, cannot come back unnoticed
+    trees = library_trees()
+    defined = {name: exception_classes(tree) for name, tree in trees.items()}
+    exported = bubblekit.errors.__all__
+    assert {name: classes for name, classes in defined.items() if classes} == {"errors": exported}
+    raised = set().union(*map(raised_names, trees.values()))
+    assert set(exported) <= raised
 
 
 def key_operations() -> list[str]:

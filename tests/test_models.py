@@ -10,7 +10,6 @@ from bubblekit import (
     ConstantYield,
     Deflators,
     MiaoWangScenario,
-    ParameterOrderError,
     ValidationError,
     decompose,
     discretize,
@@ -149,7 +148,8 @@ def test_gordon_entries_past_a_factors_range_come_from_logs(D0, g, R, T_max, ref
 
 @pytest.mark.parametrize("g, R", [(1.05, 1.05), (1.2, 1.05), (1.02, 0.99)])
 def test_gordon_parameter_order(g, R):
-    with pytest.raises(ParameterOrderError):
+    message = "a finite gross discount rate R > 1" if R < 1 else "growth 0 < g < R"
+    with pytest.raises(ValidationError, match=f"^gordon needs {message}$"):
         gen_gordon(1.0, g, R, 10)
 
 

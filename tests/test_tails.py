@@ -14,7 +14,6 @@ from bubblekit import (
     PowerYield,
     TailClass,
     TailModel,
-    TailUnsupportedError,
     ValidationError,
     ZeroDividends,
     classify_tail,
@@ -131,8 +130,9 @@ def test_classify_tail_agrees_with_pseries_partial_sums():
 
 
 def test_classify_tail_rejects_unknown_objects():
-    with pytest.raises(TailUnsupportedError):
-        classify_tail(object())
+    thing = object()
+    with pytest.raises(ValidationError, match=re.escape(f"unrecognized tail model: {thing!r}")):
+        classify_tail(thing)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +216,7 @@ def test_power_log_sum_of_a_huge_coefficient_against_quadrature(big_power_oracle
 def test_power_log_sum_refuses_a_head_past_its_bound(coeff):
     # coeff t^-1.5 >= 1/2 up to t = 1.6e8 and 3.4e13; 2 * 1e308 overflows
     message = re.escape(f"power-yield tail a={coeff!r}, p=1.5")
-    with pytest.raises(TailUnsupportedError, match=message):
+    with pytest.raises(ValidationError, match=message):
         power_sum(coeff, 1.5, 51)
 
 
