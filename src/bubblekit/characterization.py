@@ -99,7 +99,7 @@ def montrucchio_discrete(path: DiscretePath) -> Verdict:
         raise ValidationError("classification requires a declared tail model")
     yields = _yields(path)
     try:
-        partial = math.fsum(yields.tolist())
+        partial = math.fsum(memoryview(yields))
     except OverflowError:  # finite yields summing past the double range
         partial = math.inf
     if math.isfinite(partial):

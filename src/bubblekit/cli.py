@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -113,6 +114,13 @@ def _read_input(name: str) -> str:
     return text
 
 
+# A document is continuous JSON when its first character past its leading
+# blanks (those ``str.lstrip`` takes) is "{", and a CSV otherwise.  The
+# blanks are matched in place: stripped, a document that starts with one
+# would be copied whole.
+_is_continuous_json = re.compile(r"\s*\{").match
+
+
 def _truncate(path: DiscretePath, horizon: int) -> DiscretePath:
     if horizon < 1:
         raise ValidationError("--horizon must be at least 1")
@@ -134,7 +142,7 @@ def _default_continuous_step(cpath: ContinuousPath) -> float:
 def _analyze_one(name: str, args: argparse.Namespace, tol: float) -> dict[str, Any]:
     # the text is dropped once parsed: the analysis needs only the path
     data = _read_input(name)
-    if data.lstrip().startswith("{"):
+    if _is_continuous_json(data):
         cpath = parse_continuous_json(data)
         del data
         return _analyze_continuous(cpath, args, tol)
@@ -355,7 +363,7 @@ def _write_document(pieces: Iterable[str]) -> int:
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     # the pass threshold is --tol or the document kind's default, never BUBBLEKIT_TOL
     data = _read_input(args.file)
-    if data.lstrip().startswith("{"):
+    if _is_continuous_json(data):
         tol = 1e-6 if args.tol is None else _resolve_tol(args.tol)
         cpath = parse_continuous_json(data)
         del data

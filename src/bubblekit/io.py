@@ -21,12 +21,16 @@ cells are JSON numbers, a piece of whole rows at a time by one route,
 continuous JSON's ``prices`` and ``density`` a piece of whole numbers at a
 time.  So neither reader copies a whole array's text, and the Python
 numbers of one piece at most exist at once: a generated CSV document is
-read in less memory than its text.  The
-continuous reader walks the one top-level object it expects, reads every
-other value with ``json``'s own decoder, and steps over those two arrays
-with C-level string calls (``find``, ``bytes.translate``), so no Python
-code steps through their numbers.  orjson is imported on first use, so
-importing the CLI does not load it.
+read in less memory than its text.  A CSV piece is checked in one pass
+before orjson sees it (one ``bytes.translate`` deletes the characters of
+numbers and blanks, and what is left must be the header's separators),
+and the integer ``-0``, which orjson reads as ``+0``, is looked for only
+in a piece that reads a zero value.  The continuous reader walks the one
+top-level object it expects, reads every other value with ``json``'s own
+decoder, and steps over those two arrays with C-level string calls
+(``find``, ``bytes.translate``), so no Python code steps through their
+numbers.  orjson is imported on first use, so importing the CLI does not
+load it.
 """
 
 from __future__ import annotations
@@ -423,17 +427,17 @@ def _row_pieces(data: str, start: int, stop: int) -> Iterator[tuple[int, int]]:
     return chain([(start, cut)], _pieces(data, cut + 1, stop, "\n"))
 
 
-# The characters a piece of rows may hold: those of JSON numbers, commas,
-# blanks and "\n".
-_PIECE_CHARS = b"0123456789eE+-.,\n" + _BLANKS.encode()
+# The characters of cells: those of JSON numbers and blanks.  Deleting them
+# from a piece leaves its commas and newlines in order, the field count of
+# every row, and any other character, with no string per row.
+_CELL_CHARS = b"0123456789eE+-." + _BLANKS.encode()
 
-# Every byte but "," and "\n": deleting them leaves a text's commas and
-# newlines in order, the field count of every row, with no string per row.
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
-
-# An integer -0, which orjson reads as +0 (the search also finds the
-# exponent of 1e-0, which only costs the edit), and one in a cell after a
-# row's first, which the reader makes -0.0.
+# An integer -0, which orjson reads as +0, and one in a cell after a row's
+# first, which the reader makes -0.0.  They are looked for only in a piece
+# that reads a zero P, D or q value and whose bytes hold "-0": the bytes
+# alone would not do, for a negative exponent such as 1.5e-05 holds "-0"
+# too.  (The search also finds the exponent of 1e-0, which only costs a
+# second read.)
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
 _CELL_MINUS_ZERO = re.compile(rb"(,[ \t\r]*-0)(?![.eE0-9])")
 
@@ -447,21 +451,18 @@ def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
     ``text``, the first of them row ``index``, or None where one of them is
     bad.
 
-    The piece is checked on its bytes: only ``_PIECE_CHARS``, and
-    ``width - 1`` commas a row.  Then one ``orjson.loads`` reads its rows
-    joined by commas, and the dates must be JSON integers counting up from
-    ``index``.  A cell JSON cannot spell, an empty ``D`` cell or a blank row,
-    makes that read fail; only then, and only where a search of the bytes
-    finds an empty cell, the blank rows are dropped, each empty ``D`` cell
-    is made 0, and the piece is read again.  Row 0's ``D`` cell, empty in
-    every generated document, is made 0 before the first read: a read that
-    the fill lets pass is the one the second read would make.
+    One ``orjson.loads`` reads the rows joined by commas, once
+    :func:`_piece_table` has checked their bytes.  A cell JSON cannot
+    spell, an empty ``D`` cell or a blank row, makes that read fail; only
+    then, and only where a search of the bytes finds an empty cell, the
+    blank rows are dropped, each empty ``D`` cell is made 0, and the piece
+    is read again.  Row 0's ``D`` cell, empty in every generated document,
+    is made 0 before the first read: a read that the fill lets pass is the
+    one the second read would make.
     """
     if not text.isascii():
         return None
     raw = text.encode()
-    if raw.translate(None, _PIECE_CHARS):
-        return None
     first = _EMPTY_D.sub(rb"\g<1>0", raw, 1) if index == 0 else raw
     table = _piece_table(first, width, index)
     if table is None:
@@ -479,23 +480,46 @@ def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
 
 def _piece_table(raw: bytes, width: int, index: int) -> np.ndarray | None:
     """The table of the rows in ``raw``, as :func:`_read_piece` reads them,
-    with no blank row or empty cell, or None."""
-    import orjson
+    with no blank row or empty cell, or None.
 
+    One pass checks the bytes before orjson sees them: with the
+    ``_CELL_CHARS`` deleted, what is left must be the header's separators,
+    ``width - 1`` commas a row and a ``"\\n"`` between rows, which proves
+    both the characters and the field counts.  So orjson reads ints and
+    floats only, and the dates must be ints counting up from ``index``.
+    A piece that reads a zero ``P``, ``D`` or ``q`` value is searched for
+    an integer ``-0`` (see ``_INTEGER_MINUS_ZERO``), and read again with
+    each one made ``-0.0`` if it holds one.
+    """
     if not raw:
         return np.empty((0, width))
-    separators = raw.translate(None, _NOT_SEPARATORS)
+    separators = raw.translate(None, _CELL_CHARS)
     rows = (len(separators) + 1) // width
     commas = b"," * (width - 1)
     if separators != (commas + b"\n") * (rows - 1) + commas:
         return None
-    if b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw):
-        raw = _CELL_MINUS_ZERO.sub(rb"\1.0", raw)
+    table = _loads_table(raw, rows, width, index)
+    if (
+        table is not None and not table[:, 1:].all()
+        and b"-0" in raw and _INTEGER_MINUS_ZERO.search(raw)
+    ):
+        table = _loads_table(_CELL_MINUS_ZERO.sub(rb"\1.0", raw), rows, width, index)
+    return table
+
+
+def _loads_table(raw: bytes, rows: int, width: int, index: int) -> np.ndarray | None:
+    """The ``rows`` by ``width`` table of the checked bytes ``raw`` read by
+    one ``orjson.loads``, or None where they are no such table of numbers
+    with dates counting up from ``index``."""
+    import orjson
+
     try:
         values = orjson.loads(b"[" + raw.replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:
         return None
-    if len(values) != rows * width or set(map(type, values[::width])) - {int}:
+    # the values are ints and floats, so the dates sum to an int exactly
+    # when each is one
+    if len(values) != rows * width or type(sum(values[::width])) is not int:
         return None
     table = np.array(values, dtype=np.float64).reshape(rows, width)
     if np.count_nonzero(table[:, 0] != np.arange(index, index + rows)):

@@ -1464,6 +1464,36 @@ def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
     assert peak < 2.1 * len(crlf)
 
 
+def test_the_document_kind_is_told_past_the_blanks_lstrip_takes():
+    # every character str.isspace() names is a blank before the "{" of a
+    # continuous document; a zero-width space and a byte-order mark are not
+    from bubblekit.cli import _is_continuous_json
+
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    for c in spaces + ["\u200b", "\ufeff"]:
+        for doc in (c * 3 + "{", c * 3 + "t"):
+            expected = doc.lstrip().startswith("{")
+            assert bool(_is_continuous_json(doc)) is expected, repr(doc)
+
+
+@pytest.mark.parametrize("first", ["{", "t"])
+def test_the_document_kind_is_told_without_copying_the_text(first):
+    # a document that starts with blanks is not copied past them
+    import tracemalloc
+
+    from bubblekit.cli import _is_continuous_json
+
+    doc = " " * 1_000_000 + first + "0" * 2_000_000
+    tracemalloc.start()
+    try:
+        kind = _is_continuous_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bool(kind) is (first == "{")
+    assert peak < 1_000_000
+
+
 class Discard(io.TextIOBase):
     """A text stream that keeps only the count of what it is given."""
 

@@ -461,6 +461,110 @@ def test_a_blank_row_right_after_a_cut_is_skipped(blank):
     assert isinstance(outcome(parse_path_csv, doc)[0], bytes)
 
 
+def repr_document(n, minus_zero=(), column=2):
+    """``n`` rows of Python ``repr`` cells whose dividends after row 0 are
+    written with a two-digit negative exponent (``3e-05``), as ``repr``,
+    numpy and pandas write small numbers.  The rows ``minus_zero`` hold the
+    integer ``-0``, padded to the cell's length, in ``column``."""
+    rows = []
+    for t in range(n):
+        cells = [str(t), repr(1 + t % 8 / 8), repr(float(f"{t % 9 + 1}e-05")) if t else ""]
+        if t in minus_zero:
+            cells[column] = "-0".ljust(len(cells[column]))
+        rows.append(",".join(cells))
+    return "t,P,D\n" + "\n".join(rows) + "\n"
+
+
+def read_counted(doc, chunk):
+    """The outcome of ``doc`` read ``chunk`` characters a piece, and the
+    number of pieces, of ``orjson.loads`` calls and of searches for an
+    integer ``-0``."""
+    import orjson
+
+    search = mock.Mock(wraps=bubblekit.io._INTEGER_MINUS_ZERO)
+    with (
+        chunks_of(chunk),
+        mock.patch.object(bubblekit.io, "_INTEGER_MINUS_ZERO", search),
+        mock.patch.object(orjson, "loads", wraps=orjson.loads) as loads,
+    ):
+        result = outcome(parse_path_csv, doc)
+    return result, len(body_pieces(doc, chunk)), loads.call_count, search.search.call_count
+
+
+@pytest.mark.parametrize("chunk", [16, bubblekit.io._CHUNK])
+def test_negative_exponents_send_no_piece_to_the_minus_0_search(chunk):
+    # every piece after row 0's holds "-0" in its bytes and reads no zero;
+    # row 0's reads its empty D cell as 0 and holds no "-0"
+    doc = repr_document(6_000)
+    assert doc.count("e-05") == 5_999
+    result, pieces, loads, searches = read_counted(doc, chunk)
+    assert isinstance(result[0], bytes), result
+    assert pieces >= 3
+    assert (loads, searches) == (pieces, 0)
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
+@pytest.mark.parametrize("chunk", [16, bubblekit.io._CHUNK])
+@pytest.mark.parametrize(
+    "where, column", [("row 0", 2), ("a piece's last row", 1), ("a piece's last row", 2)]
+)
+def test_an_integer_minus_0_among_negative_exponents_is_read_again(chunk, where, column):
+    # the piece holding it is read twice, the second time with the -0 made
+    # -0.0, and no other piece is searched
+    k = 0 if where == "row 0" else body_pieces(repr_document(6_000), chunk)[1].count("\n") + 1
+    doc = repr_document(6_000, minus_zero={k}, column=column)
+    if k == 0:  # row 0 is a piece of its own: give it an e-05 price
+        doc = doc.replace("\n0,1.0,", "\n0,3e-05,", 1)
+    row = doc.split("\n")[k + 1]
+    piece = body_pieces(doc, chunk)[min(k, 1)]
+    assert row.split(",")[column].strip() == "-0"
+    assert piece.endswith(row) and "e-05" in piece
+    result, pieces, loads, searches = read_counted(doc, chunk)
+    assert isinstance(result[0], bytes), result
+    assert (loads, searches) == (pieces + 1, 1)
+    value = np.frombuffer(result[column - 1])[k]
+    assert value == 0 and np.signbit(value)
+    assert result == outcome(parse_path_csv_rows, doc)
+
+
+# rows 1 to 6,999: more than one piece after row 0's at the default chunk
+LONG_ROWS = [f"{t},1000,5" for t in range(1, 7_000)]
+LONG = "t,P,D\n0,1000,\n" + "\n".join(LONG_ROWS) + "\n"
+
+
+def placed_rows(chunk):
+    """Row 0, a row in the middle of the first piece after row 0's, that
+    piece's last row, and the document's last row, of ``LONG`` read
+    ``chunk`` characters a piece."""
+    pieces = body_pieces(LONG, chunk)
+    assert len(pieces) > 2
+    rows = pieces[1].count("\n") + 1
+    return [0, (rows + 1) // 2, rows, len(LONG_ROWS)]
+
+
+@pytest.mark.parametrize("chunk", [16, bubblekit.io._CHUNK])
+@pytest.mark.parametrize("price", ['"10"', "[10]", "true", "\x0b000", "\xe9000"])
+def test_a_character_outside_the_cells_is_refused_wherever_it_falls(price, chunk):
+    # a price of as many characters, so the pieces are cut where they were;
+    # the first three are JSON values that are no number
+    for k in placed_rows(chunk):
+        doc = LONG.replace(f"\n{k},1000,", f"\n{k},{price},", 1)
+        assert doc != LONG
+        assert list(map(len, body_pieces(doc, chunk))) == list(map(len, body_pieces(LONG, chunk)))
+        result = outcome(parse_path_csv, doc)
+        assert result[0] is ParseError and result[2] == k + 2, (k, result)
+        assert_same(doc, chunk)
+
+
+@pytest.mark.parametrize("chunk", [16, bubblekit.io._CHUNK])
+@pytest.mark.parametrize("date", ["3.0", "3e0", "30e-1", "18446744073709551616"])
+def test_a_date_json_reads_as_a_float_is_refused_in_a_long_document(date, chunk):
+    doc = LONG.replace("\n3,1000,", f"\n{date},1000,", 1)
+    result = outcome(parse_path_csv, doc)
+    assert result[0] is ParseError and result[2] == 5, result
+    assert_same(doc, chunk)
+
+
 PLAIN = "t,P,D,q\n0,100,,1\n1,100,5,0.9523809523809523\n2, 100 ,\t5.0,0.9070294784580498\n"
 
 
