@@ -4,10 +4,16 @@ Verdicts are scriptable through exit codes: 0 means no bubble, 10 means a
 bubble was found, 2 marks an input/validation problem, 1 an internal
 error.  ``analyze`` reads discrete CSV or continuous JSON documents
 (``-`` or no file reads stdin) and emits one machine-readable report per
-input, in input order.  The environment variable ``BUBBLEKIT_TOL``
-overrides the default no-arbitrage tolerance (1e-9); an explicit ``--tol``
-takes precedence over it.  It leaves ``check-identity``'s pass thresholds
-alone: those come from ``--tol`` or the document kind's default.
+input, in input order.  Several documents run on the usable CPUs
+(``os.sched_getaffinity``; ``taskset -c 0`` makes ``analyze`` sequential):
+the calling process analyzes the first share and forked children the rest,
+and the order and bytes written, like the exit code, do not depend on the
+CPU count.  Memory can reach one document per process, so no more
+processes start than the available memory holds.  The environment
+variable ``BUBBLEKIT_TOL`` overrides the default no-arbitrage tolerance
+(1e-9); an explicit ``--tol`` takes precedence over it.  It leaves
+``check-identity``'s pass thresholds alone: those come from ``--tol`` or the
+document kind's default.
 ``check-identity`` computes no identity itself: a CSV's gaps come from
 ``telescoping_gaps`` and a continuous document's from
 ``deflated_price_profile``.  ``--jump-side`` picks the price at a
@@ -26,7 +32,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -274,34 +280,244 @@ def _analyze_continuous(
     return report
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """One report per file, in order; a file that fails is named on stderr
-    and the rest still run.  The exit code is the gravest outcome: 1 (an
-    internal error) before 2 (bad input) before 10 (a bubble)."""
-    tol = _resolve_tol(args.tol)
-    had_internal_error = False
-    had_validation_error = False
-    saw_bubble = False
-    for name in args.files or ["-"]:
+# A batch exits with its gravest document's code: an internal error before
+# bad input before a bubble
+_GRAVITY = (EXIT_NO_BUBBLE, EXIT_BUBBLE, EXIT_VALIDATION, EXIT_INTERNAL)
+
+# Analyzing a document peaks at about twice its size in bytes, CSV or JSON
+# alike (2.0-2.1 from 10 MB to 49 MB)
+_PEAK_PER_BYTE = 2
+
+class _Stderr(list):
+    """A document's stderr, in order: its text and, from a forked child,
+    the warnings it raised, as (message, category, filename, lineno,
+    module), for the calling process to issue again."""
+
+    def write(self, text: str) -> int:
+        self.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+# One document's outcome: its exit code, its stderr and its rendered report
+# ("" if it failed)
+_Outcome = tuple[int, _Stderr, str]
+
+
+def _keep_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` in a forked child: a warning the filters let
+    through joins the stderr of the document at work, with the module that
+    raised it, which the filters match against."""
+    frame = sys._getframe(1)
+    while frame is not None and (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
+        frame = frame.f_back
+    module = frame.f_globals.get("__name__") if frame is not None else None
+    sys.stderr.append((message, category, filename, lineno, module))
+
+
+def _outcome(name: str, args: argparse.Namespace, tol: float) -> _Outcome:
+    # the stdlib modules imported in the functions of analyze are loaded at
+    # start-up already, save resource and signal, which only a batch of
+    # several documents imports
+    import contextlib
+
+    err = _Stderr()
+    with contextlib.redirect_stderr(err):
         try:
             report = _analyze_one(name, args, tol)
             rendered = render_report(report, args.format)
         except ValidationError as exc:
-            print(f"bubblekit: {name}: {exc}", file=sys.stderr)
-            had_validation_error = True
-            continue
+            print(f"bubblekit: {name}: {exc}", file=err)
+            code, rendered = EXIT_VALIDATION, ""
         except Exception as exc:  # a bug: report it and go on with the batch
-            print(f"bubblekit: {name}: internal: {exc!r}", file=sys.stderr)
-            had_internal_error = True
+            print(f"bubblekit: {name}: internal: {exc!r}", file=err)
+            code, rendered = EXIT_INTERNAL, ""
+        else:
+            bubble = report["decomposition"]["verdict"] == Classification.BUBBLE.value
+            code = EXIT_BUBBLE if bubble else EXIT_NO_BUBBLE
+    return code, err, rendered
+
+
+def _emit(outcome: _Outcome) -> int:
+    """Write a document's outcome and return its exit code.  A child's
+    warning is issued again under the caller's filters and in the registry
+    of the module that raised it, so that one the calling process or an
+    earlier child has shown is not shown twice, as in one process."""
+    import warnings
+
+    code, err, rendered = outcome
+    for piece in err:
+        if isinstance(piece, str):
+            sys.stderr.write(piece)
             continue
-        sys.stdout.write(rendered)
-        if report["decomposition"]["verdict"] == Classification.BUBBLE.value:
-            saw_bubble = True
-    if had_internal_error:
-        return EXIT_INTERNAL
-    if had_validation_error:
-        return EXIT_VALIDATION
-    return EXIT_BUBBLE if saw_bubble else EXIT_NO_BUBBLE
+        message, category, filename, lineno, module = piece
+        found = sys.modules.get(module) if module else None
+        registry = vars(found).setdefault("__warningregistry__", {}) if found else None
+        warnings.warn_explicit(message, category, filename, lineno, module, registry)
+    sys.stdout.write(rendered)
+    return code
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
+def _free_memory(proc: str = "/proc", cgroup: str = "/sys/fs/cgroup") -> float:
+    """Bytes of memory this process may still take: the system's available
+    memory, or less where its cgroup's limit leaves less (v2's
+    ``memory.max`` less ``memory.current``, v1's ``memory.limit_in_bytes``
+    less ``memory.usage_in_bytes``); inf where none of them can be read."""
+    try:
+        meminfo = _read(f"{proc}/meminfo").splitlines()
+        free = next(int(line.split()[1]) * 1024 for line in meminfo if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration, ValueError):
+        free = math.inf
+    try:
+        groups = [line.split(":", 2) for line in _read(f"{proc}/self/cgroup").splitlines()]
+    except OSError:
+        groups = []
+    for _, controllers, path in groups:
+        if controllers == "":
+            files = (f"{cgroup}{path}/memory.max", f"{cgroup}{path}/memory.current")
+        elif "memory" in controllers.split(","):
+            files = (f"{cgroup}/memory{path}/memory.limit_in_bytes",
+                     f"{cgroup}/memory{path}/memory.usage_in_bytes")
+        else:
+            continue
+        try:
+            limit, used = (int(_read(name)) for name in files)
+        except (OSError, ValueError):  # not mounted there, or no limit ("max")
+            continue
+        free = min(free, limit - used)
+    return free
+
+
+def _processes(names: list[str]) -> int:
+    """How many processes analyze ``names``: one per usable CPU, but no more
+    than the free memory holds at the peak of the largest document each,
+    plus a copy of the calling process for a child; 1 where the calling
+    process cannot fork safely, without ``os.fork`` or with another Python
+    thread running."""
+    import threading
+
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = min(len(names), len(os.sched_getaffinity(0)))
+    if cpus == 1 or threading.active_count() > 1:
+        return 1
+    import resource
+
+    largest = 0  # "-" is read by the calling process alone
+    for name in names:
+        try:
+            largest = max(largest, 0 if name == "-" else os.stat(name).st_size)
+        except OSError:
+            pass
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    fits = _free_memory() / (_PEAK_PER_BYTE * largest + own)
+    return int(max(1, min(cpus, fits)))
+
+
+def _shares(names: list[str], k: int) -> list[list[str]]:
+    """``names`` cut into at most ``k`` contiguous shares of about equal
+    count.  Share 0 runs through the last ``-``, since only the calling
+    process reads stdin, and the other shares split what follows it."""
+    n = len(names)
+    first = max([n // k] + [i + 1 for i, name in enumerate(names) if name == "-"])
+    cuts = [0, *(first + (n - first) * j // (k - 1) for j in range(k - 1)), n]
+    return [names[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _fork_share(
+    share: list[str], args: argparse.Namespace, tol: float, others: list[BinaryIO]
+) -> tuple[int, BinaryIO]:
+    """Analyze ``share`` in a forked child, which sends the list of its
+    outcomes back pickled through a pipe and leaves by ``os._exit``, so its
+    copy of text still buffered for stdout or stderr is never written; the
+    child first closes ``others``, the pipes of the earlier children.
+    Returns the child's pid and the pipe's read end, opened."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it never returns to the caller
+        import warnings
+
+        status = 1
+        try:
+            warnings.showwarning = _keep_warning
+            os.close(read_end)
+            for pipe in others:
+                os.close(pipe.fileno())
+            blob = pickle.dumps([_outcome(name, args, tol) for name in share])
+            with open(write_end, "wb") as pipe:
+                pipe.write(blob)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _child_outcomes(pid: int, pipe: BinaryIO, share: list[str]) -> list[_Outcome]:
+    """The outcomes a child sent, once it has ended; a child that ended
+    otherwise than with status 0 makes each document of its share an
+    internal error."""
+    import pickle
+
+    with pipe:
+        blob = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return pickle.loads(blob)
+    line = f"internal: the process analyzing it ended with status {status}"
+    return [(EXIT_INTERNAL, _Stderr([f"bubblekit: {name}: {line}\n"]), "") for name in share]
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    """One report per file, in order; a file that fails is named on stderr
+    and the rest still run.  The exit code is the gravest outcome: 1 (an
+    internal error) before 2 (bad input) before 10 (a bubble).
+
+    The files are cut into one share per process (``_processes``): one per
+    usable CPU, as far as the memory holds.  The calling process
+    analyzes share 0 and writes it as it goes; each other share runs in a
+    forked child, whose outcomes are written after the share before it, so
+    nothing written depends on the number of CPUs."""
+    tol = _resolve_tol(args.tol)
+    names = args.files or ["-"]
+    first, *rest = _shares(names, _processes(names))
+    children: list[tuple] = []  # (pid, pipe, share) of each child forked
+    worst = EXIT_NO_BUBBLE
+    try:
+        for share in rest:
+            pid, pipe = _fork_share(share, args, tol, [pipe for _, pipe, _ in children])
+            children.append((pid, pipe, share))
+        for name in first:
+            code = _emit(_outcome(name, args, tol))
+            worst = max(worst, code, key=_GRAVITY.index)
+        for pid, pipe, share in children:
+            for outcome in _child_outcomes(pid, pipe, share):
+                code = _emit(outcome)
+                worst = max(worst, code, key=_GRAVITY.index)
+    finally:
+        # a call that ends early (a closed stdout, ^C) leaves no child
+        # behind; a child reaped already is left alone, as its pid may now
+        # be another process's
+        for pid, pipe, _ in children:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running
+                    import signal
+
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped
+                pass
+    return worst
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

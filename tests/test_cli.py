@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from bubblekit import (
     gen_constant,
     gen_convergent_yield,
     gen_gordon,
+    gen_money,
     suggest_tail,
 )
 from bubblekit.cli import main
@@ -35,6 +37,13 @@ CONSTANT_CSV = "t,P,D\n0,100,\n1,100,5\n2,100,5\n"
 NO_ARBITRAGE_REFUSAL = (
     "supplied deflators violate the no-arbitrage recursion at relative tolerance 1e-09"
 )
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """``analyze`` sees one usable CPU: every document runs in this process,
+    where a mock's counts are kept (a forked child's are not)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -1038,7 +1047,7 @@ def test_steep_geometric_decay_report_is_strict_json(capsys, monkeypatch):
     assert "power-yield" not in report["diagnostics"]["tail_fit"]["candidates"]
 
 
-def test_tail_fit_runs_once_per_document(tmp_path, capsys, monkeypatch):
+def test_tail_fit_runs_once_per_document(tmp_path, capsys, monkeypatch, one_cpu):
     import sys
 
     calls = []
@@ -1074,7 +1083,7 @@ def test_tail_fit_runs_once_per_document(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("embedded", [True, False], ids=["tail-lines", "no-tail-lines"])
-def test_each_document_is_validated_once(tmp_path, capsys, monkeypatch, embedded):
+def test_each_document_is_validated_once(tmp_path, capsys, monkeypatch, embedded, one_cpu):
     # a tail from a '# tail:' line or from the fit is swapped in unchecked
     calls = []
     post_init = DiscretePath.__post_init__
@@ -1098,7 +1107,7 @@ def test_each_document_is_validated_once(tmp_path, capsys, monkeypatch, embedded
     assert len(calls) == len(paths)
 
 
-def test_continuous_grid_cells_are_summed_twice_per_document(tmp_path, capsys):
+def test_continuous_grid_cells_are_summed_twice_per_document(tmp_path, capsys, one_cpu):
     # one compensated_sum for the yield integral and one for all periods
     # of discretize, however many periods there are
     import bubblekit.continuous
@@ -1372,7 +1381,7 @@ def test_non_finite_tail_parameters_exit_2(spec):
 # ---------- bad bytes, non-finite JSON constants, per-file isolation ----------
 
 
-def test_analyze_goes_on_after_an_internal_error(tmp_path, capsys, monkeypatch):
+def test_analyze_goes_on_after_an_internal_error(tmp_path, capsys, monkeypatch, one_cpu):
     import bubblekit.cli as cli
 
     doc = tmp_path / "c.csv"
@@ -2051,3 +2060,350 @@ def test_continuous_malformed_constant_yield_spec_is_bad_input(capsys, monkeypat
     code, out, err = run(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == "bubblekit: -: bad numeric value in tail spec: 'c=x'\n"
+
+
+# ---------- analyze over several CPUs ----------
+
+
+def cpus(monkeypatch, n):
+    """``analyze`` sees ``n`` usable CPUs; returns the list of the pids that
+    ``os.fork`` gave it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forked = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
+
+
+def batch(tmp_path, n=6):
+    """``n`` files, each of a Gordon CSV of its own length."""
+    files = []
+    for i in range(n):
+        f = tmp_path / f"doc{i}.csv"
+        f.write_text(serialize_path_csv(gen_gordon(1.0, 1.01, 1.05, 20 + 10 * i)))
+        files.append(str(f))
+    return files
+
+
+class Expired(BaseException):
+    """Not an ``Exception``, so that ``main`` cannot turn it into exit 1."""
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that waits more than 30 s instead of hanging the suite."""
+    import signal
+
+    def expire(signum, frame):
+        raise Expired("analyze did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--tail-suggest", "--accept-suggested-tail"], ["--format", "text"]],
+    ids=["json", "tail-suggest", "text"],
+)
+def test_analyze_output_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch, flags):
+    files = batch(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,P,D\n0,100,\n1,-1,5\n")
+    tailless = tmp_path / "tailless.csv"
+    tailless.write_text(serialize_path_csv(gen_constant(100, 5, 60).with_tail(None)))
+    mw = tmp_path / "mw.json"
+    mw.write_text(miao_wang_document(capsys))
+    money = tmp_path / "money.csv"
+    money.write_text(serialize_path_csv(gen_money(1.0, 30)))
+    missing = str(tmp_path / "missing.csv")
+    argv = ["analyze", *flags, files[0], str(bad), str(mw), files[1], missing, "-",
+            str(tailless), files[2], str(money), files[3], str(mw), files[4], files[5]]
+    parent = os.getpid()
+
+    class Stdin(io.StringIO):
+        def read(self, *args):
+            assert os.getpid() == parent  # only the calling process reads stdin
+            return super().read(*args)
+
+    results = []
+    for n in (1, 2, 4):
+        forked = cpus(monkeypatch, n)
+        monkeypatch.setattr(sys, "stdin", Stdin(CONSTANT_CSV))
+        results.append(run(capsys, argv))
+        assert len(forked) == n - 1
+        assert_no_child_left()
+    assert results[0] == results[1] == results[2]
+    code, out, err = results[0]
+    assert code == 2  # bad input outranks money.csv's bubble
+    errors = [line for line in err.splitlines() if line.startswith("bubblekit: ")]
+    assert len(errors) == (3 if "--accept-suggested-tail" in flags else 4)
+    if "--tail-suggest" in flags:  # and a fit line for each of the 11 parsed documents
+        assert len(err.splitlines()) == 3 + 11
+
+
+def test_a_child_that_dies_makes_its_share_internal_errors(
+    tmp_path, capsys, monkeypatch, time_limit
+):
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    parent, analyze_one = os.getpid(), cli._analyze_one
+
+    def dying(name, args, tol):
+        if name == files[2]:
+            assert os.getpid() != parent  # never end the test's own process
+            os._exit(3)
+        return analyze_one(name, args, tol)
+
+    monkeypatch.setattr(cli, "_analyze_one", dying)
+    forked = cpus(monkeypatch, 2)
+    code, out, err = run(capsys, ["analyze", *files])
+    assert len(forked) == 1
+    assert code == 1
+    assert len(out.splitlines()) == 2  # the calling process's share
+    assert err.splitlines() == [
+        f"bubblekit: {name}: internal: the process analyzing it ended with status 3"
+        for name in files[2:]
+    ]
+    assert_no_child_left()
+
+
+def test_no_child_outlives_a_closed_stdout(tmp_path, monkeypatch, time_limit):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    files = batch(tmp_path, n=4)
+    forked = cpus(monkeypatch, 2)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["analyze", *files]) == 1
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_no_child_outlives_an_interrupt(tmp_path, monkeypatch, time_limit):
+    import time
+
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    parent = os.getpid()
+
+    def interrupted(name, args, tol):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a child still at work
+
+    monkeypatch.setattr(cli, "_analyze_one", interrupted)
+    forked = cpus(monkeypatch, 2)
+    began = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", *files])
+    assert time.perf_counter() - began < 10  # the child was stopped, not waited for
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_an_interrupt_after_a_child_is_reaped_stops_the_rest(tmp_path, monkeypatch, time_limit):
+    import signal
+    import time
+
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    parent, analyze_one, emit = os.getpid(), cli._analyze_one, cli._emit
+
+    def slow(name, args, tol):
+        if name in files[2:]:
+            time.sleep(30)  # the last two children are still at work
+        return analyze_one(name, args, tol)
+
+    emitted = []
+
+    def interrupted(outcome):
+        emitted.append(outcome)
+        if len(emitted) == 2:  # the first child's document: that child is reaped
+            raise KeyboardInterrupt
+        return emit(outcome)
+
+    killed = []
+    kill = os.kill
+
+    def recording(pid, sig):
+        if sig == signal.SIGKILL:
+            killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(cli, "_analyze_one", slow)
+    monkeypatch.setattr(cli, "_emit", interrupted)
+    monkeypatch.setattr(os, "kill", recording)
+    forked = cpus(monkeypatch, 4)
+    began = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", *files])
+    assert time.perf_counter() - began < 10
+    assert len(forked) == 3
+    assert killed == forked[1:]  # never the pid of the child reaped already
+    assert_no_child_left()
+
+
+def test_analyze_forks_no_more_processes_than_the_memory_holds(tmp_path, capsys, monkeypatch):
+    import resource
+
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    forked = cpus(monkeypatch, 4)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    need = own + 2 * max(os.stat(name).st_size for name in files)
+    for free, processes in [(3.9 * need, 3), (1.9 * need, 1), (0, 1), (math.inf, 4)]:
+        monkeypatch.setattr(cli, "_free_memory", lambda: free)
+        forked.clear()
+        code, out, err = run(capsys, ["analyze", *files])
+        assert (code, err, len(out.splitlines())) == (0, "", 4)
+        assert len(forked) == processes - 1
+
+
+@pytest.mark.parametrize(
+    "groups, files, free",
+    [
+        ("0::/\n", {}, 8 << 30),  # no controller at hand: the system's
+        ("0::/a\n", {"a/memory.max": "max\n", "a/memory.current": "5\n"}, 8 << 30),
+        ("0::/a\n", {"a/memory.max": "1000\n", "a/memory.current": "400\n"}, 600),
+        ("4:memory:/b\n0::/\n", {"memory/b/memory.limit_in_bytes": "1000\n",
+                                   "memory/b/memory.usage_in_bytes": "100\n"}, 900),
+        ("3:cpu,memory:/b\n", {"memory/b/memory.limit_in_bytes": "1000\n",
+                                "memory/b/memory.usage_in_bytes": "100\n"}, 900),
+        ("4:pids:/b\n", {"memory/b/memory.limit_in_bytes": "1000\n",
+                          "memory/b/memory.usage_in_bytes": "100\n"}, 8 << 30),
+    ],
+    ids=["no-controller", "v2-max", "v2-limit", "v1-limit", "v1-joint", "v1-other"],
+)
+def test_free_memory_is_the_tighter_of_the_system_and_the_cgroup(tmp_path, groups, files, free):
+    from bubblekit.cli import _free_memory
+
+    proc, cgroup = tmp_path / "proc", tmp_path / "cgroup"
+    (proc / "self").mkdir(parents=True)
+    (proc / "meminfo").write_text("MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n")
+    (proc / "self" / "cgroup").write_text(groups)
+    for name, text in files.items():
+        (cgroup / name).parent.mkdir(parents=True, exist_ok=True)
+        (cgroup / name).write_text(text)
+    assert _free_memory(str(proc), str(cgroup)) == free
+    assert _free_memory(str(tmp_path / "none"), str(cgroup)) == math.inf
+
+
+def test_unflushed_stdout_is_written_once(tmp_path):
+    files = batch(tmp_path, n=4)
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "from bubblekit.cli import main\n"
+        "sys.stdout.write('before\\n')\n"
+        "sys.stderr.write('no newline yet')\n"
+        f"sys.exit(main(['analyze', *{files!r}]))\n"
+    )
+    # the streams must buffer for a child to hold a copy of their text
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before" and len(lines) == 5
+    assert proc.stdout.count("before") == 1
+    assert proc.stderr == "no newline yet"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_childs_warnings_reach_the_caller(tmp_path, monkeypatch, n):
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    parent, analyze_one = os.getpid(), cli._analyze_one
+
+    def warning(name, args, tol):
+        if name == files[3]:
+            warnings.warn(f"in a child: {os.getpid() != parent}", RuntimeWarning)
+        return analyze_one(name, args, tol)
+
+    monkeypatch.setattr(cli, "_analyze_one", warning)
+    forked = cpus(monkeypatch, n)
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", *files]) == 0
+    assert len(forked) == n - 1
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, f"in a child: {n > 1}")
+    ]
+    assert len(out.getvalue().splitlines()) == 4 and err.getvalue() == ""
+    # under this suite's filter error::RuntimeWarning, the warning makes its
+    # document an internal error
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["analyze", *files]) == 1
+    assert len(out.getvalue().splitlines()) == 3
+    assert err.getvalue() == (
+        f"bubblekit: {files[3]}: internal: RuntimeWarning('in a child: {n > 1}')\n"
+    )
+
+
+@pytest.mark.parametrize("action", ["default", "always", "error"])
+def test_warnings_on_stderr_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, action):
+    # a warning shows where it was raised among its document's stderr
+    # lines, and under "default" once per place, as in one process
+    import bubblekit.cli as cli
+
+    files = batch(tmp_path, n=4)
+    analyze_one = cli._analyze_one
+
+    def warning(name, args, tol):
+        print(f"before {os.path.basename(name)}", file=sys.stderr)
+        warnings.warn("at one place", RuntimeWarning)
+        print(f"after {os.path.basename(name)}", file=sys.stderr)
+        return analyze_one(name, args, tol)
+
+    def printed(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(cli, "_analyze_one", warning)
+    results = []
+    for n in (1, 2, 4):
+        forked = cpus(monkeypatch, n)
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        with warnings.catch_warnings():  # each run starts with fresh registries
+            warnings.simplefilter(action)
+            warnings.showwarning = printed  # on stderr, not in pytest's record
+            results.append((main(["analyze", *files]), out.getvalue(), err.getvalue()))
+        assert len(forked) == n - 1
+    assert results[0] == results[1] == results[2]
+    code, out, err = results[0]
+    lines = err.splitlines()
+    if action == "error":
+        assert (code, out, len(lines)) == (1, "", 8)
+    else:
+        assert (code, len(out.splitlines())) == (0, 4)
+        shown = 1 if action == "default" else 4
+        assert len(lines) == 8 + 2 * shown
+        assert lines[:4] == ["before doc0.csv", lines[1], lines[2], "after doc0.csv"]
+        assert lines[1].endswith("RuntimeWarning: at one place")
