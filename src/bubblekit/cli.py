@@ -46,12 +46,14 @@ from .continuous import (
 )
 from .errors import ValidationError
 from .io import (
+    CsvDocument,
     build_report,
     parse_continuous_json,
-    parse_path_csv,
     parse_scenario_json,
     parse_tail_spec,
     path_csv_pieces,
+    read_document,
+    read_path_csv,
     render_report,
     serialize_continuous_json,
     tail_fit_to_json,
@@ -99,7 +101,9 @@ def _resolve_tol(flag_value: float | None) -> float:
 
 def _read_input(name: str) -> str:
     """The UTF-8 text of file ``name`` (``-`` reads stdin), line ends as
-    they are; bytes that are not UTF-8 are a ``ParseError``.
+    they are; bytes that are not UTF-8 are a ``ParseError``.  Scenario
+    documents are read so; a document to analyze or check goes through
+    :func:`_read_document`.
 
     The bytes are dropped once decoded, so the text is the one copy of the
     document that the parse sees."""
@@ -118,6 +122,25 @@ def _read_input(name: str) -> str:
     text = utf8_text(raw)
     del raw
     return text
+
+
+def _read_document(name: str) -> str | CsvDocument:
+    """Document ``name`` (``-`` reads stdin) as :func:`read_document` reads
+    a binary stream: the text of a continuous JSON document, or a CSV
+    document read a piece at a time, whose refusals wait for its ``path``.
+    A text stream put in place of stdin is read whole, and a CSV from it
+    by :func:`read_path_csv`."""
+    if name == "-":
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:  # a text stream put in place of stdin
+            text = sys.stdin.read()
+            return text if _is_continuous_json(text) else read_path_csv(text)
+        return read_document(stdin)
+    try:
+        with open(name, "rb") as fh:
+            return read_document(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {name!r}: {exc}") from None
 
 
 # A document is continuous JSON when its first character past its leading
@@ -146,14 +169,14 @@ def _default_continuous_step(cpath: ContinuousPath) -> float:
 
 
 def _analyze_one(name: str, args: argparse.Namespace, tol: float) -> dict[str, Any]:
-    # the text is dropped once parsed: the analysis needs only the path
-    data = _read_input(name)
-    if _is_continuous_json(data):
-        cpath = parse_continuous_json(data)
-        del data
+    # the document is dropped once parsed: the analysis needs only the path
+    document = _read_document(name)
+    if isinstance(document, str):
+        cpath = parse_continuous_json(document)
+        del document
         return _analyze_continuous(cpath, args, tol)
-    path = parse_path_csv(data, tol)
-    del data
+    path = document.path(tol)
+    del document
     return _analyze_discrete(path, args, tol)
 
 
@@ -284,9 +307,12 @@ def _analyze_continuous(
 # bad input before a bubble
 _GRAVITY = (EXIT_NO_BUBBLE, EXIT_BUBBLE, EXIT_VALIDATION, EXIT_INTERNAL)
 
-# Analyzing a document peaks at about twice its size in bytes, CSV or JSON
-# alike (2.0-2.1 from 10 MB to 49 MB)
-_PEAK_PER_BYTE = 2
+# What analyzing a document adds to the interpreter's peak, per byte of the
+# document: the largest ratio measured, rounded up.  Fresh processes at 1e6
+# and 10^7 rows or points, a 32 MB start-up taken off: a Gordon CSV 1.4 and
+# 1.9 (44 and 447 MB), a money CSV, whose numbers are short, 4.1 and 3.9
+# (15 and 159 MB), the paper's Miao-Wang JSON 2.9 and 2.9 (20 and 195 MB)
+_PEAK_PER_BYTE = 4.2
 
 class _Stderr(list):
     """A document's stderr, in order: its text and, from a forked child,
@@ -578,11 +604,11 @@ def _write_document(pieces: Iterable[str]) -> int:
 
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     # the pass threshold is --tol or the document kind's default, never BUBBLEKIT_TOL
-    data = _read_input(args.file)
-    if _is_continuous_json(data):
+    document = _read_document(args.file)
+    if isinstance(document, str):
         tol = 1e-6 if args.tol is None else _resolve_tol(args.tol)
-        cpath = parse_continuous_json(data)
-        del data
+        cpath = parse_continuous_json(document)
+        del document
         # |lhs / rhs - 1| from the logs, which stay finite where qP underflows,
         # formed in the lhs array
         gap, log_rhs = deflated_price_profile(cpath, args.jump_side or "right")
@@ -600,8 +626,8 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     else:
         tol = 1e-12 if args.tol is None else _resolve_tol(args.tol)
         _refuse_jump_side(args)
-        path = parse_path_csv(data, _resolve_tol(None))
-        del data
+        path = document.path(_resolve_tol(None))
+        del document
         gap, residual = telescoping_gaps(path)
         result = {
             "identity": "telescoping present-value",

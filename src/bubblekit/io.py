@@ -15,34 +15,43 @@ a piece of ``_ROWS`` rows at a time (:func:`path_csv_pieces`): each
 piece's rows go out as one flat array whose bytes are then turned into
 lines in place, so no string is made per row or number, and ``generate``
 holds no more than a piece's text at once.  The readers parse number
-arrays through orjson too, in place and one piece of about ``_CHUNK``
-characters at a time (:func:`_pieces`): a CSV document's rows, whose
-cells are JSON numbers, a piece of whole rows at a time by one route,
-continuous JSON's ``prices`` and ``density`` a piece of whole numbers at a
-time.  So neither reader copies a whole array's text, and the Python
-numbers of one piece at most exist at once: a generated CSV document is
-read in less memory than its text.  A CSV piece is checked in one pass
-before orjson sees it (one ``bytes.translate`` deletes the characters of
-numbers and blanks, and what is left must be the header's separators),
-and the integer ``-0``, which orjson reads as ``+0``, is looked for only
-in a piece that reads a zero value.  The continuous reader walks the one
-top-level object it expects, reads every other value with ``json``'s own
-decoder, and steps over those two arrays with C-level string calls
-(``find``, ``bytes.translate``), so no Python code steps through their
-numbers.  orjson is imported on first use, so importing the CLI does not
-load it.
+arrays through orjson too, a piece at a time.  A CSV document is read from
+its UTF-8 bytes, ``_CHUNK`` bytes a read, from a file or stdin
+(:func:`read_document`) or from a ``str`` or ``bytes``
+(:func:`read_path_csv`), by one reader (:func:`_read_csv`): each read is
+cut after its last line end, only the comment lines and the header are
+decoded, and each piece of whole rows, whose cells are JSON numbers, goes
+as bytes to one orjson call.  So neither the bytes nor the text of the
+whole document is held, and every byte is checked as UTF-8 before any
+refusal is raised.  Continuous JSON is read as one text, whose ``prices``
+and ``density`` arrays are parsed in place a piece of whole numbers at a
+time (:func:`_pieces`).  So the Python numbers of one piece at most exist
+at once, and a generated CSV document is read in about as much memory as
+its length, most of it the pieces' tables and the columns.  A CSV piece is
+checked in one pass before orjson sees it (one ``bytes.translate``
+deletes the characters of numbers and blanks, and what is left must be
+the header's separators), and the integer ``-0``, which orjson reads as
+``+0``, is looked for only in a piece that reads a zero value.  The
+continuous reader walks the one top-level object it expects, reads every
+other value with ``json``'s own decoder, and steps over those two arrays
+with C-level string calls (``find``, ``bytes.translate``), so no Python
+code steps through their numbers.  orjson is imported on first use, so
+importing the CLI does not load it.
 """
 
 from __future__ import annotations
 
+import bisect
+import codecs
 import json
 import math
 import operator
 import re
+from collections import deque
 from dataclasses import fields as dataclass_fields
 from functools import reduce
-from itertools import chain, compress, count, islice, repeat
-from typing import Any, Iterator, NamedTuple, NoReturn
+from itertools import chain
+from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -76,6 +85,8 @@ __all__ = [
     "tail_to_json",
     "tail_from_json",
     "parse_path_csv",
+    "read_path_csv",
+    "read_document",
     "serialize_path_csv",
     "parse_continuous_json",
     "serialize_continuous_json",
@@ -202,9 +213,56 @@ def utf8_text(data: str | bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8: {exc.reason} at byte offset {exc.start}"
-        ) from None
+        raise _not_utf8(exc.reason, exc.start) from None
+
+
+def _not_utf8(reason: str, offset: int) -> ParseError:
+    return ParseError(f"not UTF-8: {reason} at byte offset {offset}")
+
+
+def read_document(stream: BinaryIO) -> str | CsvDocument:
+    """The document on the binary ``stream``: the text of a continuous JSON
+    document, whole, or a CSV document as :func:`read_path_csv` reads it,
+    a piece at a time, without its text.
+
+    The document is continuous JSON when its first character past its
+    leading blanks (those ``str.lstrip`` takes) is "{", and a CSV
+    otherwise; the bytes are read ``_CHUNK`` at a time up to that
+    character.  A CSV goes on from there; for JSON, a stream that can seek
+    goes back to where it started and reads the text once, and any other
+    stream joins the bytes it has read to the rest.  Bytes that are not
+    UTF-8 are a ``ParseError`` either way.
+    """
+    chunks = iter(lambda: stream.read(_CHUNK), b"")
+    seen = []
+    lead = ""
+    decoder = None
+    for chunk in chunks:
+        seen.append(chunk)
+        if decoder is None:
+            first = chunk.lstrip()[:1]  # past the ASCII blanks
+            if not first:
+                continue
+            if not (b"\x1c" <= first <= b"\x1f" or first >= b"\x80"):
+                lead = first.decode()
+                break
+            # a character past ASCII, or a blank bytes.lstrip keeps: from
+            # here, characters are told apart by decoding
+            decoder = codecs.getincrementaldecoder("utf-8")("replace")
+        lead = decoder.decode(chunk).lstrip()[:1]
+        if lead:
+            break
+    if lead != "{":
+        return _read_csv(chain(seen, chunks), "strict")
+    if stream.seekable():
+        stream.seek(-sum(map(len, seen)), 1)
+        del seen
+        raw = stream.read()
+    else:
+        seen.append(stream.read())
+        raw = b"".join(seen)
+        del seen
+    return utf8_text(raw)
 
 
 # ---------- discrete CSV ----------
@@ -236,106 +294,283 @@ def parse_path_csv(
     (line numbers still count it).  Anything else is a ``ParseError`` naming
     the line of the first bad row: the first check of :func:`_row_error` it
     fails, or the first rule of :func:`_broken_rule` it breaks, which is
-    looked for only after the ``DiscretePath`` refuses the columns.
+    looked for only after the ``DiscretePath`` refuses the columns.  Bytes
+    that are not UTF-8 are a ``ParseError`` before any of these.
 
-    Only the comment lines and the header are split off one at a time.
-    The rows are read in place by :func:`_body_columns`, one piece of
-    whole rows of about ``_CHUNK`` characters at a time, each by one
-    orjson call, so the reader's memory is bounded by its output and its
-    tables rather than by copies of the text: less than the text's length
-    for a generated document.
+    ``data`` is read by :func:`read_path_csv`, the one reader of a CSV,
+    which the CLI runs over a file or stdin a piece at a time.
     """
-    data = utf8_text(data)
-    head = _split_head(data)
-    columns, bad = _body_columns(data, head.start, head.stop, head.width)
-    prices, dividends, *deflators = columns
-    path = None
-    if bad is None:
-        try:
-            path = DiscretePath(prices=prices, dividends=dividends)
-        except ValidationError:
-            pass  # its first bad row is named below
-    if path is None or (deflators and deflators[0].min() <= 0):
-        rule = _broken_rule(columns)
-        if rule is not None:
-            k, message = rule
-            bad = _row_line(data, head.start, k), message
-        if bad is None:
-            # a row's rule names every other refusal of the path
-            raise ParseError("need at least dates 0 and 1")
-        line, message = bad
-        raise ParseError(message, line=head.body_start + 2 + line)
-    if head.tail_spec is not None:
-        last = (float(path.prices[-1]), float(path.dividends[-1]))
-        path = path.with_tail(parse_tail_spec(head.tail_spec, last))
-    if deflators:
-        if abs(float(deflators[0][0]) - 1.0) > 1e-12:
-            raise ValidationError("supplied deflators must be normalized to q_0 = 1")
-        supplied = Deflators(np.concatenate(([0.0], np.log(deflators[0][1:]))))
-        if not no_arbitrage_residuals(path, supplied).max() <= tol:
-            raise ValidationError(
-                "supplied deflators violate the no-arbitrage recursion "
-                f"at relative tolerance {tol!r}"
-            )
-    return path
+    return read_path_csv(data).path(tol)
+
+
+def read_path_csv(data: str | bytes) -> CsvDocument:
+    """``data`` read by the CSV reader (see :func:`_read_csv`), ``_CHUNK``
+    bytes or characters at a time; a ``str`` is read as its UTF-8 bytes,
+    and a lone surrogate in it is kept as it is."""
+    span = range(0, len(data), _CHUNK)
+    if isinstance(data, str):
+        pieces = (data[i : i + _CHUNK].encode("utf-8", "surrogatepass") for i in span)
+        return _read_csv(pieces, "surrogatepass")
+    return _read_csv((data[i : i + _CHUNK] for i in span), "strict")
 
 
 class _Head(NamedTuple):
-    """A document split after its header (see :func:`_split_head`)."""
+    """A document's lines up to its header (see :func:`_split_head`)."""
 
     tail_spec: str | None
     body_start: int  # the number of comment and blank lines before the header
-    start: int  # the rows, separated by "\n", are data[start:stop]
-    stop: int
     width: int  # 3 or 4, for a t,P,D or t,P,D,q header
+    rest: bytes | None  # the lines after the header in its piece, if any
 
 
-def _split_head(data: str) -> _Head:
-    """``data`` split at ``"\\n"`` into its comment lines, header and rows.
+class _Body(NamedTuple):
+    """The rows of a document (see :func:`_body_columns`)."""
 
-    Only the lines up to the header are split off; the rows are the rest of
-    the text, up to the end of the last that is not blank.  They are not
-    copied: their offsets in ``data`` are returned.  A document with no
-    header, or a bad one, is a ``ParseError``.
+    columns: list[np.ndarray]  # P, D and q, up to the first bad row
+    bad: tuple[int, str] | None  # that row's line and the check it fails
+    # of each piece with a line that holds no row: the line of its first
+    # row that breaks a rule, and the rows and blank lines read up to its
+    # end; in every other piece, each line holds a row
+    broken: dict[int, int]
+    marks: list[tuple[int, int]]
+
+    def line(self, k: int) -> int:
+        """The line of row ``k``, counted from the first after the header:
+        ``k`` and the blank lines before it.  Row ``k`` breaks a rule and
+        no row before it does."""
+        if k in self.broken:
+            return self.broken[k]
+        i = bisect.bisect_right(self.marks, (k, math.inf))
+        return k + (self.marks[i - 1][1] if i else 0)
+
+
+class CsvDocument(NamedTuple):
+    """A CSV document as read: its head and rows, or the refusal of its
+    head.  Every refusal waits for :meth:`path`, so that a caller can put
+    its own checks first."""
+
+    head: _Head | ParseError
+    body: _Body | None
+
+    def path(self, tol: float = DEFAULT_TOL) -> DiscretePath:
+        """The document's path, as :func:`parse_path_csv` returns it."""
+        head, body = self
+        if isinstance(head, ParseError):
+            raise head
+        columns = body.columns
+        prices, dividends, *deflators = columns
+        path = None
+        bad = body.bad
+        if bad is None:
+            try:
+                path = DiscretePath(prices=prices, dividends=dividends)
+            except ValidationError:
+                pass  # its first bad row is named below
+        if path is None or (deflators and deflators[0].min() <= 0):
+            rule = _broken_rule(columns)
+            if rule is not None:
+                k, message = rule
+                bad = body.line(k), message
+            if bad is None:
+                # a row's rule names every other refusal of the path
+                raise ParseError("need at least dates 0 and 1")
+            line, message = bad
+            raise ParseError(message, line=head.body_start + 2 + line)
+        if head.tail_spec is not None:
+            last = (float(path.prices[-1]), float(path.dividends[-1]))
+            path = path.with_tail(parse_tail_spec(head.tail_spec, last))
+        if deflators:
+            if abs(float(deflators[0][0]) - 1.0) > 1e-12:
+                raise ValidationError("supplied deflators must be normalized to q_0 = 1")
+            supplied = Deflators(np.concatenate(([0.0], np.log(deflators[0][1:]))))
+            if not no_arbitrage_residuals(path, supplied).max() <= tol:
+                raise ValidationError(
+                    "supplied deflators violate the no-arbitrage recursion "
+                    f"at relative tolerance {tol!r}"
+                )
+        return path
+
+
+# bytes read at a time, or characters of text checked by the continuous
+# reader's step over an array
+_CHUNK = 1 << 16
+
+
+def _read_csv(chunks: Iterable[bytes], errors: str) -> CsvDocument:
+    """The document whose UTF-8 bytes come in ``chunks``, read a piece of
+    whole lines at a time (:func:`_line_pieces`): the head's lines are
+    decoded with ``errors`` (:func:`_split_head`), and each piece of rows
+    goes as bytes to :func:`_body_columns`.  So neither the bytes nor the
+    text of the whole document is held.
+
+    Every chunk passes an incremental UTF-8 check as it is read, and the
+    chunks after a refusal are read to the end and checked too, so a byte
+    that is not UTF-8 is refused first, wherever it falls, with its offset
+    in the document.
     """
-    start = body_start = 0
+    chunks = _utf8_checked(chunks, errors)
+    pieces = _line_pieces(chunks)
+    head = _split_head(pieces, errors)
+    body = None
+    if not isinstance(head, ParseError):
+        body = _body_columns(_row_pieces(head.rest, pieces), head.width, errors)
+    deque(chunks, maxlen=0)
+    return CsvDocument(head, body)
+
+
+def _utf8_checked(chunks: Iterable[bytes], errors: str) -> Iterator[bytes]:
+    """``chunks``, each passed on once an incremental decoder with
+    ``errors`` has taken it; the first byte it refuses is the
+    ``ParseError`` of :func:`utf8_text`, at its offset in the whole.  A
+    chunk of ASCII after a whole character is taken as it is."""
+    decoder = None
+    offset = 0  # of the chunk, in the whole
+
+    def decode(chunk: bytes, final: bool = False) -> None:
+        held = len(decoder.getstate()[0])  # the start of a character cut by the chunk
+        try:
+            decoder.decode(chunk, final)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc.reason, offset - held + exc.start) from None
+
+    for chunk in chunks:
+        if not chunk.isascii() or decoder and decoder.getstate()[0]:
+            decoder = decoder or codecs.getincrementaldecoder("utf-8")(errors)
+            decode(chunk)
+        offset += len(chunk)
+        yield chunk
+    if decoder:
+        decode(b"", final=True)
+
+
+def _line_pieces(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of ``chunks`` in pieces of whole lines: each chunk is cut
+    after its last ``"\\n"``, which is in neither piece, and the part line
+    after it is carried into the next piece, so a line longer than a chunk
+    takes as many as it needs.  The pieces joined by ``"\\n"`` are the
+    bytes; an empty last piece is left out."""
+    carry = []
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n")
+        if cut < 0:
+            carry.append(chunk)
+            continue
+        carry.append(memoryview(chunk)[:cut])
+        yield b"".join(carry)
+        carry = [chunk[cut + 1 :]]
+    last = b"".join(carry)
+    if last:
+        yield last
+
+
+def _split_head(pieces: Iterator[bytes], errors: str) -> _Head | ParseError:
+    """The comment lines and header at the start of ``pieces``, or the
+    ``ParseError`` of a document with no header, or a bad one.
+
+    Only the lines up to the header are taken apart, and decoded with
+    ``errors``; the lines after it in its piece are returned as bytes.
+    """
+    body_start = 0
     tail_spec = None
-    while True:
-        end = data.find("\n", start)
-        end = len(data) if end < 0 else end
-        line = data[start:end].strip(_BLANKS)
-        if line and not line.startswith("#"):
-            break
-        if line.lower().startswith("# tail:"):
-            tail_spec = line[len("# tail:") :].strip()
-        if end == len(data):
-            raise ParseError("empty document", line=1)
-        body_start += 1
-        start = end + 1
-    header = tuple(cell.strip(_BLANKS) for cell in data[start:end].split(","))
+    for piece in pieces:
+        start = 0
+        while start >= 0:
+            end = piece.find(b"\n", start)
+            line = (piece[start:] if end < 0 else piece[start:end]).decode("utf-8", errors)
+            text = line.strip(_BLANKS)
+            if text and not text.startswith("#"):
+                rest = None if end < 0 else piece[end + 1 :]
+                return _header(line, tail_spec, body_start, rest)
+            if text.lower().startswith("# tail:"):
+                tail_spec = text[len("# tail:") :].strip()
+            body_start += 1
+            start = end if end < 0 else end + 1
+    return ParseError("empty document", line=1)
+
+
+def _header(
+    line: str, tail_spec: str | None, body_start: int, rest: bytes | None
+) -> _Head | ParseError:
+    """The head of a document whose header is ``line``, or the refusal of
+    a bad header."""
+    header = tuple(cell.strip(_BLANKS) for cell in line.split(","))
     if header not in (_CSV_HEADER, _CSV_HEADER + ("q",)):
         got = ",".join(header)
         more = "..." if len(got) > 80 else ""  # a line may be the whole document
-        raise ParseError(
+        return ParseError(
             f"expected header 't,P,D' or 't,P,D,q', got {got[:80]!r}{more}",
             line=body_start + 1,
         )
-    start = min(end + 1, len(data))
-    stop = len(data)
-    while stop > start and data[stop - 1] in _BLANKS + ",\n":
-        stop -= 1
-    stop = data.find("\n", stop)
-    return _Head(tail_spec, body_start, start, len(data) if stop < 0 else stop, len(header))
+    return _Head(tail_spec, body_start, len(header), rest)
 
 
-def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
+def _row_pieces(rest: bytes | None, pieces: Iterator[bytes]) -> Iterator[bytes]:
+    """The pieces the rows are read in: the first line after the header
+    alone, row 0, then the rest of the lines of its piece, then each
+    piece after that; ``rest`` holds the lines after the header in its
+    piece, and None stands for none."""
+    if rest is None:
+        rest = next(pieces, None)
+        if rest is None:
+            return
+    cut = rest.find(b"\n")
+    if cut < 0:
+        yield rest
+    else:
+        yield rest[:cut]
+        yield rest[cut + 1 :]
+    yield from pieces
+
+
+def _body_columns(pieces: Iterable[bytes], width: int, errors: str) -> _Body:
+    """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of the rows in
+    ``pieces``, each piece of whole lines, up to the first bad row, and
+    the line of that row, counted from the first, and the first check of
+    :func:`_row_error` it fails.
+
+    Each piece is read by :func:`_read_piece` as bytes, so the Python
+    numbers of one piece at most exist at once.  Every check is local to a
+    row and each cut falls at the end of one, so the rows pass exactly when
+    each piece does.  Only a refused piece is walked row by row, to find
+    its first bad row, which is decoded with ``errors`` to be named.  A
+    piece whose every line is a row keeps nothing for the lines of its
+    rows; of any other, its first row that breaks a rule of
+    :func:`_broken_rule` is looked for while its lines are at hand.
+    """
+    tables = []
+    index = blanks = 0  # the rows read so far, and the blank lines
+    bad = None
+    broken, marks = {}, []
+    for raw in pieces:
+        read = _read_piece(raw, width, index)
+        if read is None:
+            table, kept, line, message = _refused_piece(raw, width, index, errors)
+            bad = index + blanks + line, message
+        else:
+            table, kept = read
+        if kept is not None:  # a line of the piece holds no row
+            rule = _broken_rule([table[:, j] for j in range(1, width)], index)
+            if rule is not None:
+                broken[index + rule[0]] = index + blanks + kept[rule[0]]
+            blanks += raw.count(b"\n") + 1 - len(table)
+            marks.append((index + len(table), blanks))
+        tables.append(table)
+        index += len(table)
+        if bad is not None:
+            break
+    tables = tables or [np.empty((0, width))]
+    columns = [np.concatenate([table[:, j] for table in tables]) for j in range(1, width)]
+    return _Body(columns, bad, broken, marks)
+
+
+def _broken_rule(columns: list[np.ndarray], index: int = 0) -> tuple[int, str] | None:
     """``(k, message)`` for the first row ``k`` that breaks a value rule, and
-    the first rule it breaks, or None: nonnegative prices and dividends, no
-    dividend at t = 0, a positive ``P_t + D_t`` for t >= 1, and a positive
-    ``q``.  (orjson reads no number past the double range, so every value
-    is finite.)"""
+    the first rule it breaks, or None, where the columns' rows are rows
+    ``index`` on: nonnegative prices and dividends, no dividend at t = 0,
+    a positive ``P_t + D_t`` for t >= 1, and a positive ``q``.  (orjson
+    reads no number past the double range, so every value is finite.)"""
     prices, dividends, *deflators = columns
-    dates = np.arange(prices.size)
+    dates = np.arange(index, index + prices.size)
     rules = [
         (prices < 0, "negative price"),
         (dividends < 0, "negative dividend"),
@@ -357,20 +592,6 @@ def _broken_rule(columns: list[np.ndarray]) -> tuple[int, str] | None:
     return k, next(message for mask, message in rules if mask[k])
 
 
-def _row_line(data: str, start: int, k: int) -> int:
-    """The line of row ``k`` of the rows at ``data[start:]``, counted from
-    their first line: ``k`` and the blank rows before it.  Only a refused
-    document is split into lines."""
-    rows = data[start:].split("\n")
-    kept = compress(count(), map(str.strip, rows, repeat(_BLANKS + ",")))
-    return next(islice(kept, k, None))
-
-
-# characters of text read by one orjson call, or checked by the continuous
-# reader's step over an array, at a time
-_CHUNK = 1 << 16
-
-
 def _pieces(data: str, start: int, stop: int, sep: str) -> Iterator[tuple[int, int]]:
     """The ``(first, cut)`` spans that cut ``data[start:stop]`` into pieces,
     in order: each cut is at the first ``sep`` at or after ``_CHUNK``
@@ -380,51 +601,6 @@ def _pieces(data: str, start: int, stop: int, sep: str) -> Iterator[tuple[int, i
         yield start, cut
         start = cut + 1
     yield start, stop
-
-
-def _body_columns(
-    data: str, start: int, stop: int, width: int
-) -> tuple[list[np.ndarray], tuple[int, str] | None]:
-    """The ``P``, ``D`` and, for ``width`` 4, ``q`` columns of the
-    ``"\\n"``-separated rows ``data[start:stop]``, up to the first bad one,
-    and None or ``(line, message)`` naming that row's line, counted from
-    the first, and the first check of :func:`_row_error` it fails.
-
-    The rows are read in place, one piece at a time, each by
-    :func:`_read_piece` (see :func:`_row_pieces`): first the first line
-    alone, row 0, whose empty ``D`` cell in every generated document is
-    filled in a piece of one row, then pieces of whole rows cut at the
-    first ``"\\n"`` at or after ``_CHUNK`` characters.  So no copy of the
-    whole text is made, and the Python numbers of one piece at most exist
-    at once.  Every check is local to a row and each cut falls at the end
-    of one, so the rows pass exactly when each piece does.  Only a refused
-    piece is walked row by row, to find its first bad row.
-    """
-    tables = []
-    index = 0  # the rows read so far
-    bad = None
-    for first, cut in _row_pieces(data, start, stop):
-        text = data[first:cut]
-        table = _read_piece(text, width, index)
-        if table is None:
-            good, line, message = _refused_piece(text, width, index)
-            tables += good
-            bad = data.count("\n", start, first) + line, message
-            break
-        tables.append(table)
-        index += len(table)
-    tables = tables or [np.empty((0, width))]
-    return [np.concatenate([table[:, j] for table in tables]) for j in range(1, width)], bad
-
-
-def _row_pieces(data: str, start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """The ``(first, cut)`` spans of the pieces the rows ``data[start:stop]``
-    are read in: the first line alone, then the pieces :func:`_pieces`
-    cuts at ``"\\n"``."""
-    cut = data.find("\n", start, stop)
-    if cut < 0:
-        return iter([(start, stop)])
-    return chain([(start, cut)], _pieces(data, cut + 1, stop, "\n"))
 
 
 # The characters of cells: those of JSON numbers and blanks.  Deleting them
@@ -446,9 +622,12 @@ _CELL_MINUS_ZERO = re.compile(rb"(,[ \t\r]*-0)(?![.eE0-9])")
 _EMPTY_D = re.compile(rb"(?m)^([^,\n]*,[^,\n]*,)(?=[ \t\r]*(?:,|$))")
 
 
-def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
+def _read_piece(
+    raw: bytes, width: int, index: int
+) -> tuple[np.ndarray, list[int] | None] | None:
     """The float64 table, one row of ``width`` values a row, of the rows in
-    ``text``, the first of them row ``index``, or None where one of them is
+    the lines ``raw``, the first of them row ``index``, and None or the
+    lines of its rows where some line holds none; or None where a row is
     bad.
 
     One ``orjson.loads`` reads the rows joined by commas, once
@@ -460,22 +639,24 @@ def _read_piece(text: str, width: int, index: int) -> np.ndarray | None:
     is made 0 before the first read: a read that the fill lets pass is the
     one the second read would make.
     """
-    if not text.isascii():
-        return None
-    raw = text.encode()
     first = _EMPTY_D.sub(rb"\g<1>0", raw, 1) if index == 0 else raw
     table = _piece_table(first, width, index)
-    if table is None:
-        # an empty cell: with blanks deleted, two separators side by side,
-        # or one at either end (a blank row makes one too)
-        cells = raw.translate(None, _BLANKS.encode())
-        if (
-            b",," in cells or b",\n" in cells or b"\n," in cells or b"\n\n" in cells
-            or cells[:1] in b",\n" or cells[-1:] in b",\n"
-        ):
-            rows = [row for row in raw.split(b"\n") if row.strip(b", \t\r")]
-            table = _piece_table(_EMPTY_D.sub(rb"\g<1>0", b"\n".join(rows)), width, index)
-    return table
+    if table is not None and raw:
+        return table, None
+    # an empty cell: with blanks deleted, two separators side by side, or
+    # one at either end (a blank row makes one too)
+    cells = raw.translate(None, _BLANKS.encode())
+    if (
+        b",," in cells or b",\n" in cells or b"\n," in cells or b"\n\n" in cells
+        or cells[:1] in b",\n" or cells[-1:] in b",\n"
+    ):
+        lines = raw.split(b"\n")
+        kept = [k for k, row in enumerate(lines) if row.strip(b", \t\r")]
+        rows = _EMPTY_D.sub(rb"\g<1>0", b"\n".join([lines[k] for k in kept]))
+        table = _piece_table(rows, width, index)
+        if table is not None:
+            return table, kept
+    return None
 
 
 def _piece_table(raw: bytes, width: int, index: int) -> np.ndarray | None:
@@ -521,23 +702,29 @@ def _loads_table(raw: bytes, rows: int, width: int, index: int) -> np.ndarray | 
     # when each is one
     if len(values) != rows * width or type(sum(values[::width])) is not int:
         return None
-    table = np.array(values, dtype=np.float64).reshape(rows, width)
+    # an int past 2**53 is rounded as float() rounds it, as by np.array
+    table = np.fromiter(values, np.float64, len(values)).reshape(rows, width)
     if np.count_nonzero(table[:, 0] != np.arange(index, index + rows)):
         return None
     return table
 
 
 def _refused_piece(
-    text: str, width: int, index: int
-) -> tuple[list[np.ndarray], int, str]:
-    """The tables of the rows of a piece :func:`_read_piece` refused, read
-    one row at a time up to the first bad one; that row's line in the
-    piece; and the first check it fails."""
-    tables = []
-    for line, row in enumerate(text.split("\n")):
-        table = _read_piece(row, width, index)
-        if table is None:
-            return tables, line, _row_error(row, width, index)
+    raw: bytes, width: int, index: int, errors: str
+) -> tuple[np.ndarray, list[int], int, str]:
+    """The table of the rows of a piece :func:`_read_piece` refused, read
+    one row at a time up to the first bad one, and the lines of those rows
+    in the piece; that row's line in the piece; and the first check it
+    fails, of its text decoded with ``errors``."""
+    tables, kept = [np.empty((0, width))], []
+    for line, row in enumerate(raw.split(b"\n")):
+        read = _read_piece(row, width, index)
+        if read is None:
+            message = _row_error(row.decode("utf-8", errors), width, index)
+            return np.concatenate(tables), kept, line, message
+        table = read[0]
+        if len(table):
+            kept.append(line)
         tables.append(table)
         index += len(table)
     raise AssertionError("a piece was refused but none of its rows")

@@ -22,10 +22,20 @@ import numpy as np
 _TINY = np.finfo(np.float64).tiny
 
 
-def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Exact rounding errors of ``s = a + b`` (Knuth's TwoSum)."""
-    virtual = s - a
-    return (a - (s - virtual)) + (b - virtual)
+def _two_sum_error(
+    a: np.ndarray, b: np.ndarray, s: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Exact rounding errors of ``s = a + b`` (Knuth's TwoSum), written to
+    ``out``, which overlaps none of the three, and returned.
+
+    ``(a - (s - virtual)) + (b - virtual)`` with ``virtual = s - a``, the
+    same operations in the same order, so the same bits; it takes one
+    temporary, where the expression takes four."""
+    virtual = np.subtract(s, a, out=out)
+    b_error = b - virtual
+    np.subtract(s, virtual, out=out)
+    np.subtract(a, out, out=out)
+    return np.add(out, b_error, out=out)
 
 
 def _log_ratio(num, den, normal: bool = False) -> np.ndarray:
@@ -65,7 +75,7 @@ def _prefix_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     sums = x.cumsum(out=out)
     errors = np.empty_like(sums)
     errors[:1] = 0.0
-    errors[1:] = _two_sum_error(sums[:-1], x[1:], sums[1:])
+    _two_sum_error(sums[:-1], x[1:], sums[1:], out=errors[1:])
     if sums.size and not math.isfinite(sums[-1]):  # a non-finite sum stays non-finite
         errors[~np.isfinite(sums)] = 0.0
     sums += errors.cumsum(out=errors)
@@ -96,16 +106,20 @@ def compensated_sum(values: np.ndarray) -> np.ndarray | np.float64:
     errors = np.zeros(x.shape[:-1])
     if x.shape[-1] == 0:
         return errors[()]
+    # one scratch buffer holds each level's errors, shaped as that level
+    scratch = np.empty(x.size // 2)
     with np.errstate(invalid="ignore", over="ignore"):
         while x.shape[-1] > 1:
             half = x.shape[-1] // 2
             a, b = x[..., :half], x[..., half : 2 * half]
             s = a + b
-            errors += _two_sum_error(a, b, s).sum(axis=-1)
+            level = scratch[: s.size].reshape(s.shape)
+            errors += _two_sum_error(a, b, s, out=level).sum(axis=-1)
             if x.shape[-1] % 2:
                 last, odd = s[..., -1:], x[..., -1:]
                 folded = last + odd
-                errors += _two_sum_error(last, odd, folded)[..., 0]
+                fold = scratch[: folded.size].reshape(folded.shape)
+                errors += _two_sum_error(last, odd, folded, out=fold)[..., 0]
                 s[..., -1:] = folded
             x = s
         total = x[..., 0]

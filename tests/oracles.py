@@ -545,8 +545,35 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _two_sum_error_ref(a, b, s):
+    """Knuth's TwoSum error of ``s = a + b`` as one expression, which makes
+    four fresh temporaries; the library's in-place route must give the same
+    bits."""
     virtual = s - a
     return (a - (s - virtual)) + (b - virtual)
+
+
+def compensated_sum_ref(values):
+    """The pairwise TwoSum cascade of ``numerics.compensated_sum``, each
+    level's errors in a fresh array."""
+    x = np.asarray(values, dtype=np.float64)
+    errors = np.zeros(x.shape[:-1])
+    if x.shape[-1] == 0:
+        return errors[()]
+    with np.errstate(invalid="ignore", over="ignore"):
+        while x.shape[-1] > 1:
+            half = x.shape[-1] // 2
+            a, b = x[..., :half], x[..., half : 2 * half]
+            s = a + b
+            errors += _two_sum_error_ref(a, b, s).sum(axis=-1)
+            if x.shape[-1] % 2:
+                last, odd = s[..., -1:], x[..., -1:]
+                folded = last + odd
+                errors += _two_sum_error_ref(last, odd, folded)[..., 0]
+                s[..., -1:] = folded
+            x = s
+        total = x[..., 0]
+        errors[~np.isfinite(total)] = 0.0
+        return total + errors
 
 
 def log_ratio_ref(num, den) -> np.ndarray:

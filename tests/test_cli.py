@@ -1452,12 +1452,97 @@ def test_non_utf8_stdin_is_bad_input(capsys, monkeypatch):
     assert strict_json(out)["input"]["length"] == 3
 
 
-def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
-    # the bytes, then the decoded text with its line ends as they are:
-    # never more than those two at once
+def binary_stdin(monkeypatch, raw):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check-identity"]])
+@pytest.mark.parametrize(
+    "bad, refusal",
+    [
+        ("t,P,D\n0,100,\n1,-1,5\n", "negative price (line 3)"),
+        ("t,P,D\n0,100,\n1,x,5\n", "bad number: could not convert 'x': not a JSON number within the double range (line 3)"),
+        ("t,P\n0,100\n", "expected header 't,P,D' or 't,P,D,q', got 't,P' (line 1)"),
+    ],
+)
+def test_a_non_utf8_byte_after_a_refusal_wins_from_a_file_and_stdin(
+    tmp_path, capsys, monkeypatch, command, bad, refusal
+):
+    # the document is read to its end, a piece at a time, and checked for
+    # UTF-8 before a refusal of its head or rows is raised: the byte is
+    # named at its offset in the file, on every route
+    rows = "".join(f"{t},100,5\n" for t in range(2, 20_000))
+    raw = (bad + rows).encode() + b"9,\xff\n"
+    offset = raw.index(b"\xff")
+    name = tmp_path / "bad.csv"
+    name.write_bytes(raw)
+
+    def expect(source, message):
+        return f"bubblekit: {source}: {message}\n" if command == ["analyze"] else f"bubblekit: {message}\n"
+
+    utf8 = f"not UTF-8: invalid start byte at byte offset {offset}"
+    assert run(capsys, [*command, str(name)]) == (2, "", expect(name, utf8))
+    binary_stdin(monkeypatch, raw)
+    assert run(capsys, [*command, "-"]) == (2, "", expect("-", utf8))
+    # without the byte, the refusal, the same from a file, binary stdin and
+    # a text stream
+    name.write_bytes(raw[:offset - 2])
+    assert run(capsys, [*command, str(name)]) == (2, "", expect(name, refusal))
+    binary_stdin(monkeypatch, raw[:offset - 2])
+    assert run(capsys, [*command, "-"]) == (2, "", expect("-", refusal))
+    text = raw[:offset - 2].decode()
+    assert run(capsys, [*command, "-"], stdin=text, monkeypatch=monkeypatch) == (
+        2, "", expect("-", refusal)
+    )
+
+
+def test_check_identity_refuses_its_flags_after_utf8_and_before_the_rows(tmp_path, capsys):
+    # the order of the whole-text reader: bytes that are not UTF-8, then
+    # the flags a CSV refuses, then the document's own refusal
+    name = tmp_path / "bad.csv"
+    name.write_bytes(b"t,P,D\n0,100,\n1,-1,5\n")
+    code, out, err = run(capsys, ["check-identity", "--jump-side", "left", str(name)])
+    assert (code, out) == (2, "") and JUMP_SIDE_REFUSAL in err
+    code, out, err = run(capsys, ["check-identity", "--tol", "nan", str(name)])
+    assert (code, out) == (2, "") and "--tol must be finite and >= 0" in err
+    name.write_bytes(b"t,P,D\n0,100,\n1,-1,5\n2,\xff\n")
+    code, out, err = run(capsys, ["check-identity", "--jump-side", "left", str(name)])
+    assert (code, out) == (2, "")
+    assert err == "bubblekit: not UTF-8: invalid start byte at byte offset 22\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--tail", "constant-levels"], ["check-identity"]])
+def test_a_text_stream_in_place_of_stdin_reads_as_binary_stdin(capsys, monkeypatch, command):
+    # a text stream without .buffer is read whole, and gives the bytes of a
+    # file for a CSV, a refusal and a continuous document
+    from bubblekit import ContinuousPath, CumulativeDividend
+    from bubblekit.io import serialize_continuous_json
+
+    json_doc = serialize_continuous_json(
+        ContinuousPath(
+            grid_step=0.5, prices=np.full(5, 10.0),
+            dividends=CumulativeDividend(density=np.full(5, 0.5)),
+            tail=ConstantLevels(price=10.0, dividend=0.5),
+        )
+    )
+    for doc in (CONSTANT_CSV, CONSTANT_CSV.replace("\n", "\r\n"), "t,P,D\n0,100,\n1,-1,5\n",
+                "  \n" + json_doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert not hasattr(sys.stdin, "buffer")
+        text = run(capsys, [*command, "-"])
+        binary_stdin(monkeypatch, doc.encode())
+        assert run(capsys, [*command, "-"]) == text
+        assert (text[1] == "") == (text[0] == 2)
+
+
+def test_a_crlf_document_is_read_from_a_file_without_a_copy_of_it(tmp_path):
+    # the file is read a piece at a time, and its line ends stay as they
+    # are: the traced peak, about 1.2 of the document's length here, is
+    # that of the tables and columns and a piece, and a whole copy of the
+    # bytes or text held through the read would take it past 2.1
     import tracemalloc
 
-    from bubblekit.cli import _read_input
+    from bubblekit.cli import _read_document
 
     lf = serialize_path_csv(gen_gordon(1.0, 1.0001, 1.001, 20_000))
     crlf = lf.replace("\n", "\r\n")
@@ -1465,12 +1550,15 @@ def test_a_crlf_document_is_read_with_two_copies_at_most(tmp_path):
     doc.write_bytes(crlf.encode())
     tracemalloc.start()
     try:
-        text = _read_input(str(doc))
+        path = _read_document(str(doc)).path()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text == crlf
-    assert peak < 2.1 * len(crlf)
+    expected = parse_path_csv(lf)
+    assert path.prices.tobytes() == expected.prices.tobytes()
+    assert path.dividends.tobytes() == expected.dividends.tobytes()
+    assert path.tail == expected.tail
+    assert peak < 1.6 * len(crlf)
 
 
 def test_the_document_kind_is_told_past_the_blanks_lstrip_takes():
@@ -2271,7 +2359,7 @@ def test_analyze_forks_no_more_processes_than_the_memory_holds(tmp_path, capsys,
     files = batch(tmp_path, n=4)
     forked = cpus(monkeypatch, 4)
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    need = own + 2 * max(os.stat(name).st_size for name in files)
+    need = own + cli._PEAK_PER_BYTE * max(os.stat(name).st_size for name in files)
     for free, processes in [(3.9 * need, 3), (1.9 * need, 1), (0, 1), (math.inf, 4)]:
         monkeypatch.setattr(cli, "_free_memory", lambda: free)
         forked.clear()

@@ -11,6 +11,7 @@ integer ``-0``, spellings ``float()`` takes and JSON does not), and with
 pieces from one character up.
 """
 
+import io
 import sys
 from unittest import mock
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import bubblekit.io
 from bubblekit.errors import ParseError, ValidationError
-from bubblekit.io import parse_path_csv
+from bubblekit.io import parse_path_csv, read_document
 from bubblekit.series import DiscretePath
 
 from chunks import CHUNKS, chunks_of
@@ -398,8 +399,7 @@ def test_a_generated_document_is_read_once_a_piece(T):
     from bubblekit.models import gen_gordon
 
     doc = serialize_path_csv(gen_gordon(1.0, 1.0001, 1.001, T))
-    head = bubblekit.io._split_head(doc)
-    pieces = len(list(bubblekit.io._row_pieces(doc, head.start, head.stop)))
+    pieces = len(body_pieces(doc))
     with mock.patch.object(orjson, "loads", wraps=orjson.loads) as loads:
         result = outcome(parse_path_csv, doc)
     assert loads.call_count == pieces
@@ -407,33 +407,42 @@ def test_a_generated_document_is_read_once_a_piece(T):
     assert result == outcome(parse_path_csv_rows, doc)
 
 
-def test_a_generated_document_is_read_without_copies_of_its_text():
+def test_a_generated_document_is_read_without_copies_of_its_text(tmp_path):
+    # the file is read a piece at a time and neither its bytes nor its text
+    # is held whole: the traced peak is that of the pieces' tables and the
+    # columns, about 0.97 of the document's length here, and a whole copy
+    # held through the read would take it past 1.9
     import tracemalloc
 
-    from bubblekit.io import serialize_path_csv
+    from bubblekit.io import read_document, serialize_path_csv
     from bubblekit.models import gen_gordon
 
     doc = serialize_path_csv(gen_gordon(1.0, 1.00001, 1.00005, 150_000))
+    name = tmp_path / "gordon.csv"
+    name.write_text(doc)
     tracemalloc.start()
     try:
-        path = parse_path_csv(doc)
+        with open(name, "rb") as fh:
+            path = read_document(fh).path()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.prices.size == 150_001
-    assert peak < 1.5 * len(doc)
+    assert outcome(lambda _: path, doc) == outcome(parse_path_csv, doc)
+    assert peak < 1.4 * len(doc)
 
 
-def body_pieces(doc, chunk):
-    """The pieces the rows of ``doc`` are read in, ``chunk`` characters
-    apiece after row 0's."""
-    head = bubblekit.io._split_head(doc)
-    with chunks_of(chunk):
-        return [doc[a:b] for a, b in bubblekit.io._row_pieces(doc, head.start, head.stop)]
+def body_pieces(doc, chunk=bubblekit.io._CHUNK):
+    """The pieces the rows of ``doc`` are read in, read ``chunk`` bytes at
+    a time: row 0 alone, then pieces of whole lines."""
+    raw = doc.encode()
+    pieces = bubblekit.io._line_pieces(raw[i : i + chunk] for i in range(0, len(raw), chunk))
+    head = bubblekit.io._split_head(pieces, "strict")
+    return [piece.decode() for piece in bubblekit.io._row_pieces(head.rest, pieces)]
 
 
-# rows 1..8 of 8 characters: at 16 characters a piece, the pieces after
-# row 0's are rows 1-3, 4-6 and 7-8
+# rows 1..8 of 8 bytes after the 13 of the header and row 0: at 16 bytes a
+# read, the pieces after row 0's are rows 1-2, 3-4, 5-6 and 7-8
 CUT_ROWS = [f"{t},100,5" for t in range(1, 9)]
 
 
@@ -449,14 +458,17 @@ def test_an_edited_row_at_either_end_of_a_piece_reads_like_the_row_reader(k, row
     doc = "t,P,D\n0,100,\n" + "\n".join(rows) + "\n"
     row0, first, second, *_ = body_pieces(doc, 16)
     assert row0 == "0,100,"
-    assert first.endswith("\n" + row) if k == 3 else second.startswith(row + "\n")
+    assert second.startswith(row + "\n") if k == 3 else second.endswith("\n" + row)
     assert_same(doc, 16)
 
 
 @pytest.mark.parametrize("blank", ["", ",,", " , ,\t", " "])
 def test_a_blank_row_right_after_a_cut_is_skipped(blank):
-    doc = "t,P,D\n0,100,\n" + "\n".join(CUT_ROWS[:3] + [blank] + CUT_ROWS[3:]) + "\n"
-    assert body_pieces(doc, 16)[2].startswith(blank + "\n4,")
+    # a read of 29 bytes ends with row 2's line end, so the next piece
+    # starts with the blank row
+    doc = "t,P,D\n0,100,\n" + "\n".join(CUT_ROWS[:2] + [blank] + CUT_ROWS[2:]) + "\n"
+    assert body_pieces(doc, 29)[2].startswith(blank + "\n3,")
+    assert_same(doc, 29)
     assert_same(doc, 16)
     assert isinstance(outcome(parse_path_csv, doc)[0], bytes)
 
@@ -511,12 +523,16 @@ def test_negative_exponents_send_no_piece_to_the_minus_0_search(chunk):
 def test_an_integer_minus_0_among_negative_exponents_is_read_again(chunk, where, column):
     # the piece holding it is read twice, the second time with the -0 made
     # -0.0, and no other piece is searched
-    k = 0 if where == "row 0" else body_pieces(repr_document(6_000), chunk)[1].count("\n") + 1
+    # k is row 0 or the last row of the first piece after row 0's of two
+    # rows or more
+    pieces = body_pieces(repr_document(6_000), chunk)
+    i = 0 if where == "row 0" else next(i for i, p in enumerate(pieces) if i and "\n" in p)
+    k = sum(piece.count("\n") + 1 for piece in pieces[: i + 1]) - 1
     doc = repr_document(6_000, minus_zero={k}, column=column)
     if k == 0:  # row 0 is a piece of its own: give it an e-05 price
         doc = doc.replace("\n0,1.0,", "\n0,3e-05,", 1)
     row = doc.split("\n")[k + 1]
-    piece = body_pieces(doc, chunk)[min(k, 1)]
+    piece = body_pieces(doc, chunk)[i]
     assert row.split(",")[column].strip() == "-0"
     assert piece.endswith(row) and "e-05" in piece
     result, pieces, loads, searches = read_counted(doc, chunk)
@@ -543,14 +559,17 @@ def placed_rows(chunk):
 
 
 @pytest.mark.parametrize("chunk", [16, bubblekit.io._CHUNK])
-@pytest.mark.parametrize("price", ['"10"', "[10]", "true", "\x0b000", "\xe9000"])
+@pytest.mark.parametrize("price", ['"10"', "[10]", "true", "\x0b000", "\xe900"])
 def test_a_character_outside_the_cells_is_refused_wherever_it_falls(price, chunk):
-    # a price of as many characters, so the pieces are cut where they were;
-    # the first three are JSON values that are no number
+    # a price of as many bytes, so the pieces are cut where they were; the
+    # first three are JSON values that are no number
+    def lengths(doc):
+        return [len(piece.encode()) for piece in body_pieces(doc, chunk)]
+
     for k in placed_rows(chunk):
         doc = LONG.replace(f"\n{k},1000,", f"\n{k},{price},", 1)
         assert doc != LONG
-        assert list(map(len, body_pieces(doc, chunk))) == list(map(len, body_pieces(LONG, chunk)))
+        assert lengths(doc) == lengths(LONG)
         result = outcome(parse_path_csv, doc)
         assert result[0] is ParseError and result[2] == k + 2, (k, result)
         assert_same(doc, chunk)
@@ -796,3 +815,189 @@ def test_minus_zero_prices_and_dividends_are_zeros():
     assert path.prices.tolist() == [100.0, 0.0, 50.0, 50.0]
     assert np.signbit(path.prices[1]) and np.signbit(path.dividends[2])
     assert_same(doc)
+
+
+# ---------- the table of a piece: np.fromiter, the bits of np.array ----------
+
+
+BIG_INTS = [2**53 + 1, 2**53 + 3, 2**63 - 1, -(2**63), 2**64 - 1, -(2**53) - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-(2**63), 2**64 - 1), st.sampled_from(BIG_INTS),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            st.one_of(st.integers(-(2**63), 2**64 - 1), st.sampled_from(BIG_INTS),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+        ),
+        min_size=1, max_size=30,
+    ),
+    st.integers(0, 10**6),
+)
+def test_a_piece_table_has_the_bits_of_np_array(cells, index):
+    # mixed ints and floats, ints past 2**53 among them: each value is the
+    # double np.array would make of it
+    import orjson
+
+    raw = "\n".join(f"{index + k},{p!r},{d!r}" for k, (p, d) in enumerate(cells)).encode()
+    values = orjson.loads(b"[" + raw.replace(b"\n", b",") + b"]")
+    expected = np.array(values, dtype=np.float64).reshape(len(cells), 3)
+    table = bubblekit.io._loads_table(raw, len(cells), 3, index)
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_ints_past_2_53_read_as_np_array_reads_them():
+    raw = f"1,{2**53 + 1},{2**63 - 1}\n2,{-(2**63)},0.5\n3,7,{2**53 + 3}".encode()
+    table = bubblekit.io._loads_table(raw, 3, 3, 1)
+    assert table[:, 1:].tolist() == [[2.0**53, 2.0**63], [-(2.0**63), 0.5], [7.0, 2.0**53 + 4]]
+
+
+# ---------- the stream route: a file or stdin, read a piece at a time ----------
+
+
+class Pipe(io.RawIOBase):
+    """A stream of ``data`` that cannot seek, as stdin from a pipe."""
+
+    def __init__(self, data):
+        self.data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self.data.readinto(buffer)
+
+
+def read_stream(doc):
+    """``doc``'s UTF-8 bytes read from a stream that cannot seek, as the CLI
+    reads a file or stdin."""
+    raw = doc.encode("utf-8", "surrogatepass") if isinstance(doc, str) else doc
+    return read_document(io.BufferedReader(Pipe(raw))).path()
+
+
+def assert_same_stream(doc, chunk=bubblekit.io._CHUNK):
+    with chunks_of(chunk):
+        new = outcome(read_stream, doc)
+    assert new == outcome(parse_path_csv_rows, doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_documents(), CHUNKS)
+def test_valid_documents_read_from_a_stream_like_the_row_reader(doc, chunk):
+    expected = outcome(parse_path_csv_rows, doc)
+    assert isinstance(expected[0], bytes), expected
+    with chunks_of(chunk):
+        assert outcome(read_stream, doc) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_documents(), CHUNKS)
+def test_corrupted_documents_read_from_a_stream_fail_like_the_row_reader(doc, chunk):
+    assert_same_stream(doc, chunk)
+
+
+@pytest.mark.parametrize("char", ["\xe9", "\u20ac", "\U0001f600"])
+def test_a_character_a_read_cuts_in_a_comment_is_read_whole(char):
+    # every read size, so a read ends inside the character's bytes
+    doc = f"# caf{char}\n#{char * 3}\n# tail: zero-dividends\nt,P,D\n0,100,\n1,100,0\n"
+    raw = doc.encode()
+    assert len(char.encode()) > 1
+    for chunk in range(1, len(raw) + 1):
+        assert_same_stream(doc, chunk)
+    # in a bad header, the character is named whole
+    bad = doc.replace("t,P,D", f"t,P,{char}")
+    for chunk in range(1, len(raw) + 1):
+        assert_same_stream(bad, chunk)
+    assert outcome(read_stream, bad)[1].startswith(f"expected header 't,P,D' or 't,P,D,q', got 't,P,{char}'")
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+@pytest.mark.parametrize("cell", ["100", "x"])
+def test_a_row_longer_than_a_read_is_read_whole(chunk, cell):
+    row = "2," + " " * 150 + cell + "\t" * 80 + ",5"
+    doc = f"t,P,D\n0,100,\n1,100,5\n{row}\n3,100,5\n"
+    assert any(row in piece for piece in body_pieces(doc, chunk))
+    assert_same_stream(doc, chunk)
+    assert_same(doc, chunk)
+    result = outcome(read_stream, doc)
+    assert isinstance(result[0], bytes) if cell == "100" else result[2] == 4
+
+
+@st.composite
+def nearly_utf8(draw):
+    """Bytes of UTF-8 characters, of one to four bytes, with bytes of any
+    value among them: stray continuation bytes, cut characters, surrogates
+    and overlong forms."""
+    parts = draw(st.lists(st.one_of(
+        st.characters(exclude_categories=["Cs"]).map(str.encode),
+        st.binary(min_size=1, max_size=2),
+        st.sampled_from([b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80", b"\xe2\x82"]),
+    ), max_size=12))
+    return b"".join(parts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(nearly_utf8(), st.integers(1, 9))
+def test_the_utf8_check_of_chunks_refuses_as_the_whole_decode(raw, size):
+    def refusal(read):
+        try:
+            read()
+        except ParseError as exc:
+            return str(exc)
+        return None
+
+    chunks = [raw[i : i + size] for i in range(0, len(raw), size)]
+    expected = refusal(lambda: bubblekit.io.utf8_text(raw))
+    assert refusal(lambda: list(bubblekit.io._utf8_checked(chunks, "strict"))) == expected
+    # and a CSV whose head or body holds them is refused the same, wherever
+    # the reads fall
+    for doc in (b"# " + raw + b"\nt,P,D\n0,1,\n1,1,0\n", b"t,P,D\n0,1,\n1,1,0\n" + raw):
+        with chunks_of(size):
+            got = refusal(lambda: read_stream(doc))
+        if expected is not None:
+            assert got == refusal(lambda: bubblekit.io.utf8_text(doc))
+
+
+@pytest.mark.parametrize("bad", [
+    "t,P,D\n0,100,\n1,-1,5\n",  # a rule of a row
+    "t,P,D\n0,100,\n1,x,5\n",  # a row's number
+    "t,P\n0,100\n",  # the header
+    "# a comment\n",  # no header
+])
+@pytest.mark.parametrize("chunk", [1, 16, bubblekit.io._CHUNK])
+def test_a_non_utf8_byte_after_a_refusal_is_refused_first(bad, chunk):
+    # the rest is read and checked before the refusal is raised, and the
+    # byte is named at its offset in the document
+    raw = bad.encode() + b"\n".join(b"%d,100,5" % t for t in range(3, 3_000)) + b"\n9,\xff\n"
+    offset = raw.index(b"\xff")
+    expected = f"not UTF-8: invalid start byte at byte offset {offset}"
+    with chunks_of(chunk):
+        assert outcome(read_stream, raw) == (ParseError, expected, None)
+        assert outcome(parse_path_csv, raw) == (ParseError, expected, None)
+        assert outcome(read_stream, raw[:-3]) == outcome(parse_path_csv, raw[:-3].decode())
+
+
+def test_a_lone_surrogate_in_a_str_is_read_as_before():
+    # a str is read as its bytes with lone surrogates passed through: in a
+    # comment it is text, and in a row it is named as it is
+    assert isinstance(outcome(parse_path_csv, "# \udcff\nt,P,D\n0,100,\n1,100,5\n")[0], bytes)
+    doc = "t,P,D\n0,100,\n1,100,\udcff5\n"
+    assert outcome(parse_path_csv, doc) == outcome(parse_path_csv_rows, doc)
+    assert outcome(parse_path_csv, doc)[1] == refusal("\udcff5") + " (line 3)"
+
+
+@pytest.mark.parametrize("seekable", [True, False])
+@pytest.mark.parametrize("lead", ["", " \n\t", "\u3000\xa0\x1c", " " * 70_000])
+def test_a_json_document_on_a_stream_is_read_whole(lead, seekable):
+    # told from its first character past the blanks, then read once from a
+    # stream that can seek and joined on one that cannot
+    text = lead + '{"grid_step": 0.5, "prices": [1, 2, 3]}\n'
+    raw = b"ahead" + text.encode()
+    stream = io.BytesIO(raw) if seekable else io.BufferedReader(Pipe(raw))
+    stream.read(5)
+    assert read_document(stream) == text
+    bad = lead.encode() + b'{"a": "\xff"}'
+    stream = io.BytesIO(bad) if seekable else io.BufferedReader(Pipe(bad))
+    assert outcome(read_document, stream) == outcome(bubblekit.io.utf8_text, bad)

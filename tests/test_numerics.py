@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bubblekit.numerics import compensated_cumsum, compensated_sum
+from bubblekit.numerics import _prefix_sums, _two_sum_error, compensated_cumsum, compensated_sum
+
+from oracles import _two_sum_error_ref, compensated_cumsum_ref, compensated_sum_ref
 
 
 def neumaier_cumsum(values):
@@ -153,3 +155,68 @@ def test_compensated_sum_returns_a_non_finite_total_without_nan():
     assert compensated_sum([math.inf, 1.0, 2.0]) == math.inf
     assert compensated_sum([1e308, 1e308, 1.0]) == math.inf
     assert math.isnan(compensated_sum([math.inf, -math.inf]))
+
+
+# ---------- TwoSum in place: the same bits as the expression ----------
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# every kind of double: zeros of both signs, subnormals, normals of every
+# size, the largest, both infinities and NaN
+ANY_DOUBLE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, 2.0**-53]),
+)
+DOUBLES = st.lists(ANY_DOUBLE, min_size=0, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOUBLES, DOUBLES)
+def test_two_sum_in_place_has_the_bits_of_the_expression(a, b):
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n], dtype=np.float64), np.array(b[:n], dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = a + b
+        expected = _two_sum_error_ref(a, b, s)
+        out = np.full(n, 7.0)
+        got = _two_sum_error(a, b, s, out=out)
+    assert got is out
+    assert bits(got) == bits(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOUBLES)
+def test_prefix_sums_have_the_bits_of_the_expression_route(x):
+    x = np.array(x, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _prefix_sums(x)
+    assert bits(got) == bits(compensated_cumsum_ref(x)) if x.size else got.size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(DOUBLES, min_size=1, max_size=4), st.integers(1, 4))
+def test_compensated_sum_has_the_bits_of_the_expression_route(rows, width):
+    # 1-D, and 2-D rows of a drawn width (with rows cut or padded to it)
+    flat = np.array([v for row in rows for v in row], dtype=np.float64)
+    assert bits(compensated_sum(flat)) == bits(compensated_sum_ref(flat))
+    table = np.resize(flat, (len(rows), width)) if flat.size else np.zeros((len(rows), width))
+    assert bits(compensated_sum(table)) == bits(compensated_sum_ref(table))
+
+
+@pytest.mark.parametrize("n", [150_001, 1_000_000])
+def test_long_arrays_have_the_bits_of_the_expression_route(n):
+    # numpy's vector loops at full length, with special values strewn in
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-310, 300, n)
+    x[rng.integers(0, n, 20)] = rng.choice([math.inf, -math.inf, math.nan, 5e-324, -0.0], 20)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert bits(_prefix_sums(x)) == bits(compensated_cumsum_ref(x))
+    finite = np.abs(x[np.isfinite(x)])
+    assert bits(compensated_sum(finite)) == bits(compensated_sum_ref(finite))
+    table = finite[: finite.size // 7 * 7].reshape(-1, 7)
+    assert bits(compensated_sum(table)) == bits(compensated_sum_ref(table))
+    assert bits(compensated_sum(x)) == bits(compensated_sum_ref(x))
